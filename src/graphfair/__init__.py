@@ -76,9 +76,7 @@ from .serialize import (
 from .solvers import (
     EfGuess,
     PathDpTable,
-    TreeDpTable,
     compute_path_dp_table,
-    compute_tree_dp_table,
     dispatch,
     ef_path_typed,
     ef_path_with_guess,
@@ -133,14 +131,12 @@ __all__ = [
     "oracle_mms_exists",
     # solvers
     "PathDpTable",
-    "TreeDpTable",
     "EfGuess",
     "prop_star",
     "prop_path_greedy",
     "prop_path_typed",
     "compute_path_dp_table",
     "prop_tree_fpt",
-    "compute_tree_dp_table",
     "ef_path_typed",
     "ef_path_with_guess",
     "dispatch",

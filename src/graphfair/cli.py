@@ -49,24 +49,12 @@ from .serialize import (
     instance_to_dict,
     rational_to_str,
 )
-from .solvers import dispatch
+from .solvers import METHODS, dispatch, select_method
 
 EXIT_YES = 0
 EXIT_NO = 1
 EXIT_INPUT = 2
 EXIT_BUDGET = 3
-
-PROBLEMS = ("prop", "ef-complete", "mms")
-METHODS = (
-    "auto",
-    "oracle",
-    "greedy",
-    "path-dp",
-    "star",
-    "tree-fpt",
-    "ef-path",
-    "mms-tree",
-)
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -91,8 +79,10 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_solve = sub.add_parser("solve", help="decide a fairness problem")
     add_io(p_solve)
-    p_solve.add_argument("--problem", choices=PROBLEMS, required=True)
-    p_solve.add_argument("--method", choices=METHODS, default="auto")
+    p_solve.add_argument("--problem", required=True,
+                         choices=list(dict.fromkeys(m.problem for m in METHODS)))
+    p_solve.add_argument("--method", default="auto",
+                         choices=["auto", *dict.fromkeys(m.name for m in METHODS)])
     add_budget(p_solve)
 
     p_verify = sub.add_parser("verify", help="judge an allocation file")
@@ -227,7 +217,7 @@ def cmd_verify(args: argparse.Namespace) -> int:
 
 
 def _mms_values(inst: Instance, budget: Optional[OracleBudget]):
-    if classify(inst.graph).is_tree and inst.item_count >= inst.agent_count:
+    if select_method(inst, "mms").name == "mms-tree":
         return "tree", tuple(
             mms_value_tree(inst, i) for i in range(inst.agent_count)
         )

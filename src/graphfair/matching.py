@@ -95,8 +95,8 @@ def solve_matching(problem: MatchingProblem) -> Optional[MatchingResult]:
 
     tight = [
         [
-            cost[i][j] is not None and cost[i][j] == u[i] + v[j]
-            for j in range(size)
+            j for j in range(size)
+            if cost[i][j] is not None and cost[i][j] == u[i] + v[j]
         ]
         for i in range(size)
     ]
@@ -174,19 +174,16 @@ def _hungarian(
 
 
 def _lex_smallest_perfect(
-    tight: list[list[bool]], size: int, real_rows: int
+    adj: list[list[int]], size: int, real_rows: int
 ) -> Optional[list[int]]:
-    """Lexicographically smallest perfect matching inside the tight subgraph.
+    """Lexicographically smallest perfect matching along ascending lists ``adj``.
 
     Greedily pins real rows in index order to the smallest feasible column,
     re-checking each time that the remaining rows (dummies included) still
     admit a perfect matching.
     """
-    adj = [[j for j in range(size) if tight[i][j]] for i in range(size)]
-    pinned: dict[int, int] = {}
 
     def feasible(start_row: int, used_cols: set[int]) -> bool:
-        rows = list(range(start_row, size))
         match_col: dict[int, int] = {}
 
         def try_kuhn(r: int, seen: set[int]) -> bool:
@@ -199,19 +196,16 @@ def _lex_smallest_perfect(
                     return True
             return False
 
-        return all(try_kuhn(r, set()) for r in rows)
+        return all(try_kuhn(r, set()) for r in range(start_row, size))
 
     used: set[int] = set()
+    pinned: list[int] = []
     for i in range(real_rows):
-        found = False
         for j in adj[i]:
-            if j in used:
-                continue
-            if feasible(i + 1, used | {j}):
-                pinned[i] = j
+            if j not in used and feasible(i + 1, used | {j}):
                 used.add(j)
-                found = True
+                pinned.append(j)
                 break
-        if not found:
+        else:
             return None
-    return [pinned[i] for i in range(real_rows)]
+    return pinned

@@ -15,11 +15,17 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from math import lcm
 from typing import Optional, Sequence
 
 from .graphs import ItemGraph, classify, root_tree
-from .model import Allocation, InputError, Instance, SolveReport, make_report
+from .model import (
+    Allocation,
+    InputError,
+    Instance,
+    SolveReport,
+    integer_grid,
+    make_report,
+)
 from .serialize import rational_to_str
 
 __all__ = [
@@ -155,9 +161,7 @@ def mms_value_tree(inst: Instance, agent: int) -> Fraction:
     n = inst.agent_count
     if inst.item_count < n:
         raise InputError("fewer items than agents: no complete connected partition")
-    row = inst.utilities[agent]
-    scale = lcm(*(x.denominator for x in row))
-    weights = tuple(Fraction(int(x * scale)) for x in row)
+    scale, (weights,) = integer_grid([inst.utilities[agent]])
     clones = [weights] * n
 
     def feasible(q: int) -> bool:

@@ -11,6 +11,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from fractions import Fraction
+from math import lcm
 from typing import Iterable, Optional, Sequence
 
 __all__ = [
@@ -22,6 +23,7 @@ __all__ = [
     "Allocation",
     "SolveReport",
     "normalize_utilities",
+    "integer_grid",
     "bundle_value",
     "is_valid",
     "is_proportional",
@@ -223,6 +225,21 @@ def normalize_utilities(values: Iterable) -> tuple[Fraction, ...]:
     if total == 0:
         raise InputError("cannot normalize the all-zero vector")
     return tuple(v / total for v in vals)
+
+
+def integer_grid(
+    rows: Sequence[Sequence[Fraction]], thresholds: Sequence[Fraction] = ()
+) -> tuple[int, list[list[int]]]:
+    """The common denominator L of the rows and thresholds, and the rows times L.
+
+    Every scaled entry is an exact integer, and so is ``t * L`` for every
+    threshold t, which lets callers compare sums on the integer grid.
+    """
+    scale = lcm(
+        *(x.denominator for row in rows for x in row),
+        *(t.denominator for t in thresholds),
+    )
+    return scale, [[int(x * scale) for x in row] for row in rows]
 
 
 def bundle_value(inst: Instance, agent: int, vertices: Iterable[int]) -> Fraction:

@@ -11,10 +11,10 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from math import lcm
 from typing import Iterable, Optional, Sequence
 
 from .graphs import (
+    _mask_bits,
     classify,
     connected_set_masks,
     enumerate_connected_partitions,
@@ -28,8 +28,10 @@ from .model import (
     ItemGraph,
     SolveReport,
     compute_type_partition,
+    integer_grid,
     make_report,
 )
+from .matching import _lex_smallest_perfect
 
 __all__ = [
     "OracleBudget",
@@ -78,21 +80,6 @@ class _NodeCounter:
             raise BudgetExceeded("oracle enumeration budget exhausted")
 
 
-def _scaled_weights(
-    inst: Instance, thresholds: Sequence[Fraction]
-) -> tuple[list[list[int]], list[int]]:
-    """Integer utility rows and thresholds under one common denominator."""
-    scale = 1
-    for row in inst.utilities:
-        for x in row:
-            scale = lcm(scale, x.denominator)
-    for t in thresholds:
-        scale = lcm(scale, Fraction(t).denominator)
-    rows = [[int(x * scale) for x in row] for row in inst.utilities]
-    scaled_thresholds = [int(Fraction(t) * scale) for t in thresholds]
-    return rows, scaled_thresholds
-
-
 def _minimal_candidates(
     g: ItemGraph, weights: Sequence[int], threshold: int, counter: _NodeCounter
 ) -> list[int]:
@@ -107,25 +94,14 @@ def _minimal_candidates(
     out = []
     for mask in connected_set_masks(g):
         counter.spend()
-        total = 0
-        rest = mask
-        while rest:
-            v = rest & -rest
-            rest &= rest - 1
-            total += weights[v.bit_length() - 1]
+        total = _mask_value(weights, mask)
         if total < threshold:
             continue
-        minimal = True
-        rest = mask
-        while rest:
-            v = rest & -rest
-            rest &= rest - 1
-            w = v.bit_length() - 1
-            shrunk = mask & ~v
+        for w in _mask_bits(mask):
+            shrunk = mask & ~(1 << w)
             if total - weights[w] >= threshold and mask_is_connected(g, shrunk):
-                minimal = False
                 break
-        if minimal:
+        else:
             out.append(mask)
     return out
 
@@ -140,7 +116,8 @@ def _search_thresholds(
     g = inst.graph
     n = inst.agent_count
     counter = _NodeCounter(budget.max_enumerated)
-    weights, scaled = _scaled_weights(inst, thresholds)
+    scale, weights = integer_grid(inst.utilities, thresholds)
+    scaled = [int(t * scale) for t in thresholds]
 
     if not prune:
         # Reference mode: every agent may take any connected bundle or nothing,
@@ -231,15 +208,8 @@ def _mask_value(weights: Sequence[int], mask: int) -> int:
 
 def _masks_to_allocation(masks: Iterable[int]) -> Allocation:
     return Allocation(
-        tuple(frozenset(_bits(mask)) for mask in masks)
+        tuple(frozenset(_mask_bits(mask)) for mask in masks)
     )
-
-
-def _bits(mask: int):
-    while mask:
-        v = mask & -mask
-        yield v.bit_length() - 1
-        mask &= mask - 1
 
 
 def oracle_prop(
@@ -329,12 +299,7 @@ def oracle_ef_complete(
     if inst.item_count < n:
         return make_report(inst, "oracle", None)
     counter = _NodeCounter(b.max_enumerated)
-
-    scale = 1
-    for row in inst.utilities:
-        for x in row:
-            scale = lcm(scale, x.denominator)
-    weights = [[int(x * scale) for x in row] for row in inst.utilities]
+    _, weights = integer_grid(inst.utilities)
 
     for partition in enumerate_connected_partitions(inst.graph, n):
         counter.spend()
@@ -350,47 +315,10 @@ def oracle_ef_complete(
             all(value[i][p] != favorite[i] for i in range(n)) for p in range(n)
         ):
             continue  # some part is nobody's favorite, so it cannot be owned
-        assignment = _lex_perfect_assignment(adj, n)
+        assignment = _lex_smallest_perfect(adj, n, n)
         if assignment is not None:
             bundles: list[frozenset[int]] = [frozenset()] * n
             for agent, part_idx in enumerate(assignment):
                 bundles[agent] = partition[part_idx]
             return make_report(inst, "oracle", Allocation(tuple(bundles)))
     return make_report(inst, "oracle", None)
-
-
-def _lex_perfect_assignment(
-    adj: Sequence[Sequence[int]], n: int
-) -> Optional[list[int]]:
-    """Lexicographically smallest perfect matching rows -> columns, or None."""
-
-    def feasible(start: int, used: set[int]) -> bool:
-        match_col: dict[int, int] = {}
-
-        def kuhn(r: int, seen: set[int]) -> bool:
-            for j in adj[r]:
-                if j in used or j in seen:
-                    continue
-                seen.add(j)
-                if j not in match_col or kuhn(match_col[j], seen):
-                    match_col[j] = r
-                    return True
-            return False
-
-        return all(kuhn(r, set()) for r in range(start, n))
-
-    used: set[int] = set()
-    out: list[int] = []
-    for i in range(n):
-        pick = None
-        for j in adj[i]:
-            if j in used:
-                continue
-            if feasible(i + 1, used | {j}):
-                pick = j
-                break
-        if pick is None:
-            return None
-        used.add(pick)
-        out.append(pick)
-    return out

@@ -37,7 +37,10 @@ def rational_to_str(x: Fraction) -> str:
 def rational_from_str(s: str) -> Fraction:
     if not isinstance(s, str) or not _RATIONAL_RE.match(s.strip()):
         raise InputError(f"not a rational literal: {s!r}")
-    return Fraction(s.strip())
+    try:
+        return Fraction(s.strip())
+    except ZeroDivisionError:
+        raise InputError(f"zero denominator in {s!r}") from None
 
 
 def dumps(obj: Any) -> str:
@@ -79,12 +82,16 @@ def instance_from_dict(doc: dict) -> Instance:
     index = {label: i for i, label in enumerate(vertices)}
     if len(index) != len(vertices):
         raise InputError("vertex labels must be distinct")
+    if not isinstance(edge_docs, list):
+        raise InputError("graph.edges must be a list of label pairs")
+    if not isinstance(agent_docs, list):
+        raise InputError("agents must be a list")
     edges = []
     for e in edge_docs:
         if not (isinstance(e, list) and len(e) == 2):
             raise InputError(f"bad edge entry: {e!r}")
         a, b = e
-        if a not in index or b not in index:
+        if not (isinstance(a, str) and isinstance(b, str) and a in index and b in index):
             raise InputError(f"edge {e!r} uses an unknown vertex label")
         edges.append((index[a], index[b]))
     graph = ItemGraph(tuple(vertices), tuple(edges))
@@ -94,6 +101,8 @@ def instance_from_dict(doc: dict) -> Instance:
     for a in agent_docs:
         if not isinstance(a, dict) or "name" not in a or "utilities" not in a:
             raise InputError("each agent needs 'name' and 'utilities'")
+        if not isinstance(a["name"], str):
+            raise InputError(f"agent name must be a string, got {a['name']!r}")
         names.append(a["name"])
         utilities = a["utilities"]
         if not isinstance(utilities, dict):

@@ -3,8 +3,9 @@
 Each solver exploits one graph class: a matching formulation on stars, a
 left-to-right sweep on paths with identical agents, prefix dynamic programs
 on paths with few agent types, and a subtree dynamic program on trees that is
-exponential only in the number of agents.  ``dispatch`` routes an instance to
-the cheapest applicable solver and falls back to the exhaustive oracle.
+exponential only in the number of agents.  ``METHODS`` is the one routing
+table: ``dispatch`` runs the first entry that fits the instance, and the
+exhaustive oracle closes every problem's list.
 """
 
 from __future__ import annotations
@@ -13,34 +14,37 @@ import logging
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import product
-from math import lcm
-from typing import Iterator, Optional, Sequence
+from typing import Callable, Iterator, Optional, Sequence
 
-from .graphs import classify, root_tree
+from . import mms_tree
+from .graphs import GraphClass, _mask_bits, classify, root_tree
 from .matching import ABSENT, MatchingProblem, solve_matching
 from .model import (
+    AgentTypePartition,
     Allocation,
     InputError,
     Instance,
     SolveReport,
     bundle_value,
     compute_type_partition,
+    integer_grid,
     make_report,
 )
 from .oracle import OracleBudget, oracle_ef_complete, oracle_mms_exists, oracle_prop
 
 __all__ = [
     "PathDpTable",
-    "TreeDpTable",
     "EfGuess",
+    "Method",
+    "METHODS",
     "prop_star",
     "prop_path_greedy",
     "prop_path_typed",
     "compute_path_dp_table",
     "prop_tree_fpt",
-    "compute_tree_dp_table",
     "ef_path_typed",
     "ef_path_with_guess",
+    "select_method",
     "dispatch",
 ]
 
@@ -176,22 +180,46 @@ class PathDpTable:
 def _typed_path_setup(inst: Instance):
     order = path_order(inst)
     types = compute_type_partition(inst)
-    reps = [members[0] for members in types.members]
-    scale = lcm(inst.agent_count, *(
-        x.denominator for agent in reps for x in inst.utilities[agent]
-    ))
+    scale, rows = integer_grid(
+        [inst.utilities[members[0]] for members in types.members],
+        [Fraction(1, inst.agent_count)],
+    )
     prefix = []
-    for agent in reps:
-        row = inst.utilities[agent]
+    for row in rows:
         acc = [0]
         for v in order:
-            acc.append(acc[-1] + int(row[v] * scale))
+            acc.append(acc[-1] + row[v])
         prefix.append(acc)
     return order, types, scale, prefix
 
 
+def _tiling_allocation(inst, order, types, tables, vec) -> Allocation:
+    """Follow the backpointers from the full path and hand out the pieces.
+
+    ``tables[e][vec]`` is ``(s, t, prev)``: positions s..e-1 form a piece of
+    type t (``None`` for a skipped item) reached from ``tables[s][prev]``.
+    Each type's pieces go to its agents left to right; agents of a type with
+    fewer pieces than agents keep empty bundles.
+    """
+    pieces: list[tuple[int, int, int]] = []
+    e = len(order)
+    while e > 0:
+        s, t, prev = tables[e][vec]
+        if t is not None:
+            pieces.append((s, e, t))
+        e, vec = s, prev
+    by_type: list[list[tuple[int, int]]] = [[] for _ in range(types.type_count)]
+    for s, e, t in sorted(pieces):
+        by_type[t].append((s, e))
+    bundles = [frozenset()] * inst.agent_count
+    for t, members in enumerate(types.members):
+        for agent, (s, e) in zip(members, by_type[t]):
+            bundles[agent] = frozenset(order[pos] for pos in range(s, e))
+    return Allocation(tuple(bundles))
+
+
 def _path_dp_run(inst: Instance):
-    """Prefix DP; returns (order, types, tables, backpointers)."""
+    """Prefix DP; returns (order, types, backpointer tables)."""
     order, types, scale, prefix = _typed_path_setup(inst)
     threshold = scale // inst.agent_count
     m = len(order)
@@ -211,10 +239,10 @@ def _path_dp_run(inst: Instance):
                         continue
                     grown = vec[:t] + (vec[t] + 1,) + vec[t + 1 :]
                     if grown not in entry:
-                        entry[grown] = ("piece", s, t, vec)
+                        entry[grown] = (s, t, vec)
         for vec in tables[i - 1]:
             if vec not in entry:
-                entry[vec] = ("skip",)
+                entry[vec] = (i - 1, None, vec)
         tables.append(entry)
     return order, types, tables
 
@@ -231,50 +259,15 @@ def compute_path_dp_table(inst: Instance) -> PathDpTable:
 def prop_path_typed(inst: Instance) -> SolveReport:
     """Proportionality on paths, exponential only in the number of types."""
     order, types, tables = _path_dp_run(inst)
-    m = len(order)
     full = types.agents_per_type
-    if full not in tables[m]:
+    if full not in tables[-1]:
         return make_report(inst, "path-dp", None)
-
-    pieces: list[tuple[int, int, int]] = []  # (start, end, type), positions
-    i, vec = m, full
-    while i > 0:
-        bp = tables[i][vec]
-        if bp is None:
-            break
-        if bp[0] == "skip":
-            i -= 1
-        else:
-            _, s, t, prev = bp
-            pieces.append((s, i, t))
-            i, vec = s, prev
-
-    by_type: list[list[tuple[int, int]]] = [[] for _ in range(types.type_count)]
-    for s, e, t in sorted(pieces):
-        by_type[t].append((s, e))
-    bundles = [frozenset()] * inst.agent_count
-    for t, members in enumerate(types.members):
-        for agent, (s, e) in zip(members, by_type[t]):
-            bundles[agent] = frozenset(order[pos] for pos in range(s, e))
-    return make_report(inst, "path-dp", Allocation(tuple(bundles)))
+    witness = _tiling_allocation(inst, order, types, tables, full)
+    return make_report(inst, "path-dp", witness)
 
 
 # ---------------------------------------------------------------------------
 # trees
-
-
-@dataclass(frozen=True)
-class TreeDpTable:
-    """Best owner value per (vertex, owner, satisfied-set) over the rooted tree.
-
-    ``entries[(v, i, S)]`` is the maximum value the owner i can keep from a
-    bundle containing v inside v's subtree while every agent in bitmask S is
-    assigned a disjoint connected bundle there worth at least 1/n to her;
-    ``None`` marks infeasibility.
-    """
-
-    root: int
-    entries: dict[tuple[int, int, int], Optional[Fraction]]
 
 
 def _set_partitions(members: Sequence[int], max_blocks: int) -> Iterator[list[int]]:
@@ -333,7 +326,7 @@ def _tree_dp_run(inst: Instance):
                     entries[key] = subval[i][v]
                     info[key] = ("whole",)
                     continue
-                members = sorted(_bits(S))
+                members = sorted(_mask_bits(S))
                 best: Optional[Fraction] = None
                 best_info: Optional[tuple] = None
                 for parts in _set_partitions(members, len(kids)):
@@ -350,7 +343,7 @@ def _tree_dp_run(inst: Instance):
                                 modes.append(("extend", None))
                                 continue
                             owner = None
-                            for j in sorted(_bits(part)):
+                            for j in sorted(_mask_bits(part)):
                                 sub = entries[(z, j, part & ~(1 << j))]
                                 if sub is not None and sub >= share:
                                     owner = j
@@ -393,18 +386,6 @@ def _submasks(members: Sequence[int]) -> Iterator[int]:
             if r >> idx & 1:
                 mask |= 1 << agent
         yield mask
-
-
-def _bits(mask: int) -> Iterator[int]:
-    while mask:
-        v = mask & -mask
-        yield v.bit_length() - 1
-        mask &= mask - 1
-
-
-def compute_tree_dp_table(inst: Instance) -> TreeDpTable:
-    view, entries, _ = _tree_dp_run(inst)
-    return TreeDpTable(root=view.root, entries=entries)
 
 
 def prop_tree_fpt(inst: Instance) -> SolveReport:
@@ -529,24 +510,7 @@ def _ef_tile(inst, order, types, prefix, targets) -> Optional[Allocation]:
             break
     if accepted is None:
         return None
-
-    pieces: list[tuple[int, int, int]] = []
-    e, vec = m, accepted
-    while e > 0:
-        bp = tables[e][vec]
-        assert bp is not None
-        s, t, prev = bp
-        pieces.append((s, e, t))
-        e, vec = s, prev
-
-    by_type: list[list[tuple[int, int]]] = [[] for _ in range(p)]
-    for s, e, t in sorted(pieces):
-        by_type[t].append((s, e))
-    bundles = [frozenset()] * inst.agent_count
-    for t, members in enumerate(types.members):
-        for agent, (s, e) in zip(members, by_type[t]):
-            bundles[agent] = frozenset(order[pos] for pos in range(s, e))
-    return Allocation(tuple(bundles))
+    return _tiling_allocation(inst, order, types, tables, accepted)
 
 
 def ef_path_typed(inst: Instance) -> SolveReport:
@@ -590,11 +554,79 @@ def ef_path_typed(inst: Instance) -> SolveReport:
 # routing
 
 
-_METHODS_FOR_PROBLEM = {
-    "prop": ("auto", "oracle", "greedy", "path-dp", "star", "tree-fpt"),
-    "ef-complete": ("auto", "oracle", "ef-path"),
-    "mms": ("auto", "oracle", "mms-tree"),
-}
+@dataclass(frozen=True)
+class Method:
+    """One routing entry: a solver for one problem and the instances it fits.
+
+    ``run(inst, budget)`` solves; ``needs`` is the error text for a forced
+    method whose ``applies(cls, types, inst)`` is false.
+    """
+
+    name: str
+    problem: str
+    applies: Callable[[GraphClass, AgentTypePartition, Instance], bool]
+    run: Callable[[Instance, Optional[OracleBudget]], SolveReport]
+    needs: str = ""
+
+
+# Per problem, ``auto`` takes the first entry that applies.  Each ``run`` looks
+# its solver up by module attribute at call time, never through a captured
+# function object, so a wrapper installed on that attribute sees the call.
+METHODS = (
+    Method("greedy", "prop",
+           lambda cls, types, inst: cls.is_path and types.type_count == 1,
+           lambda inst, budget: prop_path_greedy(inst),
+           "greedy needs a path and identical agents"),
+    Method("path-dp", "prop",
+           lambda cls, types, inst: cls.is_path,
+           lambda inst, budget: prop_path_typed(inst),
+           "the path solver needs a path graph"),
+    Method("star", "prop",
+           lambda cls, types, inst: cls.is_star,
+           lambda inst, budget: prop_star(inst),
+           "the star solver needs a star graph"),
+    Method("tree-fpt", "prop",
+           lambda cls, types, inst: cls.is_tree,
+           lambda inst, budget: prop_tree_fpt(inst),
+           "the tree solver needs a tree graph"),
+    Method("oracle", "prop", lambda cls, types, inst: True,
+           lambda inst, budget: oracle_prop(inst, budget)),
+    Method("ef-path", "ef-complete",
+           lambda cls, types, inst: cls.is_path,
+           lambda inst, budget: ef_path_typed(inst),
+           "the envy-free path solver needs a path graph"),
+    Method("oracle", "ef-complete", lambda cls, types, inst: True,
+           lambda inst, budget: oracle_ef_complete(inst, budget)),
+    Method("mms-tree", "mms",
+           lambda cls, types, inst: cls.is_tree and inst.item_count >= inst.agent_count,
+           lambda inst, budget: mms_tree.solve_mms_tree(inst),
+           "the tree maximin solver needs a tree with enough items"),
+    Method("oracle", "mms", lambda cls, types, inst: True,
+           lambda inst, budget: oracle_mms_exists(inst, budget)),
+)
+
+
+def select_method(inst: Instance, problem: str, method: str = "auto") -> Method:
+    """The ``METHODS`` entry that solves ``problem`` for ``inst``.
+
+    ``problem`` is one of prop, ef-complete, mms; ``method`` overrides the
+    automatic choice and is checked against the problem before the graph is
+    classified.
+    """
+    problem = problem.replace("_", "-")
+    entries = [entry for entry in METHODS if entry.problem == problem]
+    if not entries:
+        raise InputError(f"unknown problem {problem!r}")
+    if method != "auto":
+        entries = [entry for entry in entries if entry.name == method]
+        if not entries:
+            raise InputError(f"method {method!r} does not solve problem {problem!r}")
+    cls = classify(inst.graph)
+    types = compute_type_partition(inst)
+    for entry in entries:
+        if entry.applies(cls, types, inst):
+            return entry
+    raise InputError(entries[0].needs)
 
 
 def dispatch(
@@ -603,81 +635,7 @@ def dispatch(
     method: str = "auto",
     budget: Optional[OracleBudget] = None,
 ) -> SolveReport:
-    """Route an instance to a solver and return its report.
-
-    ``problem`` is one of prop, ef-complete, mms; ``method`` overrides the
-    automatic choice and is validated against the problem and the graph class
-    before any computation happens.
-    """
-    from .mms_tree import solve_mms_tree  # deferred: mms_tree builds on this module's peers
-
-    problem = problem.replace("_", "-")
-    if problem not in _METHODS_FOR_PROBLEM:
-        raise InputError(f"unknown problem {problem!r}")
-    if method not in _METHODS_FOR_PROBLEM[problem]:
-        raise InputError(f"method {method!r} does not solve problem {problem!r}")
-
-    cls = classify(inst.graph)
-    single_type = compute_type_partition(inst).type_count == 1
-
-    if method == "auto":
-        if problem == "prop":
-            if cls.is_path and single_type:
-                method = "greedy"
-            elif cls.is_path:
-                method = "path-dp"
-            elif cls.is_star:
-                method = "star"
-            elif cls.is_tree:
-                method = "tree-fpt"
-            else:
-                method = "oracle"
-        elif problem == "ef-complete":
-            method = "ef-path" if cls.is_path else "oracle"
-        else:
-            method = (
-                "mms-tree"
-                if cls.is_tree and inst.item_count >= inst.agent_count
-                else "oracle"
-            )
-    else:
-        _validate_method(inst, cls, problem, method, single_type)
-
-    logger.debug("dispatch: problem=%s method=%s", problem, method)
-
-    if method == "greedy":
-        return prop_path_greedy(inst)
-    if method == "path-dp":
-        return prop_path_typed(inst)
-    if method == "star":
-        return prop_star(inst)
-    if method == "tree-fpt":
-        return prop_tree_fpt(inst)
-    if method == "ef-path":
-        return ef_path_typed(inst)
-    if method == "mms-tree":
-        return solve_mms_tree(inst)
-    if problem == "prop":
-        return oracle_prop(inst, budget)
-    if problem == "ef-complete":
-        return oracle_ef_complete(inst, budget)
-    return oracle_mms_exists(inst, budget)
-
-
-def _validate_method(inst, cls, problem, method, single_type) -> None:
-    if method == "oracle":
-        return
-    if method == "greedy" and not (cls.is_path and single_type):
-        raise InputError("greedy needs a path and identical agents")
-    if method == "path-dp" and not cls.is_path:
-        raise InputError("the path solver needs a path graph")
-    if method == "star" and not cls.is_star:
-        raise InputError("the star solver needs a star graph")
-    if method == "tree-fpt" and not cls.is_tree:
-        raise InputError("the tree solver needs a tree graph")
-    if method == "ef-path" and not cls.is_path:
-        raise InputError("the envy-free path solver needs a path graph")
-    if method == "mms-tree" and not (
-        cls.is_tree and inst.item_count >= inst.agent_count
-    ):
-        raise InputError("the tree maximin solver needs a tree with enough items")
+    """Route an instance through ``select_method`` and return the solver's report."""
+    entry = select_method(inst, problem, method)
+    logger.debug("dispatch: problem=%s method=%s", entry.problem, entry.name)
+    return entry.run(inst, budget)

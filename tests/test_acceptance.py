@@ -12,11 +12,14 @@ import random
 import subprocess
 import sys
 import time
+import zlib
 from fractions import Fraction
 from itertools import combinations
+from pathlib import Path
 
 import pytest
 
+import graphfair
 from graphfair import (
     OracleBudget,
     allocate_with_quotas,
@@ -92,7 +95,7 @@ def solver_results():
     results = {}
     base = 200_000
     for tag, solver, problem, cls, single_type in SOLVER_SWEEPS:
-        rng = random.Random(hash(tag) & 0xFFFF)
+        rng = random.Random(zlib.crc32(tag.encode()))
         rows = []
         for trial in range(500):
             n = rng.randint(1, 4)
@@ -288,8 +291,14 @@ def test_criterion_7_determinism(tmp_path):
     # No threading anywhere in the package (single-threaded command flow),
     # so the cross-run axis of freedom is hash randomization; pin it two
     # different ways and demand byte-identical output.
-    env0 = {**os.environ, "PYTHONHASHSEED": "0"}
-    env1 = {**os.environ, "PYTHONHASHSEED": "12345"}
+    # The subprocess runs in tmp_path, where a relative PYTHONPATH no longer
+    # finds the package, so put the package's absolute parent directory first.
+    package_parent = str(Path(graphfair.__file__).resolve().parent.parent)
+    pythonpath = os.pathsep.join(
+        p for p in (package_parent, os.environ.get("PYTHONPATH")) if p
+    )
+    env0 = {**os.environ, "PYTHONPATH": pythonpath, "PYTHONHASHSEED": "0"}
+    env1 = {**os.environ, "PYTHONPATH": pythonpath, "PYTHONHASHSEED": "12345"}
 
     def cli(args, env):
         proc = subprocess.run(

@@ -91,6 +91,31 @@ def test_solve_input_quirks(capsys, tmp_path):
     assert code == 2
 
 
+def _malformed(mutate):
+    doc = {
+        "graph": {"vertices": ["x", "y"], "edges": [["x", "y"]]},
+        "agents": [{"name": "a1", "utilities": {"x": "1/2", "y": "1/2"}}],
+    }
+    mutate(doc)
+    return doc
+
+
+@pytest.mark.parametrize("doc", [
+    _malformed(lambda d: d["graph"].__setitem__("edges", 5)),
+    _malformed(lambda d: d.__setitem__("agents", 5)),
+    _malformed(lambda d: d["agents"][0].__setitem__("name", ["a1"])),
+    _malformed(lambda d: d["graph"]["edges"][0].__setitem__(0, ["x"])),
+    _malformed(lambda d: d["agents"][0]["utilities"].__setitem__("x", "1/0")),
+], ids=["edges-number", "agents-number", "list-agent-name", "list-endpoint",
+        "zero-denominator"])
+def test_solve_malformed_document_exits_2(capsys, tmp_path, doc):
+    f = tmp_path / "bad.json"
+    f.write_text(json.dumps(doc), encoding="utf-8")
+    code, out, err = run(capsys, ["solve", "--problem", "prop", str(f)])
+    assert code == 2
+    assert out == "" and err.startswith("error:") and "Traceback" not in err
+
+
 # ---------------------------------------------------------------------------
 # verify
 

@@ -1,6 +1,8 @@
 """Polynomial solvers: frozen examples, DP invariants, and routing."""
 
+import argparse
 import random
+import re
 from fractions import Fraction
 
 import pytest
@@ -25,8 +27,11 @@ from graphfair import (
     prop_star,
     prop_tree_fpt,
 )
+from graphfair.cli import build_parser
 from graphfair.generators import fixture_cycle8, gen_random
-from graphfair.model import Instance, ItemGraph
+from graphfair.graphs import classify
+from graphfair.model import Instance, ItemGraph, compute_type_partition
+from graphfair.solvers import METHODS, select_method
 
 from conftest import cycle_graph, mk, path_graph, star_graph
 
@@ -299,6 +304,50 @@ def test_dispatch_rejects_bad_requests():
         dispatch(mk(cycle_graph(4), ("1/4",) * 4), "mms", method="mms-tree")
     with pytest.raises(InputError):
         dispatch(mk(path_graph(2), ("1", "0"), ("0", "1")), "prop", method="greedy")
+
+
+def test_dispatch_follows_method_table():
+    uniform4 = ("1/4",) * 4
+    cases = (
+        # (instance, auto's pick for prop, ef-complete, mms)
+        (mk(path_graph(4), uniform4, uniform4), "greedy", "ef-path", "mms-tree"),
+        (mk(path_graph(4), ("1/2", "1/4", "1/8", "1/8"), uniform4),
+         "path-dp", "ef-path", "mms-tree"),
+        (mk(path_graph(2), ("1", "0"), ("0", "1")), "path-dp", "ef-path", "mms-tree"),
+        (mk(star_graph(3), uniform4, uniform4), "star", "oracle", "mms-tree"),
+        (mk(broom_graph(), *(("1/5",) * 5,) * 3), "tree-fpt", "oracle", "mms-tree"),
+        (fixture_cycle8(), "oracle", "oracle", "oracle"),
+    )
+    problems = ("prop", "ef-complete", "mms")
+    for inst, *auto_picks in cases:
+        cls = classify(inst.graph)
+        types = compute_type_partition(inst)
+        for problem, auto_pick in zip(problems, auto_picks):
+            entries = [e for e in METHODS if e.problem == problem]
+            assert dispatch(inst, problem).method == auto_pick
+            assert auto_pick == next(e.name for e in entries if e.applies(cls, types, inst))
+            for entry in entries:
+                if entry.applies(cls, types, inst):
+                    assert dispatch(inst, problem, method=entry.name).method == entry.name
+                else:
+                    with pytest.raises(InputError, match=re.escape(entry.needs)):
+                        dispatch(inst, problem, method=entry.name)
+            for name in {e.name for e in METHODS} - {e.name for e in entries}:
+                with pytest.raises(InputError, match="does not solve"):
+                    dispatch(inst, problem, method=name)
+
+    with pytest.raises(InputError, match="unknown problem"):
+        dispatch(cases[0][0], "unknown-problem")
+    # a tree with m < n routes mms to the oracle, which rejects it
+    short = mk(path_graph(2), *(("1/2", "1/2"),) * 3)
+    assert select_method(short, "mms").name == "oracle"
+    with pytest.raises(InputError):
+        dispatch(short, "mms")
+
+    parser = build_parser()
+    sub = next(a for a in parser._actions if isinstance(a, argparse._SubParsersAction))
+    method_flag = next(a for a in sub.choices["solve"]._actions if a.dest == "method")
+    assert list(method_flag.choices) == ["auto", *dict.fromkeys(e.name for e in METHODS)]
 
 
 def test_dispatch_forwards_budget():
