@@ -74,12 +74,8 @@ from .serialize import (
     rational_to_str,
 )
 from .solvers import (
-    EfGuess,
-    PathDpTable,
-    compute_path_dp_table,
     dispatch,
     ef_path_typed,
-    ef_path_with_guess,
     prop_path_greedy,
     prop_path_typed,
     prop_star,
@@ -130,15 +126,11 @@ __all__ = [
     "oracle_mms_values",
     "oracle_mms_exists",
     # solvers
-    "PathDpTable",
-    "EfGuess",
     "prop_star",
     "prop_path_greedy",
     "prop_path_typed",
-    "compute_path_dp_table",
     "prop_tree_fpt",
     "ef_path_typed",
-    "ef_path_with_guess",
     "dispatch",
     # trees and maximin shares
     "DiminisherRound",

@@ -13,9 +13,10 @@ JSON on stdout; diagnostics go to stderr.
 from __future__ import annotations
 
 import argparse
+import json
 import sys
 from pathlib import Path
-from typing import Optional
+from typing import Callable, Optional, TypeVar
 
 from .generators import (
     RANDOM_CLASSES,
@@ -50,6 +51,8 @@ from .serialize import (
     rational_to_str,
 )
 from .solvers import METHODS, dispatch, select_method
+
+T = TypeVar("T")
 
 EXIT_YES = 0
 EXIT_NO = 1
@@ -129,15 +132,24 @@ def _load_instance(args: argparse.Namespace) -> Instance:
     path = pos or flag
     if not path:
         raise InputError("an instance file is required")
-    return _read_instance(path)
+    return _read_json(path, instance_from_json)
 
 
-def _read_instance(path: str) -> Instance:
+def _read_json(path: str, parse: Callable[[str], T]) -> T:
+    """Read ``path`` as UTF-8 and return ``parse`` of its text.
+
+    Every way the file can fail to read or parse becomes an ``InputError``:
+    an OS error, bytes that are not UTF-8, invalid JSON, nesting past the
+    recursion limit, or an integer literal over Python's digit limit.
+    """
     try:
-        text = Path(path).read_text(encoding="utf-8")
+        return parse(Path(path).read_text(encoding="utf-8"))
+    except InputError:
+        raise
     except OSError as exc:
         raise InputError(f"cannot read {path}: {exc.strerror or exc}") from exc
-    return instance_from_json(text)
+    except (ValueError, RecursionError) as exc:
+        raise InputError(f"cannot parse {path}: {exc}") from None
 
 
 def _budget(args: argparse.Namespace) -> Optional[OracleBudget]:
@@ -188,18 +200,8 @@ def cmd_solve(args: argparse.Namespace) -> int:
 
 
 def cmd_verify(args: argparse.Namespace) -> int:
-    inst = _read_instance(args.instance)
-    try:
-        text = Path(args.allocation).read_text(encoding="utf-8")
-    except OSError as exc:
-        raise InputError(f"cannot read {args.allocation}: {exc.strerror or exc}") from exc
-    import json
-
-    try:
-        alloc_doc = json.loads(text)
-    except json.JSONDecodeError as exc:
-        raise InputError(f"allocation file is not valid JSON: {exc}") from exc
-    alloc = allocation_from_dict(inst, alloc_doc)
+    inst = _read_json(args.instance, instance_from_json)
+    alloc = allocation_from_dict(inst, _read_json(args.allocation, json.loads))
 
     valid = is_valid(inst, alloc)
     doc = {

@@ -41,6 +41,8 @@ def rational_from_str(s: str) -> Fraction:
         return Fraction(s.strip())
     except ZeroDivisionError:
         raise InputError(f"zero denominator in {s!r}") from None
+    except ValueError:  # an integer over Python's digit limit
+        raise InputError(f"rational literal too long ({len(s)} characters)") from None
 
 
 def dumps(obj: Any) -> str:

@@ -11,6 +11,7 @@ exhaustive oracle closes every problem's list.
 from __future__ import annotations
 
 import logging
+from bisect import bisect_right
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import product
@@ -33,17 +34,13 @@ from .model import (
 from .oracle import OracleBudget, oracle_ef_complete, oracle_mms_exists, oracle_prop
 
 __all__ = [
-    "PathDpTable",
-    "EfGuess",
     "Method",
     "METHODS",
     "prop_star",
     "prop_path_greedy",
     "prop_path_typed",
-    "compute_path_dp_table",
     "prop_tree_fpt",
     "ef_path_typed",
-    "ef_path_with_guess",
     "select_method",
     "dispatch",
 ]
@@ -163,20 +160,6 @@ def prop_path_greedy(inst: Instance) -> SolveReport:
 # paths, few types
 
 
-@dataclass(frozen=True)
-class PathDpTable:
-    """Reachable satisfied-count vectors after each path prefix.
-
-    ``reachable[i]`` holds every vector (one entry per type, capped at the
-    type's agent count) achievable by disjoint interval pieces inside the
-    first i vertices, items in between may stay loose.
-    """
-
-    order: tuple[int, ...]
-    type_counts: tuple[int, ...]
-    reachable: tuple[frozenset[tuple[int, ...]], ...]
-
-
 def _typed_path_setup(inst: Instance):
     order = path_order(inst)
     types = compute_type_partition(inst)
@@ -193,16 +176,43 @@ def _typed_path_setup(inst: Instance):
     return order, types, scale, prefix
 
 
-def _tiling_allocation(inst, order, types, tables, vec) -> Allocation:
-    """Follow the backpointers from the full path and hand out the pieces.
+def _tile(counts: tuple[int, ...], allowed: list[list[tuple[int, Optional[int]]]]):
+    """Prefix DP over count vectors; returns one backpointer table per position.
 
-    ``tables[e][vec]`` is ``(s, t, prev)``: positions s..e-1 form a piece of
-    type t (``None`` for a skipped item) reached from ``tables[s][prev]``.
-    Each type's pieces go to its agents left to right; agents of a type with
-    fewer pieces than agents keep empty bundles.
+    ``allowed[e]`` lists the ``(s, t)`` pieces that may end at position e:
+    positions s..e-1 form a piece for type t, or a loose item when t is
+    ``None``.  ``tables[e][vec]`` is ``(s, t, prev)`` for the first piece
+    that reached count vector ``vec`` (at most ``counts[t]`` pieces of type
+    t) from ``tables[s][prev]``, in the order of ``allowed[e]``.
+    """
+    tables: list[dict[tuple[int, ...], Optional[tuple]]] = [{(0,) * len(counts): None}]
+    for pieces in allowed[1:]:
+        entry: dict[tuple[int, ...], Optional[tuple]] = {}
+        for s, t in pieces:
+            if t is None:
+                for vec in tables[s]:
+                    if vec not in entry:
+                        entry[vec] = (s, None, vec)
+                continue
+            for vec in tables[s]:
+                if vec[t] >= counts[t]:
+                    continue
+                grown = vec[:t] + (vec[t] + 1,) + vec[t + 1 :]
+                if grown not in entry:
+                    entry[grown] = (s, t, vec)
+        tables.append(entry)
+    return tables
+
+
+def _tiling_allocation(inst, order, types, tables) -> Allocation:
+    """Follow the backpointers from the full count vector and hand out the pieces.
+
+    ``tables[e][vec]`` is ``(s, t, prev)`` as built by ``_tile``.  The full
+    vector holds one piece per agent, so every agent gets a nonempty bundle:
+    each type's pieces go to its agents left to right.
     """
     pieces: list[tuple[int, int, int]] = []
-    e = len(order)
+    e, vec = len(order), types.agents_per_type
     while e > 0:
         s, t, prev = tables[e][vec]
         if t is not None:
@@ -218,51 +228,31 @@ def _tiling_allocation(inst, order, types, tables, vec) -> Allocation:
     return Allocation(tuple(bundles))
 
 
-def _path_dp_run(inst: Instance):
-    """Prefix DP; returns (order, types, backpointer tables)."""
+def prop_path_typed(inst: Instance) -> SolveReport:
+    """Proportionality on paths, exponential only in the number of types.
+
+    A piece may go to type t when t values it at 1/n or more; any item may
+    stay loose.
+    """
     order, types, scale, prefix = _typed_path_setup(inst)
     threshold = scale // inst.agent_count
-    m = len(order)
     p = types.type_count
-    counts = types.agents_per_type
-
-    zero = (0,) * p
-    tables: list[dict[tuple[int, ...], Optional[tuple]]] = [{zero: None}]
-    for i in range(1, m + 1):
-        entry: dict[tuple[int, ...], Optional[tuple]] = {}
-        for s in range(i):
-            for t in range(p):
-                if prefix[t][i] - prefix[t][s] < threshold:
-                    continue
-                for vec in tables[s]:
-                    if vec[t] >= counts[t]:
-                        continue
-                    grown = vec[:t] + (vec[t] + 1,) + vec[t + 1 :]
-                    if grown not in entry:
-                        entry[grown] = (s, t, vec)
-        for vec in tables[i - 1]:
-            if vec not in entry:
-                entry[vec] = (i - 1, None, vec)
-        tables.append(entry)
-    return order, types, tables
-
-
-def compute_path_dp_table(inst: Instance) -> PathDpTable:
-    order, types, tables = _path_dp_run(inst)
-    return PathDpTable(
-        order=tuple(order),
-        type_counts=types.agents_per_type,
-        reachable=tuple(frozenset(t.keys()) for t in tables),
-    )
-
-
-def prop_path_typed(inst: Instance) -> SolveReport:
-    """Proportionality on paths, exponential only in the number of types."""
-    order, types, tables = _path_dp_run(inst)
+    pairs = [(s, t) for s in range(len(order)) for t in range(p)]
+    allowed: list[list[tuple[int, Optional[int]]]] = [[]]
+    for e in range(1, len(order) + 1):
+        # Utilities are nonnegative, so the pieces ending at e that type t
+        # accepts are exactly those starting at s <= last[t].
+        last = [bisect_right(prefix[t], prefix[t][e] - threshold, 0, e) - 1 for t in range(p)]
+        low = min(last) + 1
+        pieces: list[tuple[int, Optional[int]]] = pairs[: low * p]
+        pieces += [(s, t) for s in range(low, max(last) + 1) for t in range(p) if s <= last[t]]
+        pieces.append((e - 1, None))
+        allowed.append(pieces)
     full = types.agents_per_type
+    tables = _tile(full, allowed)
     if full not in tables[-1]:
         return make_report(inst, "path-dp", None)
-    witness = _tiling_allocation(inst, order, types, tables, full)
+    witness = _tiling_allocation(inst, order, types, tables)
     return make_report(inst, "path-dp", witness)
 
 
@@ -442,38 +432,15 @@ def prop_tree_fpt(inst: Instance) -> SolveReport:
 # envy-freeness on paths
 
 
-@dataclass(frozen=True)
-class EfGuess:
-    """One guessed own-bundle value per agent type (0 admits empty bundles)."""
-
-    values: tuple[Fraction, ...]
-
-
-def ef_path_with_guess(inst: Instance, guess: EfGuess) -> Optional[Allocation]:
-    """Complete envy-free allocation realizing the guess, if one exists.
-
-    Every piece of the tiling owned by type t must be worth exactly
-    ``guess.values[t]`` to t and at most ``guess.values[s]`` to every other
-    type s; type t must own exactly its agent count of pieces unless its
-    guess is 0, in which case fewer (empty bundles) are allowed.
-    """
-    order, types, scale, prefix = _typed_path_setup(inst)
-    if len(guess.values) != types.type_count:
-        raise InputError("one guessed value per agent type is required")
-    targets = [int(Fraction(v) * scale) for v in guess.values]
-    if any(Fraction(v) * scale != t for v, t in zip(guess.values, targets)):
-        # a target that is not a multiple of the utility grid can never be hit
-        return None
-    return _ef_tile(inst, order, types, prefix, targets)
-
-
 def _ef_tile(inst, order, types, prefix, targets) -> Optional[Allocation]:
-    """Tile the whole path with pieces respecting exact/at-most constraints."""
+    """Tile the whole path with exactly one piece per agent, if possible.
+
+    A piece may go to type t when it is worth exactly ``targets[t]`` to t
+    and at most ``targets[o]`` to every other type o.
+    """
     m = len(order)
     p = types.type_count
-    counts = types.agents_per_type
-
-    allowed: list[list[tuple[int, int]]] = [[] for _ in range(m + 1)]  # end -> (start, type)
+    allowed: list[list[tuple[int, Optional[int]]]] = [[] for _ in range(m + 1)]
     for s in range(m):
         for e in range(s + 1, m + 1):
             for t in range(p):
@@ -486,42 +453,23 @@ def _ef_tile(inst, order, types, prefix, targets) -> Optional[Allocation]:
                 ):
                     continue
                 allowed[e].append((s, t))
-
-    zero = (0,) * p
-    tables: list[dict[tuple[int, ...], Optional[tuple]]] = [{zero: None}]
-    for e in range(1, m + 1):
-        entry: dict[tuple[int, ...], Optional[tuple]] = {}
-        for s, t in allowed[e]:
-            for vec in tables[s]:
-                if vec[t] >= counts[t]:
-                    continue
-                grown = vec[:t] + (vec[t] + 1,) + vec[t + 1 :]
-                if grown not in entry:
-                    entry[grown] = (s, t, vec)
-        tables.append(entry)
-
-    accepted = None
-    for vec in tables[m]:
-        if all(
-            vec[t] == counts[t] or (vec[t] < counts[t] and targets[t] == 0)
-            for t in range(p)
-        ):
-            accepted = vec
-            break
-    if accepted is None:
+    full = types.agents_per_type
+    tables = _tile(full, allowed)
+    if full not in tables[m]:
         return None
-    return _tiling_allocation(inst, order, types, tables, accepted)
+    return _tiling_allocation(inst, order, types, tables)
 
 
 def ef_path_typed(inst: Instance) -> SolveReport:
     """Complete envy-freeness on paths by guessing per-type own values.
 
-    Candidate guesses per type are the values of contiguous intervals plus 0.
-    A complete tiling into k <= n pieces forces every accepted guess g_t into
-    [1/k, 1/n_t] (the path's total value 1 must be split among pieces each
-    worth at most g_t to type t, and n_t own pieces worth exactly g_t each
-    cannot exceed 1), so interval values outside [1/n, 1/n_t] are skipped.
-    The surviving guesses are tried in lexicographic order.
+    A complete envy-free tiling has exactly n nonempty pieces, one per agent,
+    and each piece of type t is worth exactly the guess g_t to t.  Candidate
+    guesses per type are the values of contiguous intervals.  Every accepted
+    g_t lies in [1/n, 1/n_t]: the path's total value 1 is split among n
+    pieces each worth at most g_t to type t, and n_t own pieces worth g_t
+    each cannot exceed 1.  So interval values outside that range are
+    skipped, and the surviving guesses are tried in lexicographic order.
     """
     order, types, scale, prefix = _typed_path_setup(inst)
     m = len(order)
@@ -537,7 +485,7 @@ def ef_path_typed(inst: Instance) -> SolveReport:
         lo = Fraction(scale, n)
         hi = Fraction(scale, counts[t])
         keep = sorted(v for v in vals if lo <= v <= hi)
-        candidate_lists.append([0] + keep)
+        candidate_lists.append(keep)
 
     for targets in product(*candidate_lists):
         witness = _ef_tile(inst, order, types, prefix, list(targets))

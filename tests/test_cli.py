@@ -106,12 +106,37 @@ def _malformed(mutate):
     _malformed(lambda d: d["agents"][0].__setitem__("name", ["a1"])),
     _malformed(lambda d: d["graph"]["edges"][0].__setitem__(0, ["x"])),
     _malformed(lambda d: d["agents"][0]["utilities"].__setitem__("x", "1/0")),
+    _malformed(lambda d: d["agents"][0]["utilities"].__setitem__("x", "9" * 5000)),
 ], ids=["edges-number", "agents-number", "list-agent-name", "list-endpoint",
-        "zero-denominator"])
+        "zero-denominator", "long-rational"])
 def test_solve_malformed_document_exits_2(capsys, tmp_path, doc):
     f = tmp_path / "bad.json"
     f.write_text(json.dumps(doc), encoding="utf-8")
     code, out, err = run(capsys, ["solve", "--problem", "prop", str(f)])
+    assert code == 2
+    assert out == "" and err.startswith("error:") and "Traceback" not in err
+
+
+DEEP = b"[" * 100_000 + b"]" * 100_000
+
+
+@pytest.mark.parametrize("command, raw", [
+    ("solve", b'{"graph": \xff}'),
+    ("solve", DEEP),
+    ("solve", b'{"graph": ' + b"9" * 5000 + b"}"),
+    ("verify", b'{"bundles": \xff}'),
+    ("verify", DEEP),
+    ("verify", b'{"bundles": ' + b"9" * 5000 + b"}"),
+], ids=["not-utf8", "deep-nesting", "long-integer",
+        "verify-not-utf8", "verify-deep-nesting", "verify-long-integer"])
+def test_unparsable_file_exits_2(capsys, tmp_path, cycle8_file, command, raw):
+    f = tmp_path / "raw.json"
+    f.write_bytes(raw)
+    if command == "solve":
+        argv = ["solve", "--problem", "prop", str(f)]
+    else:
+        argv = ["verify", cycle8_file, str(f)]
+    code, out, err = run(capsys, argv)
     assert code == 2
     assert out == "" and err.startswith("error:") and "Traceback" not in err
 

@@ -9,13 +9,10 @@ import pytest
 
 from graphfair import (
     BudgetExceeded,
-    EfGuess,
     InputError,
     bundle_value,
-    compute_path_dp_table,
     dispatch,
     ef_path_typed,
-    ef_path_with_guess,
     is_complete,
     is_envy_free,
     is_proportional,
@@ -127,28 +124,6 @@ def test_path_dp_matches_greedy_on_uniform():
     assert is_proportional(inst, rep.witness)
 
 
-def test_path_dp_table_shape_and_monotonicity():
-    rng = random.Random(1234)
-    for trial in range(40):
-        n = rng.randint(2, 4)
-        inst = gen_random(seed=trial + 6000, cls="path", m=rng.randint(2, 7), n=n,
-                          types=rng.randint(1, 3))
-        table = compute_path_dp_table(inst)
-        assert table.reachable[0] == frozenset({(0,) * len(table.type_counts)})
-        for i, states in enumerate(table.reachable):
-            if i > 0:
-                # the skip transition carries every earlier state forward
-                assert states >= table.reachable[i - 1]
-            for vec in states:
-                assert all(
-                    c <= cap for c, cap in zip(vec, table.type_counts)
-                )
-                for t, c in enumerate(vec):
-                    if c > 0:
-                        down = vec[:t] + (c - 1,) + vec[t + 1 :]
-                        assert down in states, (i, vec, t)
-
-
 # ---------------------------------------------------------------------------
 # trees
 
@@ -235,25 +210,18 @@ def test_ef_path_pieces_hit_their_guess():
             assert is_envy_free(inst, rep.witness)
             assert is_complete(inst, rep.witness)
             for agent, bundle in enumerate(rep.witness.bundles):
+                # every piece is nonempty, which is why no guess is ever 0
+                assert bundle
                 assert bundle_value(inst, agent, bundle) == rep.quotas[agent]
     assert hits >= 10
 
 
-def test_ef_with_explicit_guess():
-    inst = mk(path_graph(2), ("1/2", "1/2"), ("1/2", "1/2"))
-    alloc = ef_path_with_guess(inst, EfGuess((Fraction(1, 2),)))
-    assert alloc is not None and is_envy_free(inst, alloc)
-    # Off the utility grid: no interval is worth exactly 1/3 here.
-    assert ef_path_with_guess(inst, EfGuess((Fraction(1, 3),))) is None
-    with pytest.raises(InputError):
-        ef_path_with_guess(inst, EfGuess((Fraction(1, 2), Fraction(1, 2))))
-
-
-def test_ef_guess_zero_admits_empty_bundles():
-    # Second type worthless everywhere: it can sit out with guess 0.
+def test_ef_path_more_agents_than_items():
+    # A complete envy-free tiling gives every agent a nonempty piece, so three
+    # identical agents cannot split two items.
     inst = mk(path_graph(2), ("1/2", "1/2"), ("1/2", "1/2"), ("1/2", "1/2"))
     rep = ef_path_typed(inst)
-    assert not rep.decision  # three identical agents cannot split two items
+    assert not rep.decision and rep.quotas is None
 
 
 # ---------------------------------------------------------------------------
