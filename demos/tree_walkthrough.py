@@ -1,9 +1,11 @@
 """Maximin shares on a tree, end to end.
 
 On tree-shaped item graphs a maximin-fair allocation always exists and is
-found in polynomial time: compute each agent's share by binary search over
-"can the tree be split into n connected parts all worth at least q to me?",
-then peel minimal satisfying subtrees off the tree, one agent at a time.
+found in polynomial time.  Each agent's share is a binary search over "can
+the tree be split into n connected parts all worth at least q to me?", and
+one postorder sweep answers that by cutting off a subtree as soon as its
+uncut value reaches q.  Minimal satisfying subtrees are then peeled off the
+tree, one agent at a time.
 This script runs both stages on a small tree and prints the peeling trace.
 
 Run:  python3 demos/tree_walkthrough.py

@@ -123,14 +123,12 @@ class RootedTreeView:
     """A tree (or residual subtree) rooted at a fixed vertex.
 
     All sequences are indexed by original vertex id; vertices outside the view
-    carry ``None`` parents, empty child tuples, and empty subtree sets.
+    carry empty child tuples and empty subtree sets.
     Children are listed in ascending order and ``postorder`` visits them
     before their parent.
     """
 
     root: int
-    vertices: frozenset[int]
-    parent: tuple[Optional[int], ...]
     children: tuple[tuple[int, ...], ...]
     postorder: tuple[int, ...]
     subtree: tuple[frozenset[int], ...]
@@ -180,25 +178,10 @@ def root_tree(
 
     return RootedTreeView(
         root=root,
-        vertices=view,
-        parent=tuple(_fill_parents(children, root, m)),
         children=tuple(children),
         postorder=tuple(post),
         subtree=tuple(subtree),
     )
-
-
-def _fill_parents(
-    children: list[tuple[int, ...]], root: int, m: int
-) -> list[Optional[int]]:
-    parent: list[Optional[int]] = [None] * m
-    stack = [root]
-    while stack:
-        v = stack.pop()
-        for c in children[v]:
-            parent[c] = v
-            stack.append(c)
-    return parent
 
 
 def connected_set_masks(g: ItemGraph) -> Iterator[int]:

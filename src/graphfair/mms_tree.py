@@ -1,14 +1,17 @@
 """Maximin-share computation and allocation on trees.
 
+A maximin share is a binary search over the agent's integer value grid.  A
+probe q is decided by one postorder sweep that cuts a vertex off, with the
+uncut weight of its children, once that weight reaches q (Perl and Schach,
+"Max-min tree partitioning", JACM 1981); with nonnegative weights, n
+connected parts all worth at least q exist iff there are at least n cuts.
+
 The allocator is a last-diminisher loop: the lowest-indexed remaining agent
 walks the residual tree in postorder and takes the first subtree worth her
 quota, which is automatically inclusion-minimal among qualifying subtrees.
 Peeling minimal subtrees never destroys feasibility for the others, so with
 quotas set to the agents' maximin shares the loop always terminates with a
-full allocation.  The same loop run with n copies of a single agent decides
-whether the tree splits into n connected parts all worth at least q, and a
-binary search over the integer value grid turns that into the exact maximin
-share.
+full allocation.
 """
 
 from __future__ import annotations
@@ -17,7 +20,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Optional, Sequence
 
-from .graphs import ItemGraph, classify, root_tree
+from .graphs import classify, root_tree
 from .model import (
     Allocation,
     InputError,
@@ -67,21 +70,23 @@ class DiminisherTrace:
         }
 
 
-def _allocate(
-    graph: ItemGraph,
-    rows: Sequence[Sequence[Fraction]],
-    quotas: Sequence[Fraction],
-) -> Optional[tuple[list[frozenset[int]], DiminisherTrace]]:
-    """Run the peeling loop with arbitrary nonnegative valuation rows.
+def allocate_with_quotas(
+    inst: Instance, quotas: Sequence[Fraction]
+) -> Optional[tuple[Allocation, DiminisherTrace]]:
+    """Connected bundles giving each agent at least her quota, or None.
 
-    Kept independent of ``Instance`` so that the maximin search can run it
-    with n copies of one integer-scaled row, which would violate the
-    normalization an ``Instance`` enforces.
+    The item graph must be a tree.  Failure is honest only when the quotas
+    are simultaneously satisfiable by no peeling order; with maximin-share
+    quotas the call always succeeds.
     """
-    n = len(rows)
-    m = graph.vertex_count
+    if not classify(inst.graph).is_tree:
+        raise InputError("the item graph is not a tree")
+    n = inst.agent_count
+    if len(quotas) != n:
+        raise InputError("one quota per agent is required")
+    rows = inst.utilities
     bundles: list[frozenset[int]] = [frozenset()] * n
-    residual = frozenset(range(m))
+    residual = frozenset(range(inst.item_count))
     remaining = list(range(n))
     rounds: list[DiminisherRound] = []
 
@@ -110,7 +115,7 @@ def _allocate(
         # awarding a non-minimal subtree could swallow the only piece some
         # other agent can reach her quota with.
         claimants = [j for j in remaining if quotas[j] > 0]
-        view = root_tree(graph, min(residual), within=residual)
+        view = root_tree(inst.graph, min(residual), within=residual)
         taken: Optional[int] = None
         winner: Optional[int] = None
         for v in view.postorder:
@@ -126,46 +131,39 @@ def _allocate(
         bundles[winner] = awarded
         residual = residual - awarded
         remaining.remove(winner)
-    return bundles, DiminisherTrace(tuple(Fraction(q) for q in quotas), tuple(rounds))
-
-
-def allocate_with_quotas(
-    inst: Instance, quotas: Sequence[Fraction]
-) -> Optional[tuple[Allocation, DiminisherTrace]]:
-    """Connected bundles giving each agent at least her quota, or None.
-
-    The item graph must be a tree.  Failure is honest only when the quotas
-    are simultaneously satisfiable by no peeling order; with maximin-share
-    quotas the call always succeeds.
-    """
-    if not classify(inst.graph).is_tree:
-        raise InputError("the item graph is not a tree")
-    if len(quotas) != inst.agent_count:
-        raise InputError("one quota per agent is required")
-    out = _allocate(inst.graph, inst.utilities, quotas)
-    if out is None:
-        return None
-    bundles, trace = out
+    trace = DiminisherTrace(tuple(Fraction(q) for q in quotas), tuple(rounds))
     return Allocation(tuple(bundles)), trace
 
 
 def mms_value_tree(inst: Instance, agent: int) -> Fraction:
     """Exact maximin share of one agent over connected n-partitions of a tree.
 
-    The agent's utilities are scaled to integers summing to L; feasibility of
-    "n connected parts, each worth at least q" is monotone in q, so a binary
-    search over q in [0, L] finds the share exactly.
+    The agent's utilities are scaled to integers summing to L.  Whether the
+    tree splits into n connected parts each worth at least q is monotone in
+    q and decided by counting greedy postorder cuts, so a binary search over
+    q in [0, L] finds the share exactly.
     """
     if not classify(inst.graph).is_tree:
         raise InputError("the item graph is not a tree")
     n = inst.agent_count
+    if not 0 <= agent < n:
+        raise InputError(f"agent {agent} outside 0..{n - 1}")
     if inst.item_count < n:
         raise InputError("fewer items than agents: no complete connected partition")
     scale, (weights,) = integer_grid([inst.utilities[agent]])
-    clones = [weights] * n
+    view = root_tree(inst.graph, 0)
+    children = view.children
 
     def feasible(q: int) -> bool:
-        return _allocate(inst.graph, clones, [Fraction(q)] * n) is not None
+        uncut = [0] * inst.item_count
+        cuts = 0
+        for v in view.postorder:
+            total = weights[v] + sum(uncut[c] for c in children[v])
+            if total >= q:
+                cuts += 1
+            else:
+                uncut[v] = total
+        return cuts >= n
 
     lo, hi = 0, scale  # feasible(0) always; the total value is exactly scale
     while lo < hi:

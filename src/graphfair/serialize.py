@@ -125,7 +125,8 @@ def instance_to_json(inst: Instance) -> str:
 def instance_from_json(text: str) -> Instance:
     try:
         doc = json.loads(text)
-    except json.JSONDecodeError as exc:
+    except (ValueError, RecursionError) as exc:
+        # ValueError covers JSONDecodeError and integers over the digit limit
         raise InputError(f"invalid JSON: {exc}") from None
     return instance_from_dict(doc)
 

@@ -111,7 +111,7 @@ def test_root_tree_views():
     g = path_graph(3)
     view = root_tree(g, 0)
     assert view.subtree[1] == frozenset({1, 2})
-    assert view.parent[1] == 0 and view.parent[0] is None
+    assert view.root == 0 and view.children[0] == (1,)
     assert view.postorder == (2, 1, 0)
 
     single = root_tree(ItemGraph(("v",), ()), 0)
@@ -126,7 +126,7 @@ def test_root_tree_views():
 def test_root_tree_within_and_errors():
     g = path_graph(4)
     view = root_tree(g, 1, within={1, 2, 3})
-    assert view.vertices == frozenset({1, 2, 3})
+    assert view.subtree[1] == frozenset({1, 2, 3})
     assert view.subtree[2] == frozenset({2, 3})
     assert view.subtree[0] == frozenset()
     with pytest.raises(InputError):

@@ -4,6 +4,8 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from graphfair import (
     InputError,
@@ -95,6 +97,9 @@ def test_mms_value_examples():
         mms_value_tree(mk(cycle_graph(3), ("1/3",) * 3), 0)
     with pytest.raises(InputError):
         mms_value_tree(mk(path_graph(2), *(("1/2", "1/2"),) * 3), 0)
+    for agent in (-1, 2):  # agents are 0..n-1
+        with pytest.raises(InputError):
+            mms_value_tree(inst, agent)
 
 
 def test_solve_path3_and_star():
@@ -136,6 +141,55 @@ def test_random_trees_match_oracle():
         assert rep.decision
         assert rep.quotas == expected
         assert is_mms_allocation(inst, rep.witness, expected)
+
+
+@st.composite
+def tree_instances(draw):
+    """Small trees (parent pointers, paths or stars) with normalized rows."""
+    m = draw(st.integers(1, 8))
+    n = draw(st.integers(1, min(4, m)))
+    shape = draw(st.sampled_from(["parents", "path", "star"]))
+    if shape == "parents":
+        parents = [draw(st.integers(0, v - 1)) for v in range(1, m)]
+    elif shape == "path":
+        parents = list(range(m - 1))
+    else:
+        parents = [0] * (m - 1)
+    label = draw(st.permutations(range(m)))
+    edges = tuple((label[p], label[v]) for v, p in enumerate(parents, start=1))
+    graph = ItemGraph(tuple(f"v{i + 1}" for i in range(m)), edges)
+    row = st.lists(st.integers(0, 9), min_size=m, max_size=m).filter(any)
+    rows = [draw(row) for _ in range(n)]
+    return Instance(
+        graph,
+        tuple(f"a{i + 1}" for i in range(n)),
+        tuple(tuple(Fraction(x, sum(r)) for x in r) for r in rows),
+    )
+
+
+@settings(derandomize=True, database=None, deadline=None, max_examples=300)
+@given(tree_instances())
+def test_mms_values_and_witness_match_oracle(inst):
+    expected = oracle_mms_values(inst)
+    assert tuple(mms_value_tree(inst, i) for i in range(inst.agent_count)) == expected
+    rep = solve_mms_tree(inst)
+    assert rep.decision and rep.quotas == expected
+    assert is_mms_allocation(inst, rep.witness, expected)
+
+
+def test_long_uniform_path_splits_into_equal_runs():
+    m, n = 400, 20
+    inst = Instance(
+        path_graph(m),
+        tuple(f"a{i + 1}" for i in range(n)),
+        ((Fraction(1, m),) * m,) * n,
+    )
+    rep = solve_mms_tree(inst)
+    assert rep.decision
+    assert rep.quotas == (Fraction(1, n),) * n
+    assert sorted(rep.witness.bundles, key=min) == [
+        frozenset(range(k, k + m // n)) for k in range(0, m, m // n)
+    ]
 
 
 def replay_minimality(inst, quotas, trace):

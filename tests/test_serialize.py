@@ -99,8 +99,13 @@ def test_instance_document_rejects():
 
     with pytest.raises(InputError):
         instance_from_dict([1, 2])
-    with pytest.raises(InputError):
-        instance_from_json("{not json")
+    for text in (
+        "{not json",
+        "[" * 100_000 + "]" * 100_000,  # nested past the recursion limit
+        "9" * 5000,  # an integer over Python's digit limit
+    ):
+        with pytest.raises(InputError, match="invalid JSON"):
+            instance_from_json(text)
 
 
 def test_allocation_round_trip():
