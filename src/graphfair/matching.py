@@ -1,16 +1,21 @@
-"""Min/max-weight bipartite assignment over exact rationals.
+"""Min/max-weight bipartite assignment over exact numbers.
 
 The solver matches every left vertex to a distinct right vertex (left side
 may be the smaller one), honours forbidden pairs exactly rather than through
 big-M penalties, and among equal-weight optima returns the lexicographically
 smallest assignment vector.
+
+``solve_matching`` validates a ``MatchingProblem`` of Fractions and answers
+in Fractions.  The solvers call the unchecked core ``_assign`` on the rows of
+their integer grid instead, so the whole solve runs on ints; any positive
+scaling of the weights keeps the same optima and the same tie-break.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Optional
+from typing import Optional, Sequence
 
 from .model import InputError
 
@@ -71,69 +76,70 @@ class MatchingResult:
 
 def solve_matching(problem: MatchingProblem) -> Optional[MatchingResult]:
     """Optimal assignment saturating the left side, or None when impossible."""
-    left = problem.left_size
-    right = problem.right_size
-    if left == 0:
-        return MatchingResult((), Fraction(0))
-
     sign = 1 if problem.objective == "min" else -1
+    solved = _assign(problem.weights, problem.right_size, sign)
+    if solved is None:
+        return None
+    assignment, total = solved
+    return MatchingResult(assignment, Fraction(total))
+
+
+def _assign(
+    rows: Sequence[Sequence], width: int, sign: int
+) -> Optional[tuple[tuple[int, ...], object]]:
+    """``(assignment, total)`` minimizing ``sign`` times the total, or None.
+
+    ``rows`` are unchecked weight rows of length ``width`` (no more rows
+    than ``width``), all ints or all Fractions, with ``ABSENT`` cells; the
+    total comes back in the rows' own number type.  Ties go to the
+    lexicographically smallest assignment.
+    """
+    left = len(rows)
+    if left == 0:
+        return (), 0
     # Square the problem: dummy all-zero rows soak up the extra columns, so
     # plain perfect-matching duality applies and tight edges characterize
     # every optimum.
-    size = right
-    cost: list[list[Optional[Fraction]]] = []
-    for i in range(left):
-        cost.append([None if w is None else sign * w for w in problem.weights[i]])
-    zero_row: list[Optional[Fraction]] = [Fraction(0)] * size
-    for _ in range(size - left):
-        cost.append(list(zero_row))
+    cost = [[None if w is None else sign * w for w in row] for row in rows]
+    cost += [[0] * width for _ in range(width - left)]
 
-    duals = _hungarian(cost, size, real_rows=left)
+    duals = _hungarian(cost, width)
     if duals is None:
         return None
     u, v = duals
 
     tight = [
-        [
-            j for j in range(size)
-            if cost[i][j] is not None and cost[i][j] == u[i] + v[j]
-        ]
-        for i in range(size)
+        [j for j, c in enumerate(row) if c is not None and c == u[i] + v[j]]
+        for i, row in enumerate(cost)
     ]
-    assignment = _lex_smallest_perfect(tight, size, left)
+    assignment = _lex_smallest_perfect(tight, width, left)
     if assignment is None:  # pragma: no cover - duals guarantee feasibility
         return None
-    total = Fraction(0)
-    for i in range(left):
-        w = problem.weights[i][assignment[i]]
-        assert w is not None
-        total += w
-    return MatchingResult(tuple(assignment), total)
+    return tuple(assignment), sum(row[j] for row, j in zip(rows, assignment))
 
 
-def _hungarian(
-    cost: list[list[Optional[Fraction]]], size: int, real_rows: int
-) -> Optional[tuple[list[Fraction], list[Fraction]]]:
+def _hungarian(cost: list[list], size: int) -> Optional[tuple[list, list]]:
     """Potentials-based shortest-augmenting-path solve; returns optimal duals.
 
     Uses 1-based scratch arrays in the classic formulation; ``None`` plays
-    infinity for both forbidden cells and unvisited column minima.
+    infinity for both forbidden cells and unvisited column minima.  The
+    duals start at int 0, so they stay in the costs' own number type.
     """
     INF = None
-    u = [Fraction(0)] * (size + 1)
-    v = [Fraction(0)] * (size + 1)
+    u = [0] * (size + 1)
+    v = [0] * (size + 1)
     p = [0] * (size + 1)  # column -> matched row (1-based; 0 = free)
     way = [0] * (size + 1)
 
     for i in range(1, size + 1):
         p[0] = i
         j0 = 0
-        minv: list[Optional[Fraction]] = [INF] * (size + 1)
+        minv: list = [INF] * (size + 1)
         used = [False] * (size + 1)
         while True:
             used[j0] = True
             i0 = p[j0]
-            delta: Optional[Fraction] = INF
+            delta = INF
             j1 = -1
             row = cost[i0 - 1]
             for j in range(1, size + 1):

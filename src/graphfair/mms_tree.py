@@ -18,13 +18,15 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import lru_cache
 from typing import Optional, Sequence
 
-from .graphs import classify, root_tree
+from .graphs import RootedTreeView, classify, root_tree
 from .model import (
     Allocation,
     InputError,
     Instance,
+    ItemGraph,
     SolveReport,
     integer_grid,
     make_report,
@@ -135,6 +137,20 @@ def allocate_with_quotas(
     return Allocation(tuple(bundles)), trace
 
 
+@lru_cache(maxsize=1)
+def _rooted_tree(graph: ItemGraph) -> RootedTreeView:
+    """``graph`` rooted at vertex 0, after checking that it is a tree.
+
+    ``solve_mms_tree`` asks ``mms_value_tree`` for one agent's share after
+    another on the same graph; keeping the last graph's view lets those n
+    binary searches share one ``classify`` and one ``root_tree``.  The view
+    is immutable and only one is kept.
+    """
+    if not classify(graph).is_tree:
+        raise InputError("the item graph is not a tree")
+    return root_tree(graph, 0)
+
+
 def mms_value_tree(inst: Instance, agent: int) -> Fraction:
     """Exact maximin share of one agent over connected n-partitions of a tree.
 
@@ -143,15 +159,13 @@ def mms_value_tree(inst: Instance, agent: int) -> Fraction:
     q and decided by counting greedy postorder cuts, so a binary search over
     q in [0, L] finds the share exactly.
     """
-    if not classify(inst.graph).is_tree:
-        raise InputError("the item graph is not a tree")
+    view = _rooted_tree(inst.graph)
     n = inst.agent_count
     if not 0 <= agent < n:
         raise InputError(f"agent {agent} outside 0..{n - 1}")
     if inst.item_count < n:
         raise InputError("fewer items than agents: no complete connected partition")
     scale, (weights,) = integer_grid([inst.utilities[agent]])
-    view = root_tree(inst.graph, 0)
     children = view.children
 
     def feasible(q: int) -> bool:

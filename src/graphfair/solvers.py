@@ -19,14 +19,15 @@ from typing import Callable, Iterator, Optional, Sequence
 
 from . import mms_tree
 from .graphs import GraphClass, _mask_bits, classify, root_tree
-from .matching import ABSENT, MatchingProblem, solve_matching
+# ``solve_matching`` stays bound here because bench/tracer.py wraps
+# ``solvers.solve_matching``; the solvers call the core ``_assign`` directly.
+from .matching import ABSENT, _assign, solve_matching  # noqa: F401
 from .model import (
     AgentTypePartition,
     Allocation,
     InputError,
     Instance,
     SolveReport,
-    bundle_value,
     compute_type_partition,
     integer_grid,
     make_report,
@@ -81,7 +82,9 @@ def prop_star(inst: Instance) -> SolveReport:
     For a candidate owner i of the center, every other agent must take a
     single leaf she values at 1/n or more; among such systems a min-weight
     matching minimizes what the center owner gives away, so i keeps 1/n
-    exactly when the matching total stays within (n-1)/n.
+    exactly when the matching total stays within (n-1)/n.  Values are
+    compared on the instance's integer grid, where 1 is ``scale`` and 1/n is
+    ``scale // n``, so the matchings run on ints.
     """
     g = inst.graph
     if not classify(g).is_star:
@@ -89,27 +92,24 @@ def prop_star(inst: Instance) -> SolveReport:
     m, n = inst.item_count, inst.agent_count
     center = 0 if m <= 2 else max(range(m), key=g.degree)
     leaves = [v for v in range(m) if v != center]
-    share = Fraction(1, n)
 
     if n - 1 > len(leaves):
         return make_report(inst, "star", None)
 
+    scale, grid = integer_grid(inst.utilities, [Fraction(1, n)])
+    share = scale // n
     for i in range(n):
         others = [j for j in range(n) if j != i]
-        rows = []
-        for j in others:
-            rows.append(
-                tuple(
-                    inst.utilities[i][v] if inst.utilities[j][v] >= share else ABSENT
-                    for v in leaves
-                )
-            )
-        result = solve_matching(MatchingProblem(tuple(rows), "min"))
-        if result is None or result.total > 1 - share:
+        rows = [
+            [grid[i][v] if grid[j][v] >= share else ABSENT for v in leaves]
+            for j in others
+        ]
+        solved = _assign(rows, len(leaves), 1)
+        if solved is None or solved[1] > scale - share:
             continue
         bundles = [frozenset()] * n
         matched = set()
-        for j, col in zip(others, result.assignment):
+        for j, col in zip(others, solved[0]):
             bundles[j] = frozenset({leaves[col]})
             matched.add(leaves[col])
         bundles[i] = frozenset({center} | (set(leaves) - matched))
@@ -287,86 +287,99 @@ def _set_partitions(members: Sequence[int], max_blocks: int) -> Iterator[list[in
 
 
 def _tree_dp_run(inst: Instance):
+    """The subtree DP on the instance's integer grid; returns its tables.
+
+    ``entries[(v, i, S)]`` is the most agent i can keep in a connected bundle
+    that contains v and stays in v's subtree, while every agent in the
+    bitmask S gets a connected bundle there worth at least 1/n to her; None
+    when no such split exists.  Entries are ints: the utilities times
+    ``scale`` from ``integer_grid``, so 1/n is ``share = scale // n``.  At a
+    vertex with children, each set partition of S gives its blocks to
+    distinct children by one max-weight matching: agent i extends into the
+    child, or hands the child's subtree off to a block agent who can own it,
+    and the children left over go to i whole.  ``info`` keeps the choice
+    behind each entry for ``prop_tree_fpt`` to rebuild the bundles.
+    """
     g = inst.graph
     if not classify(g).is_tree:
         raise InputError("the item graph is not a tree")
     n = inst.agent_count
     view = root_tree(g, 0)
-    share = Fraction(1, n)
+    scale, grid = integer_grid(inst.utilities, [Fraction(1, n)])
+    share = scale // n
 
-    subval = [
-        [bundle_value(inst, i, view.subtree[v]) for v in range(g.vertex_count)]
-        for i in range(n)
-    ]
-
-    entries: dict[tuple[int, int, int], Optional[Fraction]] = {}
+    subval = [[0] * g.vertex_count for _ in range(n)]
+    entries: dict[tuple[int, int, int], Optional[int]] = {}
     info: dict[tuple[int, int, int], tuple] = {}
 
     for v in view.postorder:
         kids = view.children[v]
         for i in range(n):
+            subval[i][v] = grid[i][v] + sum(subval[i][z] for z in kids)
+        # Neither a block's row nor a child's hand-off owner depends on the
+        # set partition being tried, so each is worked out once per vertex.
+        owners: dict[tuple[int, int], Optional[int]] = {}
+        blocks: dict[tuple[int, int], Optional[tuple[list, list]]] = {}
+
+        def block(i: int, part: int) -> Optional[tuple[list, list]]:
+            """Agent i's matching row for the block ``part`` and its modes."""
+            if (i, part) in blocks:
+                return blocks[(i, part)]
+            row: list[Optional[int]] = []
+            modes: list[Optional[tuple]] = []
+            for z in kids:
+                ext = entries[(z, i, part)]
+                if ext is not None:
+                    row.append(ext)
+                    modes.append(("extend", None))
+                    continue
+                if (z, part) not in owners:
+                    owners[(z, part)] = None
+                    for j in _mask_bits(part):
+                        sub = entries[(z, j, part & ~(1 << j))]
+                        if sub is not None and sub >= share:
+                            owners[(z, part)] = j
+                            break
+                owner = owners[(z, part)]
+                row.append(ABSENT if owner is None else 0)
+                modes.append(None if owner is None else ("handoff", owner))
+            usable = any(w is not ABSENT for w in row)
+            blocks[(i, part)] = (row, modes) if usable else None
+            return blocks[(i, part)]
+
+        for i in range(n):
+            whole = [subval[i][z] for z in kids]
             others = [j for j in range(n) if j != i]
             for S in _submasks(others):
                 key = (v, i, S)
                 if not kids:
-                    entries[key] = inst.utilities[i][v] if S == 0 else None
+                    entries[key] = grid[i][v] if S == 0 else None
                     info[key] = ("leaf",)
                     continue
                 if S == 0:
                     entries[key] = subval[i][v]
                     info[key] = ("whole",)
                     continue
-                members = sorted(_mask_bits(S))
-                best: Optional[Fraction] = None
+                best: Optional[int] = None
                 best_info: Optional[tuple] = None
-                for parts in _set_partitions(members, len(kids)):
-                    rows = []
-                    modes_per_part: list[list] = []
-                    feasible = True
-                    for part in parts:
-                        row = []
-                        modes = []
-                        for z in kids:
-                            ext = entries[(z, i, part)]
-                            if ext is not None:
-                                row.append(ext)
-                                modes.append(("extend", None))
-                                continue
-                            owner = None
-                            for j in sorted(_mask_bits(part)):
-                                sub = entries[(z, j, part & ~(1 << j))]
-                                if sub is not None and sub >= share:
-                                    owner = j
-                                    break
-                            if owner is None:
-                                row.append(ABSENT)
-                                modes.append(None)
-                            else:
-                                row.append(Fraction(0))
-                                modes.append(("handoff", owner))
-                        if all(w is ABSENT for w in row):
-                            feasible = False
-                            break
-                        rows.append(tuple(row))
-                        modes_per_part.append(modes)
-                    if not feasible:
+                for parts in _set_partitions(sorted(_mask_bits(S)), len(kids)):
+                    picked = [block(i, part) for part in parts]
+                    if None in picked:
                         continue
-                    for _ in range(len(kids) - len(parts)):
-                        rows.append(tuple(subval[i][z] for z in kids))
-                    result = solve_matching(MatchingProblem(tuple(rows), "max"))
-                    if result is None:
-                        continue
-                    total = result.total
-                    if best is None or total > best:
-                        best = total
-                        best_info = ("split", parts, result.assignment, modes_per_part)
+                    rows = [row for row, _ in picked]
+                    rows += [whole] * (len(kids) - len(parts))
+                    solved = _assign(rows, len(kids), -1)
+                    if solved is not None and (best is None or solved[1] > best):
+                        best = solved[1]
+                        modes_per_part = [modes for _, modes in picked]
+                        best_info = ("split", parts, solved[0], modes_per_part)
                 if best is None:
                     entries[key] = None
                 else:
-                    entries[key] = inst.utilities[i][v] + best
+                    entries[key] = grid[i][v] + best
                     assert best_info is not None
                     info[key] = best_info
-    return view, entries, info
+    return view, entries, info, share
 
 
 def _submasks(members: Sequence[int]) -> Iterator[int]:
@@ -379,10 +392,14 @@ def _submasks(members: Sequence[int]) -> Iterator[int]:
 
 
 def prop_tree_fpt(inst: Instance) -> SolveReport:
-    """Proportionality on trees, exponential only in the number of agents."""
-    view, entries, info = _tree_dp_run(inst)
+    """Proportionality on trees, exponential only in the number of agents.
+
+    Runs ``_tree_dp_run`` on the integer grid; the instance is a yes when
+    some agent, tried in index order, can own the root while all others are
+    served, and the recorded choices then rebuild the bundles.
+    """
+    view, entries, info, share = _tree_dp_run(inst)
     n = inst.agent_count
-    share = Fraction(1, n)
     full = (1 << n) - 1
 
     owner = None

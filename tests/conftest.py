@@ -1,5 +1,7 @@
 from fractions import Fraction
 
+from hypothesis import strategies as st
+
 from graphfair import Instance, ItemGraph
 
 
@@ -41,6 +43,34 @@ def random_row(rng, m, bound=9):
         total = sum(base)
         if total:
             return tuple(Fraction(x, total) for x in base)
+
+
+@st.composite
+def tree_instances(draw, max_items):
+    """Small trees (parent pointers, paths or stars) with normalized rows.
+
+    At most ``max_items`` items and min(4, items) agents; every row is drawn
+    as nonnegative integers and divided by its sum.
+    """
+    m = draw(st.integers(1, max_items))
+    n = draw(st.integers(1, min(4, m)))
+    shape = draw(st.sampled_from(["parents", "path", "star"]))
+    if shape == "parents":
+        parents = [draw(st.integers(0, v - 1)) for v in range(1, m)]
+    elif shape == "path":
+        parents = list(range(m - 1))
+    else:
+        parents = [0] * (m - 1)
+    label = draw(st.permutations(range(m)))
+    edges = tuple((label[p], label[v]) for v, p in enumerate(parents, start=1))
+    graph = ItemGraph(tuple(f"v{i + 1}" for i in range(m)), edges)
+    row = st.lists(st.integers(0, 9), min_size=m, max_size=m).filter(any)
+    rows = [draw(row) for _ in range(n)]
+    return Instance(
+        graph,
+        tuple(f"a{i + 1}" for i in range(n)),
+        tuple(tuple(Fraction(x, sum(r)) for x in r) for r in rows),
+    )
 
 
 def pytest_terminal_summary(terminalreporter, exitstatus, config):

@@ -7,6 +7,7 @@ from itertools import permutations
 import pytest
 
 from graphfair import ABSENT, InputError, MatchingProblem, MatchingResult, solve_matching
+from graphfair.matching import _assign
 
 
 def brute(weights, objective):
@@ -91,24 +92,40 @@ def test_int_weights_coerced():
     assert res == MatchingResult((1, 0), Fraction(2))
 
 
+def random_problem(rng, weight):
+    """An objective and a left x right table (left <= right <= 5), a quarter ABSENT."""
+    left = rng.randint(1, 5)
+    right = rng.randint(left, 5)
+    objective = rng.choice(("min", "max"))
+    weights = tuple(
+        tuple(ABSENT if rng.random() < 0.25 else weight() for _ in range(right))
+        for _ in range(left)
+    )
+    return objective, weights
+
+
 def test_agrees_with_brute_force():
     rng = random.Random(20240311)
     for _ in range(160):
-        left = rng.randint(1, 5)
-        right = rng.randint(left, 5)
-        objective = rng.choice(("min", "max"))
-        weights = tuple(
-            tuple(
-                ABSENT
-                if rng.random() < 0.25
-                else Fraction(rng.randint(-4, 4), rng.randint(1, 4))
-                for _ in range(right)
-            )
-            for _ in range(left)
+        objective, weights = random_problem(
+            rng, lambda: Fraction(rng.randint(-4, 4), rng.randint(1, 4))
         )
         got = solve_matching(MatchingProblem(weights, objective))
         want = brute(weights, objective)
         assert got == want, (weights, objective)
+
+
+def test_int_core_agrees_with_brute_force():
+    rng = random.Random(20261018)
+    for _ in range(160):
+        objective, weights = random_problem(rng, lambda: rng.randint(-9, 9))
+        got = _assign(weights, len(weights[0]), 1 if objective == "min" else -1)
+        want = brute(weights, objective)
+        if want is None:
+            assert got is None, weights
+        else:
+            assert got == (want.assignment, want.total), (weights, objective)
+            assert type(got[1]) is int
 
 
 def test_min_max_mirror():

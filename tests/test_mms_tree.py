@@ -5,7 +5,6 @@ from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings
-from hypothesis import strategies as st
 
 from graphfair import (
     InputError,
@@ -20,9 +19,9 @@ from graphfair import (
 )
 from graphfair.generators import gen_random
 from graphfair.graphs import root_tree
-from graphfair.model import Instance, ItemGraph
+from graphfair.model import Instance
 
-from conftest import cycle_graph, mk, path_graph, star_graph
+from conftest import cycle_graph, mk, path_graph, star_graph, tree_instances
 
 
 def test_two_agents_on_path3_golden_trace():
@@ -143,32 +142,8 @@ def test_random_trees_match_oracle():
         assert is_mms_allocation(inst, rep.witness, expected)
 
 
-@st.composite
-def tree_instances(draw):
-    """Small trees (parent pointers, paths or stars) with normalized rows."""
-    m = draw(st.integers(1, 8))
-    n = draw(st.integers(1, min(4, m)))
-    shape = draw(st.sampled_from(["parents", "path", "star"]))
-    if shape == "parents":
-        parents = [draw(st.integers(0, v - 1)) for v in range(1, m)]
-    elif shape == "path":
-        parents = list(range(m - 1))
-    else:
-        parents = [0] * (m - 1)
-    label = draw(st.permutations(range(m)))
-    edges = tuple((label[p], label[v]) for v, p in enumerate(parents, start=1))
-    graph = ItemGraph(tuple(f"v{i + 1}" for i in range(m)), edges)
-    row = st.lists(st.integers(0, 9), min_size=m, max_size=m).filter(any)
-    rows = [draw(row) for _ in range(n)]
-    return Instance(
-        graph,
-        tuple(f"a{i + 1}" for i in range(n)),
-        tuple(tuple(Fraction(x, sum(r)) for x in r) for r in rows),
-    )
-
-
 @settings(derandomize=True, database=None, deadline=None, max_examples=300)
-@given(tree_instances())
+@given(tree_instances(max_items=8))
 def test_mms_values_and_witness_match_oracle(inst):
     expected = oracle_mms_values(inst)
     assert tuple(mms_value_tree(inst, i) for i in range(inst.agent_count)) == expected

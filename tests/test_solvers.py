@@ -6,6 +6,7 @@ import re
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
 
 from graphfair import (
     BudgetExceeded,
@@ -30,7 +31,7 @@ from graphfair.graphs import classify
 from graphfair.model import Instance, ItemGraph, compute_type_partition
 from graphfair.solvers import METHODS, select_method
 
-from conftest import cycle_graph, mk, path_graph, star_graph
+from conftest import cycle_graph, mk, path_graph, star_graph, tree_instances
 
 
 def broom_graph():
@@ -166,6 +167,38 @@ def test_tree_fpt_agrees_with_path_solver():
         for rep in (a, b):
             if rep.decision:
                 assert is_proportional(inst, rep.witness)
+
+
+@settings(derandomize=True, database=None, deadline=None, max_examples=300)
+@given(tree_instances(max_items=9))
+def test_prop_tree_and_star_match_oracle(inst):
+    expected = oracle_prop(inst).decision
+    solvers = [prop_tree_fpt] + ([prop_star] if classify(inst.graph).is_star else [])
+    for solve in solvers:
+        rep = solve(inst)
+        assert rep.decision == expected
+        if rep.decision:
+            assert is_valid(inst, rep.witness)
+            assert is_proportional(inst, rep.witness)
+
+
+def test_tree_fpt_witness_on_tied_matching():
+    # The arms v2-v3 and v4-v5 are each worth 1/2 to a2 and to a3, so the
+    # root's matching ties between the two ways of handing them out; the
+    # lexicographically smallest assignment gives a2 the lower child.
+    graph = ItemGraph(
+        tuple(f"v{i + 1}" for i in range(7)),
+        ((0, 1), (1, 2), (0, 3), (3, 4), (0, 5), (5, 6)),
+    )
+    arms = ("0", "1/4", "1/4", "1/4", "1/4", "0", "0")
+    inst = mk(graph, ("2/5",) + ("1/10",) * 6, arms, arms)
+    rep = prop_tree_fpt(inst)
+    assert rep.decision
+    assert rep.witness.bundles == (
+        frozenset({0, 5, 6}),
+        frozenset({1, 2}),
+        frozenset({3, 4}),
+    )
 
 
 # ---------------------------------------------------------------------------
