@@ -1,20 +1,21 @@
 """Structure-aware solvers for proportional and envy-free division.
 
 Each solver exploits one graph class: a matching formulation on stars, a
-left-to-right sweep on paths with identical agents, prefix dynamic programs
-on paths with few agent types, and a subtree dynamic program on trees that is
-exponential only in the number of agents.  ``METHODS`` is the one routing
-table: ``dispatch`` runs the first entry that fits the instance, and the
-exhaustive oracle closes every problem's list.
+left-to-right sweep on paths with identical agents, and a subtree dynamic
+program on trees that is exponential only in the number of agents.  On
+paths with few agent types, proportionality is an earliest-end dynamic
+program over per-type piece counts, and complete envy-freeness is one
+left-to-right pass that fixes each type's piece value at its first piece.
+``METHODS`` is the one routing table: ``dispatch`` runs the first entry that
+fits the instance, and the exhaustive oracle closes every problem's list.
 """
 
 from __future__ import annotations
 
 import logging
-from bisect import bisect_right
+from bisect import bisect_left
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import product
 from typing import Callable, Iterator, Optional, Sequence
 
 from . import mms_tree
@@ -23,7 +24,6 @@ from .graphs import GraphClass, _mask_bits, classify, root_tree
 # ``solvers.solve_matching``; the solvers call the core ``_assign`` directly.
 from .matching import ABSENT, _assign, solve_matching  # noqa: F401
 from .model import (
-    AgentTypePartition,
     Allocation,
     InputError,
     Instance,
@@ -176,55 +176,19 @@ def _typed_path_setup(inst: Instance):
     return order, types, scale, prefix
 
 
-def _tile(counts: tuple[int, ...], allowed: list[list[tuple[int, Optional[int]]]]):
-    """Prefix DP over count vectors; returns one backpointer table per position.
+def _tiling_allocation(inst, order, types, pieces) -> Allocation:
+    """Hand out the ``(s, e, t)`` pieces: positions s..e-1 go to an agent of type t.
 
-    ``allowed[e]`` lists the ``(s, t)`` pieces that may end at position e:
-    positions s..e-1 form a piece for type t, or a loose item when t is
-    ``None``.  ``tables[e][vec]`` is ``(s, t, prev)`` for the first piece
-    that reached count vector ``vec`` (at most ``counts[t]`` pieces of type
-    t) from ``tables[s][prev]``, in the order of ``allowed[e]``.
+    Each type's pieces go to its agents left to right.  A tiling with one
+    piece per agent gives every agent a nonempty bundle.
     """
-    tables: list[dict[tuple[int, ...], Optional[tuple]]] = [{(0,) * len(counts): None}]
-    for pieces in allowed[1:]:
-        entry: dict[tuple[int, ...], Optional[tuple]] = {}
-        for s, t in pieces:
-            if t is None:
-                for vec in tables[s]:
-                    if vec not in entry:
-                        entry[vec] = (s, None, vec)
-                continue
-            for vec in tables[s]:
-                if vec[t] >= counts[t]:
-                    continue
-                grown = vec[:t] + (vec[t] + 1,) + vec[t + 1 :]
-                if grown not in entry:
-                    entry[grown] = (s, t, vec)
-        tables.append(entry)
-    return tables
-
-
-def _tiling_allocation(inst, order, types, tables) -> Allocation:
-    """Follow the backpointers from the full count vector and hand out the pieces.
-
-    ``tables[e][vec]`` is ``(s, t, prev)`` as built by ``_tile``.  The full
-    vector holds one piece per agent, so every agent gets a nonempty bundle:
-    each type's pieces go to its agents left to right.
-    """
-    pieces: list[tuple[int, int, int]] = []
-    e, vec = len(order), types.agents_per_type
-    while e > 0:
-        s, t, prev = tables[e][vec]
-        if t is not None:
-            pieces.append((s, e, t))
-        e, vec = s, prev
     by_type: list[list[tuple[int, int]]] = [[] for _ in range(types.type_count)]
     for s, e, t in sorted(pieces):
         by_type[t].append((s, e))
     bundles = [frozenset()] * inst.agent_count
     for t, members in enumerate(types.members):
         for agent, (s, e) in zip(members, by_type[t]):
-            bundles[agent] = frozenset(order[pos] for pos in range(s, e))
+            bundles[agent] = frozenset(order[s:e])
     return Allocation(tuple(bundles))
 
 
@@ -232,28 +196,59 @@ def prop_path_typed(inst: Instance) -> SolveReport:
     """Proportionality on paths, exponential only in the number of types.
 
     A piece may go to type t when t values it at 1/n or more; any item may
-    stay loose.
+    stay loose.  ``earliest[vec]`` is the first position by which the path
+    can hold ``vec[t]`` pieces for each type t: 0 for the zero vector, and
+    otherwise the least, over the types t with ``vec[t] > 0``, of the first
+    end e after s = ``earliest[vec - e_t]`` such that t values s..e-1 at 1/n
+    or more.  Utilities are nonnegative and items may stay loose, so a
+    vector is reachable by position e exactly when its entry is at most e,
+    and the instance is a yes when the full vector's entry is at most m.
+
+    The witness walks back from the full vector at m.  At (e, vec) it cuts
+    the piece s..e-1 with the smallest s = ``earliest[vec - e_t]`` that t
+    values at 1/n or more, ties going to the lower type, and otherwise
+    leaves item e-1 loose.  That is the first piece in the order s
+    ascending, t ascending, loose item last, by which a prefix table of
+    reachable vectors would have first reached (e, vec).
     """
     order, types, scale, prefix = _typed_path_setup(inst)
     threshold = scale // inst.agent_count
-    p = types.type_count
-    pairs = [(s, t) for s in range(len(order)) for t in range(p)]
-    allowed: list[list[tuple[int, Optional[int]]]] = [[]]
-    for e in range(1, len(order) + 1):
-        # Utilities are nonnegative, so the pieces ending at e that type t
-        # accepts are exactly those starting at s <= last[t].
-        last = [bisect_right(prefix[t], prefix[t][e] - threshold, 0, e) - 1 for t in range(p)]
-        low = min(last) + 1
-        pieces: list[tuple[int, Optional[int]]] = pairs[: low * p]
-        pieces += [(s, t) for s in range(low, max(last) + 1) for t in range(p) if s <= last[t]]
-        pieces.append((e - 1, None))
-        allowed.append(pieces)
+    m, p = len(order), types.type_count
     full = types.agents_per_type
-    tables = _tile(full, allowed)
-    if full not in tables[-1]:
+    # Count vectors are numbered in mixed radix with the last type fastest,
+    # so vec - e_t is number idx - stride[t] and comes before vec.
+    radix = [c + 1 for c in full]
+    stride = [1] * p
+    for t in range(p - 2, -1, -1):
+        stride[t] = stride[t + 1] * radix[t + 1]
+    earliest = [0] * (stride[0] * radix[0])
+    for idx in range(1, len(earliest)):
+        best = m + 1  # past the end: not reachable
+        for t in range(p):
+            if idx // stride[t] % radix[t]:
+                s = earliest[idx - stride[t]]
+                if s < best:
+                    end = bisect_left(prefix[t], prefix[t][s] + threshold, s + 1)
+                    best = min(best, end)
+        earliest[idx] = best
+    if earliest[-1] > m:
         return make_report(inst, "path-dp", None)
-    witness = _tiling_allocation(inst, order, types, tables)
-    return make_report(inst, "path-dp", witness)
+
+    pieces: list[tuple[int, int, int]] = []
+    e, idx = m, len(earliest) - 1
+    while idx:
+        start, pick = e, None
+        for t in range(p):
+            if idx // stride[t] % radix[t]:
+                s = earliest[idx - stride[t]]
+                if s < start and prefix[t][e] - prefix[t][s] >= threshold:
+                    start, pick = s, t
+        if pick is None:
+            e -= 1
+        else:
+            pieces.append((start, e, pick))
+            e, idx = start, idx - stride[pick]
+    return make_report(inst, "path-dp", _tiling_allocation(inst, order, types, pieces))
 
 
 # ---------------------------------------------------------------------------
@@ -265,25 +260,26 @@ def _set_partitions(members: Sequence[int], max_blocks: int) -> Iterator[list[in
 
     Restricted-growth order: deterministic and duplicate-free.
     """
-    if not members:
+    if members:
+        yield from _grow_blocks(members, max_blocks, [], 0)
+
+
+def _grow_blocks(
+    members: Sequence[int], max_blocks: int, blocks: list[int], idx: int
+) -> Iterator[list[int]]:
+    """Place ``members[idx:]`` into ``blocks``: each joins every block, then opens one."""
+    if idx == len(members):
+        yield list(blocks)
         return
-    blocks: list[int] = []
-
-    def rec(idx: int) -> Iterator[list[int]]:
-        if idx == len(members):
-            yield list(blocks)
-            return
-        bit = 1 << members[idx]
-        for b in range(len(blocks)):
-            blocks[b] |= bit
-            yield from rec(idx + 1)
-            blocks[b] &= ~bit
-        if len(blocks) < max_blocks:
-            blocks.append(bit)
-            yield from rec(idx + 1)
-            blocks.pop()
-
-    yield from rec(0)
+    bit = 1 << members[idx]
+    for b in range(len(blocks)):
+        blocks[b] |= bit
+        yield from _grow_blocks(members, max_blocks, blocks, idx + 1)
+        blocks[b] &= ~bit
+    if len(blocks) < max_blocks:
+        blocks.append(bit)
+        yield from _grow_blocks(members, max_blocks, blocks, idx + 1)
+        blocks.pop()
 
 
 def _tree_dp_run(inst: Instance):
@@ -449,70 +445,111 @@ def prop_tree_fpt(inst: Instance) -> SolveReport:
 # envy-freeness on paths
 
 
-def _ef_tile(inst, order, types, prefix, targets) -> Optional[Allocation]:
-    """Tile the whole path with exactly one piece per agent, if possible.
+def _ef_tile(inst, order, types, prefix, targets) -> Allocation:
+    """Tile the whole path with exactly one piece per agent.
 
     A piece may go to type t when it is worth exactly ``targets[t]`` to t
-    and at most ``targets[o]`` to every other type o.
+    and at most ``targets[o]`` to every other type o; ``targets`` must admit
+    a tiling.  ``tables[e][vec]`` is ``(s, t, prev)`` for the first piece s..e-1,
+    in the order s ascending, t ascending, that grows ``prev`` in
+    ``tables[s]`` to the count vector ``vec`` (at most ``n_t`` pieces of type
+    t); the witness follows these backpointers from the full vector at m.
     """
     m = len(order)
     p = types.type_count
-    allowed: list[list[tuple[int, Optional[int]]]] = [[] for _ in range(m + 1)]
+    full = types.agents_per_type
+    tables: list[dict[tuple[int, ...], Optional[tuple]]] = [{(0,) * p: None}]
+    tables += [{} for _ in range(m)]
     for s in range(m):
         for e in range(s + 1, m + 1):
+            values = [prefix[o][e] - prefix[o][s] for o in range(p)]
             for t in range(p):
-                if prefix[t][e] - prefix[t][s] != targets[t]:
-                    continue
-                if any(
-                    prefix[o][e] - prefix[o][s] > targets[o]
-                    for o in range(p)
-                    if o != t
+                if values[t] != targets[t] or any(
+                    values[o] > targets[o] for o in range(p) if o != t
                 ):
                     continue
-                allowed[e].append((s, t))
-    full = types.agents_per_type
-    tables = _tile(full, allowed)
-    if full not in tables[m]:
-        return None
-    return _tiling_allocation(inst, order, types, tables)
+                for vec in tables[s]:
+                    if vec[t] < full[t]:
+                        grown = vec[:t] + (vec[t] + 1,) + vec[t + 1 :]
+                        tables[e].setdefault(grown, (s, t, vec))
+    pieces = []
+    e, vec = m, full
+    while e > 0:
+        s, t, vec = tables[e][vec]
+        pieces.append((s, e, t))
+        e = s
+    return _tiling_allocation(inst, order, types, pieces)
 
 
 def ef_path_typed(inst: Instance) -> SolveReport:
-    """Complete envy-freeness on paths by guessing per-type own values.
+    """Complete envy-freeness on paths by fixing each type's guess as it goes.
 
     A complete envy-free tiling has exactly n nonempty pieces, one per agent,
-    and each piece of type t is worth exactly the guess g_t to t.  Candidate
-    guesses per type are the values of contiguous intervals.  Every accepted
-    g_t lies in [1/n, 1/n_t]: the path's total value 1 is split among n
-    pieces each worth at most g_t to type t, and n_t own pieces worth g_t
-    each cannot exceed 1.  So interval values outside that range are
-    skipped, and the surviving guesses are tried in lexicographic order.
+    and each piece of type t is worth the same guess g_t to t and at most
+    g_o to every other type o.  Every such g_t lies in [1/n, 1/n_t]: the
+    path's total value 1 is split among n pieces each worth at most g_t to
+    type t, and n_t own pieces worth g_t each cannot exceed 1.
+
+    One left-to-right pass over the pieces finds every feasible guess tuple.
+    A state at position s holds the count vector and, for each type t,
+    either its fixed guess or, while none of t's pieces is placed, the most
+    t values any piece placed so far.  The first piece of type t fixes g_t
+    to its value, which must lie in [1/n, 1/n_t] and be at least that
+    running maximum; a later piece of type t must be worth exactly g_t; and
+    a piece worth more than a fixed g_o to another type o is refused, as is
+    every longer piece from the same start.  The lexicographically smallest
+    guess tuple among the states that tile the whole path with one piece per
+    agent becomes the quotas, and ``_ef_tile`` builds the witness for it.
     """
     order, types, scale, prefix = _typed_path_setup(inst)
     m = len(order)
     p = types.type_count
     n = inst.agent_count
-    counts = types.agents_per_type
+    full = types.agents_per_type
 
-    candidate_lists: list[list[int]] = []
-    for t in range(p):
-        vals = {
-            prefix[t][e] - prefix[t][s] for s in range(m) for e in range(s + 1, m + 1)
-        }
-        lo = Fraction(scale, n)
-        hi = Fraction(scale, counts[t])
-        keep = sorted(v for v in vals if lo <= v <= hi)
-        candidate_lists.append(keep)
-
-    for targets in product(*candidate_lists):
-        witness = _ef_tile(inst, order, types, prefix, list(targets))
-        if witness is not None:
-            quotas = tuple(
-                Fraction(targets[types.type_of_agent[a]], scale)
-                for a in range(inst.agent_count)
-            )
-            return make_report(inst, "ef-path", witness, quotas=quotas)
-    return make_report(inst, "ef-path", None)
+    states: list[set] = [set() for _ in range(m + 1)]
+    states[0].add(((0,) * p, (None,) * p, (0,) * p))
+    for s in range(m):
+        for vec, guess, seen in states[s]:
+            for t in range(p):
+                if vec[t] == full[t]:
+                    continue
+                grown = vec[:t] + (vec[t] + 1,) + vec[t + 1 :]
+                for e in range(s + 1, m + 1):
+                    values = [prefix[o][e] - prefix[o][s] for o in range(p)]
+                    if any(
+                        values[o] > guess[o]
+                        for o in range(p)
+                        if o != t and guess[o] is not None
+                    ):
+                        break
+                    own = values[t]
+                    if guess[t] is None:
+                        if own * full[t] > scale:
+                            break
+                        if own < seen[t] or own * n < scale:
+                            continue
+                        fixed = guess[:t] + (own,) + guess[t + 1 :]
+                    elif own == guess[t]:
+                        fixed = guess
+                    elif own > guess[t]:
+                        break
+                    else:
+                        continue
+                    seen_after = tuple(
+                        0 if fixed[o] is not None else max(seen[o], values[o])
+                        for o in range(p)
+                    )
+                    states[e].add((grown, fixed, seen_after))
+    finished = [guess for vec, guess, _ in states[m] if vec == full]
+    if not finished:
+        return make_report(inst, "ef-path", None)
+    targets = min(finished)
+    witness = _ef_tile(inst, order, types, prefix, targets)
+    quotas = tuple(
+        Fraction(targets[types.type_of_agent[a]], scale) for a in range(n)
+    )
+    return make_report(inst, "ef-path", witness, quotas=quotas)
 
 
 # ---------------------------------------------------------------------------
@@ -524,49 +561,50 @@ class Method:
     """One routing entry: a solver for one problem and the instances it fits.
 
     ``run(inst, budget)`` solves; ``needs`` is the error text for a forced
-    method whose ``applies(cls, types, inst)`` is false.
+    method whose ``applies(cls, inst)`` is false.
     """
 
     name: str
     problem: str
-    applies: Callable[[GraphClass, AgentTypePartition, Instance], bool]
+    applies: Callable[[GraphClass, Instance], bool]
     run: Callable[[Instance, Optional[OracleBudget]], SolveReport]
     needs: str = ""
 
 
 # Per problem, ``auto`` takes the first entry that applies.  Each ``run`` looks
 # its solver up by module attribute at call time, never through a captured
-# function object, so a wrapper installed on that attribute sees the call.
+# function object, so a wrapper installed on that attribute sees the call; so
+# does greedy's ``applies``, the only one that reads the type partition.
 METHODS = (
     Method("greedy", "prop",
-           lambda cls, types, inst: cls.is_path and types.type_count == 1,
+           lambda cls, inst: cls.is_path and compute_type_partition(inst).type_count == 1,
            lambda inst, budget: prop_path_greedy(inst),
            "greedy needs a path and identical agents"),
     Method("path-dp", "prop",
-           lambda cls, types, inst: cls.is_path,
+           lambda cls, inst: cls.is_path,
            lambda inst, budget: prop_path_typed(inst),
            "the path solver needs a path graph"),
     Method("star", "prop",
-           lambda cls, types, inst: cls.is_star,
+           lambda cls, inst: cls.is_star,
            lambda inst, budget: prop_star(inst),
            "the star solver needs a star graph"),
     Method("tree-fpt", "prop",
-           lambda cls, types, inst: cls.is_tree,
+           lambda cls, inst: cls.is_tree,
            lambda inst, budget: prop_tree_fpt(inst),
            "the tree solver needs a tree graph"),
-    Method("oracle", "prop", lambda cls, types, inst: True,
+    Method("oracle", "prop", lambda cls, inst: True,
            lambda inst, budget: oracle_prop(inst, budget)),
     Method("ef-path", "ef-complete",
-           lambda cls, types, inst: cls.is_path,
+           lambda cls, inst: cls.is_path,
            lambda inst, budget: ef_path_typed(inst),
            "the envy-free path solver needs a path graph"),
-    Method("oracle", "ef-complete", lambda cls, types, inst: True,
+    Method("oracle", "ef-complete", lambda cls, inst: True,
            lambda inst, budget: oracle_ef_complete(inst, budget)),
     Method("mms-tree", "mms",
-           lambda cls, types, inst: cls.is_tree and inst.item_count >= inst.agent_count,
+           lambda cls, inst: cls.is_tree and inst.item_count >= inst.agent_count,
            lambda inst, budget: mms_tree.solve_mms_tree(inst),
            "the tree maximin solver needs a tree with enough items"),
-    Method("oracle", "mms", lambda cls, types, inst: True,
+    Method("oracle", "mms", lambda cls, inst: True,
            lambda inst, budget: oracle_mms_exists(inst, budget)),
 )
 
@@ -587,9 +625,8 @@ def select_method(inst: Instance, problem: str, method: str = "auto") -> Method:
         if not entries:
             raise InputError(f"method {method!r} does not solve problem {problem!r}")
     cls = classify(inst.graph)
-    types = compute_type_partition(inst)
     for entry in entries:
-        if entry.applies(cls, types, inst):
+        if entry.applies(cls, inst):
             return entry
     raise InputError(entries[0].needs)
 

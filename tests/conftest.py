@@ -1,8 +1,15 @@
 from fractions import Fraction
 
+from hypothesis import settings
 from hypothesis import strategies as st
 
 from graphfair import Instance, ItemGraph
+
+# Differential tests against the oracle draw the same samples on every run:
+# ``derandomize`` fixes the seed, and without a database no failure found on
+# an earlier run is replayed first.  Each test sets its own ``max_examples``.
+settings.register_profile("differential", derandomize=True, database=None, deadline=None)
+DIFFERENTIAL = settings.get_profile("differential")
 
 
 def path_graph(m, prefix="v"):
@@ -70,6 +77,33 @@ def tree_instances(draw, max_items):
         graph,
         tuple(f"a{i + 1}" for i in range(n)),
         tuple(tuple(Fraction(x, sum(r)) for x in r) for r in rows),
+    )
+
+
+@st.composite
+def path_instances(draw, max_items, max_types):
+    """Small paths (under a random relabeling) with 1 to ``max_types`` agent types.
+
+    At most ``max_items`` items and 1-4 agents.  One normalized row is drawn
+    per type and repeated for that type's agents, so rows repeat and the
+    typed path solvers see several agents per type.
+    """
+    m = draw(st.integers(1, max_items))
+    n = draw(st.integers(1, 4))
+    p = draw(st.integers(1, min(max_types, n)))
+    type_of_agent = list(range(p)) + [draw(st.integers(0, p - 1)) for _ in range(n - p)]
+    type_of_agent = draw(st.permutations(type_of_agent))
+    label = draw(st.permutations(range(m)))
+    graph = ItemGraph(
+        tuple(f"v{i + 1}" for i in range(m)),
+        tuple((label[v], label[v + 1]) for v in range(m - 1)),
+    )
+    row = st.lists(st.integers(0, 9), min_size=m, max_size=m).filter(any)
+    rows = [draw(row) for _ in range(p)]
+    return Instance(
+        graph,
+        tuple(f"a{i + 1}" for i in range(n)),
+        tuple(tuple(Fraction(x, sum(rows[t])) for x in rows[t]) for t in type_of_agent),
     )
 
 

@@ -21,7 +21,7 @@ from graphfair.generators import gen_random
 from graphfair.graphs import root_tree
 from graphfair.model import Instance
 
-from conftest import cycle_graph, mk, path_graph, star_graph, tree_instances
+from conftest import DIFFERENTIAL, cycle_graph, mk, path_graph, star_graph, tree_instances
 
 
 def test_two_agents_on_path3_golden_trace():
@@ -142,7 +142,7 @@ def test_random_trees_match_oracle():
         assert is_mms_allocation(inst, rep.witness, expected)
 
 
-@settings(derandomize=True, database=None, deadline=None, max_examples=300)
+@settings(DIFFERENTIAL, max_examples=300)
 @given(tree_instances(max_items=8))
 def test_mms_values_and_witness_match_oracle(inst):
     expected = oracle_mms_values(inst)

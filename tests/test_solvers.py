@@ -29,9 +29,17 @@ from graphfair.cli import build_parser
 from graphfair.generators import fixture_cycle8, gen_random
 from graphfair.graphs import classify
 from graphfair.model import Instance, ItemGraph, compute_type_partition
-from graphfair.solvers import METHODS, select_method
+from graphfair.solvers import METHODS, _set_partitions, select_method
 
-from conftest import cycle_graph, mk, path_graph, star_graph, tree_instances
+from conftest import (
+    DIFFERENTIAL,
+    cycle_graph,
+    mk,
+    path_graph,
+    path_instances,
+    star_graph,
+    tree_instances,
+)
 
 
 def broom_graph():
@@ -112,10 +120,41 @@ def test_path_dp_two_identical_agents():
     assert rep.witness.bundles == (frozenset({0}), frozenset({1, 2}))
 
 
+def test_path_dp_witness_breaks_ties_to_the_lower_type():
+    # a2 and a3 both accept v2 and v3 alone; walking back from v3, both can
+    # cut the last piece at the same start, and the lower type takes it.
+    inst = mk(path_graph(3), ("1", "0", "0"), ("0", "2/3", "1/3"), ("1/5", "2/5", "2/5"))
+    rep = prop_path_typed(inst)
+    assert rep.witness.bundles == (frozenset({0}), frozenset({2}), frozenset({1}))
+
+
+def test_path_dp_on_a_thousand_items():
+    inst = gen_random(0, "path", 1000, 10, 10, types=3)
+    assert compute_type_partition(inst).type_count == 3
+    rep = prop_path_typed(inst)
+    assert rep.decision
+    assert is_valid(inst, rep.witness) and is_proportional(inst, rep.witness)
+
+
 def test_path_dp_rejects_cycle():
     inst = mk(cycle_graph(4), ("1/4",) * 4)
     with pytest.raises(InputError):
         prop_path_typed(inst)
+
+
+@settings(DIFFERENTIAL, max_examples=300)
+@given(path_instances(max_items=9, max_types=3))
+def test_path_solvers_match_oracle(inst):
+    expected = oracle_prop(inst).decision
+    solvers = [prop_path_typed]
+    if compute_type_partition(inst).type_count == 1:
+        solvers.append(prop_path_greedy)
+    for solve in solvers:
+        rep = solve(inst)
+        assert rep.decision == expected
+        if rep.decision:
+            assert is_valid(inst, rep.witness)
+            assert is_proportional(inst, rep.witness)
 
 
 def test_path_dp_matches_greedy_on_uniform():
@@ -169,7 +208,7 @@ def test_tree_fpt_agrees_with_path_solver():
                 assert is_proportional(inst, rep.witness)
 
 
-@settings(derandomize=True, database=None, deadline=None, max_examples=300)
+@settings(DIFFERENTIAL, max_examples=300)
 @given(tree_instances(max_items=9))
 def test_prop_tree_and_star_match_oracle(inst):
     expected = oracle_prop(inst).decision
@@ -180,6 +219,12 @@ def test_prop_tree_and_star_match_oracle(inst):
         if rep.decision:
             assert is_valid(inst, rep.witness)
             assert is_proportional(inst, rep.witness)
+
+
+def test_set_partitions_order():
+    # blocks are bitmasks over members 0, 1, 2, in restricted-growth order
+    assert list(_set_partitions([0, 1, 2], 2)) == [[7], [3, 4], [5, 2], [1, 6]]
+    assert list(_set_partitions([0, 1, 2], 3)) == [[7], [3, 4], [5, 2], [1, 6], [1, 2, 4]]
 
 
 def test_tree_fpt_witness_on_tied_matching():
@@ -217,6 +262,16 @@ def test_ef_path_two_item_examples():
     assert not rep.decision and rep.quotas is None
 
 
+def test_ef_path_takes_the_smallest_guess_tuple():
+    # a1 is indifferent between the cuts after v1, v2 and v3; a2 gets 7/8,
+    # 5/8 and 7/8 from them, so the tuples (1/2, 7/8) and (1/2, 5/8) are both
+    # feasible and the smaller one sets the quotas.
+    inst = mk(path_graph(4), ("1/2", "0", "0", "1/2"), ("1/8", "1/4", "1/2", "1/8"))
+    rep = ef_path_typed(inst)
+    assert rep.quotas == (Fraction(1, 2), Fraction(5, 8))
+    assert rep.witness.bundles == (frozenset({0, 1}), frozenset({2, 3}))
+
+
 def test_ef_path_single_agent():
     inst = mk(path_graph(3), ("1/2", "1/4", "1/4"))
     rep = ef_path_typed(inst)
@@ -247,6 +302,31 @@ def test_ef_path_pieces_hit_their_guess():
                 assert bundle
                 assert bundle_value(inst, agent, bundle) == rep.quotas[agent]
     assert hits >= 10
+
+
+@settings(DIFFERENTIAL, max_examples=300)
+@given(path_instances(max_items=8, max_types=3))
+def test_ef_path_matches_oracle(inst):
+    rep = ef_path_typed(inst)
+    assert rep.decision == oracle_ef_complete(inst).decision
+    if rep.decision:
+        assert is_valid(inst, rep.witness)
+        assert is_envy_free(inst, rep.witness) and is_complete(inst, rep.witness)
+
+
+def test_ef_path_on_forty_items():
+    # In the built instance every run of ten items is worth 1/4 to both
+    # types, so four such runs are a complete envy-free allocation.
+    m = 40
+    even = tuple(Fraction(1 - v % 2, m // 2) for v in range(m))
+    built = mk(path_graph(m), (Fraction(1, m),) * m, even, even, (Fraction(1, m),) * m)
+    drawn = gen_random(0, "path", m, 4, 10, types=2)
+    assert ef_path_typed(built).decision
+    for inst in (built, drawn):
+        assert compute_type_partition(inst).type_count == 2
+        rep = ef_path_typed(inst)
+        if rep.decision:
+            assert is_envy_free(inst, rep.witness) and is_complete(inst, rep.witness)
 
 
 def test_ef_path_more_agents_than_items():
@@ -322,13 +402,12 @@ def test_dispatch_follows_method_table():
     problems = ("prop", "ef-complete", "mms")
     for inst, *auto_picks in cases:
         cls = classify(inst.graph)
-        types = compute_type_partition(inst)
         for problem, auto_pick in zip(problems, auto_picks):
             entries = [e for e in METHODS if e.problem == problem]
             assert dispatch(inst, problem).method == auto_pick
-            assert auto_pick == next(e.name for e in entries if e.applies(cls, types, inst))
+            assert auto_pick == next(e.name for e in entries if e.applies(cls, inst))
             for entry in entries:
-                if entry.applies(cls, types, inst):
+                if entry.applies(cls, inst):
                     assert dispatch(inst, problem, method=entry.name).method == entry.name
                 else:
                     with pytest.raises(InputError, match=re.escape(entry.needs)):
