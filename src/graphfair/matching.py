@@ -191,18 +191,9 @@ def _lex_smallest_perfect(
 
     def feasible(start_row: int, used_cols: set[int]) -> bool:
         match_col: dict[int, int] = {}
-
-        def try_kuhn(r: int, seen: set[int]) -> bool:
-            for j in adj[r]:
-                if j in used_cols or j in seen:
-                    continue
-                seen.add(j)
-                if j not in match_col or try_kuhn(match_col[j], seen):
-                    match_col[j] = r
-                    return True
-            return False
-
-        return all(try_kuhn(r, set()) for r in range(start_row, size))
+        return all(
+            _kuhn(adj, r, used_cols, match_col, set()) for r in range(start_row, size)
+        )
 
     used: set[int] = set()
     pinned: list[int] = []
@@ -215,3 +206,18 @@ def _lex_smallest_perfect(
         else:
             return None
     return pinned
+
+
+def _kuhn(
+    adj: list[list[int]], r: int, used_cols: set[int], match_col: dict[int, int],
+    seen: set[int],
+) -> bool:
+    """Augment ``match_col`` (column -> row) from row r, avoiding ``used_cols``."""
+    for j in adj[r]:
+        if j in used_cols or j in seen:
+            continue
+        seen.add(j)
+        if j not in match_col or _kuhn(adj, match_col[j], used_cols, match_col, seen):
+            match_col[j] = r
+            return True
+    return False

@@ -339,12 +339,13 @@ def compute_type_partition(inst: Instance) -> AgentTypePartition:
     >>> compute_type_partition(Instance(g, ("a", "b", "c"), (u, w, u))).type_of_agent
     (0, 1, 0)
     """
-    first_seen: dict[tuple[Fraction, ...], int] = {}
+    # Match rows with ``==``: a dict keyed by rows would hash every Fraction.
+    seen: list[tuple[Fraction, ...]] = []
     assignment = []
     for row in inst.utilities:
-        if row not in first_seen:
-            first_seen[row] = len(first_seen)
-        assignment.append(first_seen[row])
+        if row not in seen:
+            seen.append(row)
+        assignment.append(seen.index(row))
     return AgentTypePartition(tuple(assignment))
 
 

@@ -1,11 +1,12 @@
 """Structure-aware solvers for proportional and envy-free division.
 
 Each solver exploits one graph class: a matching formulation on stars, a
-left-to-right sweep on paths with identical agents, and a subtree dynamic
-program on trees that is exponential only in the number of agents.  On
-paths with few agent types, proportionality is an earliest-end dynamic
-program over per-type piece counts, and complete envy-freeness is one
-left-to-right pass that fixes each type's piece value at its first piece.
+left-to-right sweep on paths with identical agents, and on trees a subtree
+dynamic program that folds in one child at a time over subsets of agents,
+so it is exponential only in the number of agents.  On paths with few
+agent types, proportionality is an earliest-end dynamic program over
+per-type piece counts, and complete envy-freeness is one left-to-right
+pass that fixes each type's piece value at its first piece.
 ``METHODS`` is the one routing table: ``dispatch`` runs the first entry that
 fits the instance, and the exhaustive oracle closes every problem's list.
 """
@@ -282,109 +283,74 @@ def _grow_blocks(
         blocks.pop()
 
 
+def _submasks(mask: int) -> Iterator[int]:
+    """Every submask of ``mask``, from ``mask`` itself down to 0."""
+    sub = mask
+    while sub:
+        yield sub
+        sub = (sub - 1) & mask
+    yield 0
+
+
 def _tree_dp_run(inst: Instance):
     """The subtree DP on the instance's integer grid; returns its tables.
 
-    ``entries[(v, i, S)]`` is the most agent i can keep in a connected bundle
+    ``entries[v][i][S]`` is the most agent i can keep in a connected bundle
     that contains v and stays in v's subtree, while every agent in the
-    bitmask S gets a connected bundle there worth at least 1/n to her; None
-    when no such split exists.  Entries are ints: the utilities times
-    ``scale`` from ``integer_grid``, so 1/n is ``share = scale // n``.  At a
-    vertex with children, each set partition of S gives its blocks to
-    distinct children by one max-weight matching: agent i extends into the
-    child, or hands the child's subtree off to a block agent who can own it,
-    and the children left over go to i whole.  ``info`` keeps the choice
-    behind each entry for ``prop_tree_fpt`` to rebuild the bundles.
+    bitmask S (which never holds i) gets a connected bundle there worth at
+    least 1/n to her; None when no such split exists.  Entries are ints: the
+    utilities times ``scale`` from ``integer_grid``, so 1/n is ``share =
+    scale // n``.
+
+    ``cell(z, i, T)`` is ``(kept, owner)`` for a child z whose subtree serves
+    the agents in T: i extends into z and keeps ``entries[z][i][T]`` (all of
+    z's subtree when T is empty) if that entry exists; otherwise the lowest
+    j in T who can own z's subtree while serving the rest of T takes it and
+    i keeps 0; None when neither works.  The children are folded in one at
+    a time: from ``f[0]``, i's value for v alone, each child z turns
+    ``f[S]`` into the best ``f[S - T] + kept`` over T ⊆ S.  That is
+    O(m·n·3^(n-1)) steps, with no set partition and no matching.
     """
     g = inst.graph
     if not classify(g).is_tree:
         raise InputError("the item graph is not a tree")
     n = inst.agent_count
+    full = (1 << n) - 1
     view = root_tree(g, 0)
     scale, grid = integer_grid(inst.utilities, [Fraction(1, n)])
     share = scale // n
+    entries: list[list] = [[None] * n for _ in range(g.vertex_count)]
 
-    subval = [[0] * g.vertex_count for _ in range(n)]
-    entries: dict[tuple[int, int, int], Optional[int]] = {}
-    info: dict[tuple[int, int, int], tuple] = {}
+    def cell(z: int, i: int, T: int) -> Optional[tuple[int, int]]:
+        if entries[z][i][T] is not None:
+            return entries[z][i][T], i
+        for j in _mask_bits(T):
+            sub = entries[z][j][T & ~(1 << j)]
+            if sub is not None and sub >= share:
+                return 0, j
+        return None
 
     for v in view.postorder:
-        kids = view.children[v]
         for i in range(n):
-            subval[i][v] = grid[i][v] + sum(subval[i][z] for z in kids)
-        # Neither a block's row nor a child's hand-off owner depends on the
-        # set partition being tried, so each is worked out once per vertex.
-        owners: dict[tuple[int, int], Optional[int]] = {}
-        blocks: dict[tuple[int, int], Optional[tuple[list, list]]] = {}
-
-        def block(i: int, part: int) -> Optional[tuple[list, list]]:
-            """Agent i's matching row for the block ``part`` and its modes."""
-            if (i, part) in blocks:
-                return blocks[(i, part)]
-            row: list[Optional[int]] = []
-            modes: list[Optional[tuple]] = []
-            for z in kids:
-                ext = entries[(z, i, part)]
-                if ext is not None:
-                    row.append(ext)
-                    modes.append(("extend", None))
-                    continue
-                if (z, part) not in owners:
-                    owners[(z, part)] = None
-                    for j in _mask_bits(part):
-                        sub = entries[(z, j, part & ~(1 << j))]
-                        if sub is not None and sub >= share:
-                            owners[(z, part)] = j
-                            break
-                owner = owners[(z, part)]
-                row.append(ABSENT if owner is None else 0)
-                modes.append(None if owner is None else ("handoff", owner))
-            usable = any(w is not ABSENT for w in row)
-            blocks[(i, part)] = (row, modes) if usable else None
-            return blocks[(i, part)]
-
-        for i in range(n):
-            whole = [subval[i][z] for z in kids]
-            others = [j for j in range(n) if j != i]
-            for S in _submasks(others):
-                key = (v, i, S)
-                if not kids:
-                    entries[key] = grid[i][v] if S == 0 else None
-                    info[key] = ("leaf",)
-                    continue
-                if S == 0:
-                    entries[key] = subval[i][v]
-                    info[key] = ("whole",)
-                    continue
-                best: Optional[int] = None
-                best_info: Optional[tuple] = None
-                for parts in _set_partitions(sorted(_mask_bits(S)), len(kids)):
-                    picked = [block(i, part) for part in parts]
-                    if None in picked:
+            others = full & ~(1 << i)
+            f: list[Optional[int]] = [None] * (full + 1)
+            f[0] = grid[i][v]
+            for z in view.children[v]:
+                kept = {
+                    T: c[0] for T in _submasks(others) if (c := cell(z, i, T)) is not None
+                }
+                folded: list[Optional[int]] = [None] * (full + 1)
+                for A in _submasks(others):
+                    if f[A] is None:
                         continue
-                    rows = [row for row, _ in picked]
-                    rows += [whole] * (len(kids) - len(parts))
-                    solved = _assign(rows, len(kids), -1)
-                    if solved is not None and (best is None or solved[1] > best):
-                        best = solved[1]
-                        modes_per_part = [modes for _, modes in picked]
-                        best_info = ("split", parts, solved[0], modes_per_part)
-                if best is None:
-                    entries[key] = None
-                else:
-                    entries[key] = grid[i][v] + best
-                    assert best_info is not None
-                    info[key] = best_info
-    return view, entries, info, share
-
-
-def _submasks(members: Sequence[int]) -> Iterator[int]:
-    for r in range(1 << len(members)):
-        mask = 0
-        for idx, agent in enumerate(members):
-            if r >> idx & 1:
-                mask |= 1 << agent
-        yield mask
+                    for T in _submasks(others & ~A):
+                        if T in kept and (
+                            folded[A | T] is None or f[A] + kept[T] > folded[A | T]
+                        ):
+                            folded[A | T] = f[A] + kept[T]
+                f = folded
+            entries[v][i] = f
+    return view, entries, share, cell
 
 
 def prop_tree_fpt(inst: Instance) -> SolveReport:
@@ -392,50 +358,39 @@ def prop_tree_fpt(inst: Instance) -> SolveReport:
 
     Runs ``_tree_dp_run`` on the integer grid; the instance is a yes when
     some agent, tried in index order, can own the root while all others are
-    served, and the recorded choices then rebuild the bundles.
+    served.  The bundles are then built top-down, and at each vertex v that
+    i owns while serving S the choice behind the entry is replayed once:
+    the set partitions of S into at most one block per child, in
+    restricted-growth order, each with one max-weight matching of blocks
+    (rows from ``cell``) and leftover children (i's whole subtree) to the
+    children.  The first strictly best partition and its lexicographically
+    smallest matching decide who owns each child and whom it serves.
     """
-    view, entries, info, share = _tree_dp_run(inst)
+    view, entries, share, cell = _tree_dp_run(inst)
     n = inst.agent_count
     full = (1 << n) - 1
-
-    owner = None
-    for i in range(n):
-        value = entries[(view.root, i, full & ~(1 << i))]
-        if value is not None and value >= share:
-            owner = i
-            break
+    at_root = [entries[view.root][i][full & ~(1 << i)] for i in range(n)]
+    owner = next((i for i, k in enumerate(at_root) if k is not None and k >= share), None)
     if owner is None:
         return make_report(inst, "tree-fpt", None)
 
     bundles: list[set[int]] = [set() for _ in range(n)]
-
-    def build(v: int, i: int, S: int) -> None:
-        node = info[(v, i, S)]
-        if node[0] == "leaf":
-            bundles[i].add(v)
-            return
-        if node[0] == "whole":
-            bundles[i] |= view.subtree[v]
-            return
-        _, parts, assignment, modes_per_part = node
+    stack = [(view.root, owner, full & ~(1 << owner))]
+    while stack:
+        v, i, S = stack.pop()
         bundles[i].add(v)
         kids = view.children[v]
-        taken = set()
-        for p_idx, part in enumerate(parts):
-            z = kids[assignment[p_idx]]
-            taken.add(z)
-            mode = modes_per_part[p_idx][assignment[p_idx]]
-            assert mode is not None
-            if mode[0] == "extend":
-                build(z, i, part)
-            else:
-                j = mode[1]
-                build(z, j, part & ~(1 << j))
-        for z in kids:
-            if z not in taken:
-                bundles[i] |= view.subtree[z]
-
-    build(view.root, owner, full & ~(1 << owner))
+        best, blocks, assignment = None, [0] * len(kids), range(len(kids))
+        for parts in _set_partitions(sorted(_mask_bits(S)), len(kids)):
+            trial = parts + [0] * (len(kids) - len(parts))
+            cells = [[cell(z, i, T) for z in kids] for T in trial]
+            rows = [[ABSENT if c is None else c[0] for c in row] for row in cells]
+            solved = _assign(rows, len(kids), -1)
+            if solved is not None and (best is None or solved[1] > best):
+                best, blocks, assignment = solved[1], trial, solved[0]
+        for T, col in zip(blocks, assignment):
+            _, j = cell(kids[col], i, T)
+            stack.append((kids[col], j, T & ~(1 << j)))
     return make_report(
         inst, "tree-fpt", Allocation(tuple(frozenset(b) for b in bundles))
     )

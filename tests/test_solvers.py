@@ -1,6 +1,7 @@
 """Polynomial solvers: frozen examples, DP invariants, and routing."""
 
 import argparse
+import gc
 import random
 import re
 from fractions import Fraction
@@ -244,6 +245,45 @@ def test_tree_fpt_witness_on_tied_matching():
         frozenset({1, 2}),
         frozenset({3, 4}),
     )
+
+
+@pytest.mark.parametrize("seed, m, n, options, bundles", [
+    (15, 8, 5, {"denom_bound": 3}, ({0, 4, 7}, {2, 3}, {1}, {5}, {6})),
+    (46, 7, 5, {"denom_bound": 3}, ({0, 1}, {4}, {6}, {5}, {2, 3})),
+    (69, 7, 5, {"denom_bound": 3}, ({0, 4, 6}, {2}, {1}, {3}, {5})),
+    (34, 9, 4, {"types": 2}, ({3}, {0, 2, 4, 5, 6}, {7}, {1, 8})),
+])
+def test_tree_fpt_witness_on_tied_root_partitions(seed, m, n, options, bundles):
+    # The root has three or more children, and several set partitions of the
+    # agents it serves reach the best matching total; the witness is the one
+    # of the first best partition in restricted-growth order.
+    inst = gen_random(seed=seed, cls="tree", m=m, n=n, **options)
+    assert inst.graph.degree(0) >= 3
+    rep = prop_tree_fpt(inst)
+    assert rep.decision
+    assert rep.witness.bundles == tuple(frozenset(b) for b in bundles)
+
+
+def test_tree_fpt_twelve_items_eight_agents():
+    inst = gen_random(seed=0, cls="tree", m=12, n=8)
+    rep = prop_tree_fpt(inst)
+    assert rep.decision
+    assert is_valid(inst, rep.witness)
+    assert is_proportional(inst, rep.witness)
+
+
+def test_tree_fpt_leaves_no_reference_cycles():
+    # A solve frees all it builds by reference counting alone, so the cyclic
+    # collector finds nothing afterwards.
+    inst = gen_random(seed=3, cls="tree", m=10, n=4)
+    prop_tree_fpt(inst)
+    gc.collect()
+    gc.disable()
+    try:
+        prop_tree_fpt(inst)
+        assert gc.collect() == 0
+    finally:
+        gc.enable()
 
 
 # ---------------------------------------------------------------------------
