@@ -13,6 +13,7 @@ JSON on stdout; diagnostics go to stderr.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import sys
 from pathlib import Path
@@ -60,7 +61,14 @@ EXIT_INPUT = 2
 EXIT_BUDGET = 3
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The ``graphfair`` argument parser, built once per process.
+
+    Building it costs far more than a parse, and parsing leaves it
+    unchanged, so every ``main`` call shares the one instance; callers must
+    not modify it.
+    """
     parser = argparse.ArgumentParser(
         prog="graphfair",
         description="Fair division of graph-connected indivisible items.",
@@ -323,8 +331,7 @@ _COMMANDS = {
 
 
 def main(argv: Optional[list[str]] = None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = build_parser().parse_args(argv)
     try:
         return _COMMANDS[args.command](args)
     except InputError as exc:

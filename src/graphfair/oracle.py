@@ -5,12 +5,20 @@ enumeration over connected bundles or connected partitions, guarded by an
 explicit budget.  Pruning (value thresholds, minimal candidate bundles,
 symmetric-agent canonicalization, forward checking) may only skip branches
 that provably contain no witness, so pruned and unpruned runs decide alike.
+
+All scans run on the integer grid of ``model.integer_grid``: utilities
+times their common denominator.  A bundle search lists the connected sets
+once per solve and shares that list among all agent types; a partition
+scan keeps a part-value table, so each part's value for every row is summed
+once, the first time the part appears, and a partition costs only lookups
+and int comparisons.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import islice
 from typing import Iterable, Optional, Sequence
 
 from .graphs import (
@@ -81,18 +89,24 @@ class _NodeCounter:
 
 
 def _minimal_candidates(
-    g: ItemGraph, weights: Sequence[int], threshold: int, counter: _NodeCounter
+    g: ItemGraph,
+    sets: Sequence[int],
+    weights: Sequence[int],
+    threshold: int,
+    counter: _NodeCounter,
 ) -> list[int]:
     """Minimal connected bundles meeting the threshold, as bitmasks.
 
-    A qualifying set is minimal iff no single connected-preserving removal
-    still qualifies; with nonnegative utilities that test is equivalent to
-    having no qualifying connected proper subset at all.
+    ``sets`` are the graph's connected sets in ``connected_set_masks`` order;
+    the result keeps that order.  A qualifying set is minimal iff no single
+    connected-preserving removal still qualifies; with nonnegative utilities
+    that test is equivalent to having no qualifying connected proper subset
+    at all.
     """
     if threshold <= 0:
         return [0]
     out = []
-    for mask in connected_set_masks(g):
+    for mask in sets:
         counter.spend()
         total = _mask_value(weights, mask)
         if total < threshold:
@@ -145,12 +159,17 @@ def _search_thresholds(
         return rec_plain(0, 0)
 
     types = compute_type_partition(inst)
+    # Every type's scan spends once per set, so a list cut one set past the
+    # budget runs out at the same spend as the full one.
+    sets = list(islice(connected_set_masks(g), budget.max_enumerated + 1))
     candidates: list[list[int]] = []
     per_type_cache: dict[int, list[int]] = {}
     for a in range(n):
         t = types.type_of_agent[a]
         if t not in per_type_cache:
-            per_type_cache[t] = _minimal_candidates(g, weights[a], scaled[a], counter)
+            per_type_cache[t] = _minimal_candidates(
+                g, sets, weights[a], scaled[a], counter
+            )
         candidates.append(per_type_cache[t])
 
     last_pick_of_type: dict[int, int] = {}
@@ -254,21 +273,45 @@ def mms_values_raw(
     """Max-over-partitions min-part value for arbitrary nonnegative rows.
 
     Shared by the oracle proper and by trace replays on residual subtrees,
-    where utility rows no longer sum to 1.
+    where utility rows no longer sum to 1.  The rows are scaled to the
+    integer grid once; each part's values go into a part-value table the
+    first time the part appears, so a partition costs one lookup per part
+    and the running best per row stays an int until the end.  Every
+    partition spends one unit of ``node_limit``.
+
+    >>> from graphfair.graphs import ItemGraph
+    >>> path = ItemGraph(("a", "b", "c"), ((0, 1), (1, 2)))
+    >>> mms_values_raw(path, [(Fraction(1, 2), Fraction(1, 4), Fraction(1, 4))], 2)
+    (Fraction(1, 2),)
     """
     counter = _NodeCounter(node_limit)
-    best: list[Optional[Fraction]] = [None] * len(weight_rows)
+    scale, grid = integer_grid(weight_rows)
+    table: dict[frozenset[int], tuple[int, ...]] = {}
+    best: Optional[list[int]] = None
     for partition in enumerate_connected_partitions(g, parts):
         counter.spend()
-        for i, row in enumerate(weight_rows):
-            worst = min(sum(row[v] for v in part) for part in partition)
-            if best[i] is None or worst > best[i]:
-                best[i] = worst
-    if any(v is None for v in best):
-        raise InputError(
-            f"the graph admits no partition into {parts} connected parts"
-        )
-    return tuple(Fraction(v) for v in best)  # type: ignore[arg-type]
+        values = [_part_values(table, grid, part) for part in partition]
+        worst = map(min, zip(*values))
+        best = list(worst) if best is None else list(map(max, best, worst))
+    if best is None:
+        if weight_rows:
+            raise InputError(
+                f"the graph admits no partition into {parts} connected parts"
+            )
+        return ()
+    return tuple(Fraction(v, scale) for v in best)
+
+
+def _part_values(
+    table: dict[frozenset[int], tuple[int, ...]],
+    grid: Sequence[Sequence[int]],
+    part: frozenset[int],
+) -> tuple[int, ...]:
+    """Every grid row's value for ``part``, summed once per table."""
+    values = table.get(part)
+    if values is None:
+        values = table[part] = tuple(sum(row[v] for v in part) for row in grid)
+    return values
 
 
 def oracle_mms_exists(
@@ -300,13 +343,11 @@ def oracle_ef_complete(
         return make_report(inst, "oracle", None)
     counter = _NodeCounter(b.max_enumerated)
     _, weights = integer_grid(inst.utilities)
+    table: dict[frozenset[int], tuple[int, ...]] = {}
 
     for partition in enumerate_connected_partitions(inst.graph, n):
         counter.spend()
-        value = [
-            [sum(weights[i][v] for v in part) for part in partition]
-            for i in range(n)
-        ]
+        value = list(zip(*(_part_values(table, weights, part) for part in partition)))
         favorite = [max(row) for row in value]
         adj = [
             [p for p in range(n) if value[i][p] == favorite[i]] for i in range(n)

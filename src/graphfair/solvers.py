@@ -362,9 +362,11 @@ def prop_tree_fpt(inst: Instance) -> SolveReport:
     i owns while serving S the choice behind the entry is replayed once:
     the set partitions of S into at most one block per child, in
     restricted-growth order, each with one max-weight matching of blocks
-    (rows from ``cell``) and leftover children (i's whole subtree) to the
-    children.  The first strictly best partition and its lexicographically
-    smallest matching decide who owns each child and whom it serves.
+    (rows from ``cell``, built once per vertex) and leftover children (i's
+    whole subtree) to the children; a partition with a block that no child
+    can take is skipped.  The first strictly best partition and its
+    lexicographically smallest matching decide who owns each child and whom
+    it serves.
     """
     view, entries, share, cell = _tree_dp_run(inst)
     n = inst.agent_count
@@ -380,12 +382,17 @@ def prop_tree_fpt(inst: Instance) -> SolveReport:
         v, i, S = stack.pop()
         bundles[i].add(v)
         kids = view.children[v]
+        rows: dict[int, list[Optional[int]]] = {}
         best, blocks, assignment = None, [0] * len(kids), range(len(kids))
         for parts in _set_partitions(sorted(_mask_bits(S)), len(kids)):
             trial = parts + [0] * (len(kids) - len(parts))
-            cells = [[cell(z, i, T) for z in kids] for T in trial]
-            rows = [[ABSENT if c is None else c[0] for c in row] for row in cells]
-            solved = _assign(rows, len(kids), -1)
+            for T in trial:
+                if T not in rows:
+                    cells = [cell(z, i, T) for z in kids]
+                    rows[T] = [ABSENT if c is None else c[0] for c in cells]
+            if any(all(w is ABSENT for w in rows[T]) for T in parts):
+                continue  # no matching places that block
+            solved = _assign([rows[T] for T in trial], len(kids), -1)
             if solved is not None and (best is None or solved[1] > best):
                 best, blocks, assignment = solved[1], trial, solved[0]
         for T, col in zip(blocks, assignment):

@@ -4,7 +4,7 @@ import json
 
 import pytest
 
-from graphfair.cli import main
+from graphfair.cli import build_parser, main
 from graphfair.generators import X3cInstance, fixture_cycle8, gen_random, gen_x3c_prop_path
 from graphfair.serialize import instance_from_json, instance_to_json
 
@@ -307,3 +307,35 @@ def test_output_flag_writes_file(capsys, tmp_path, cycle8_file):
     assert out == ""
     doc = json.loads(target.read_text(encoding="utf-8"))
     assert doc["decision"] == "no"
+
+
+# ---------------------------------------------------------------------------
+# one parser per process
+
+
+def test_parser_is_built_once_and_reused(capsys, cycle8_file):
+    calls = [
+        ["solve", "--problem", "prop", cycle8_file],
+        ["solve", "--problem", "nope", cycle8_file],  # argparse error
+        ["classify", cycle8_file],
+        ["solve", "--problem", "prop", cycle8_file],
+    ]
+
+    def call(argv):
+        try:
+            code = main(argv)
+        except SystemExit as exc:
+            code = exc.code
+        captured = capsys.readouterr()
+        return code, captured.out, captured.err
+
+    fresh = []
+    for argv in calls:
+        build_parser.cache_clear()
+        fresh.append(call(argv))
+    build_parser.cache_clear()
+    shared = [call(argv) for argv in calls]
+    assert build_parser.cache_info().misses == 1
+    assert shared == fresh
+    assert [code for code, _, _ in shared] == [1, 2, 0, 1]
+    assert "invalid choice" in shared[1][2]

@@ -26,7 +26,7 @@ from graphfair import (
     oracle_prop,
 )
 from graphfair.generators import X3cInstance, fixture_cycle8, gen_random, gen_x3c_prop_path
-from graphfair.graphs import enumerate_connected_partitions
+from graphfair.graphs import classify, enumerate_connected_partitions
 
 from conftest import mk, path_graph, star_graph
 
@@ -115,6 +115,66 @@ def test_mms_values_raw_partition_shortage():
     g = ItemGraph(("a", "b"), ())
     with pytest.raises(InputError):
         mms_values_raw(g, ((Fraction(1), Fraction(0)),), 1)
+
+
+def mms_reference(g, rows, parts):
+    """Reference maximin values: Fraction sums over every connected partition."""
+    partitions = list(enumerate_connected_partitions(g, parts))
+    return tuple(
+        Fraction(max(min(sum(row[v] for v in part) for part in p) for p in partitions))
+        for row in rows
+    )
+
+
+def test_mms_values_raw_matches_fraction_reference():
+    rng = random.Random(9090)
+    for trial in range(36):
+        cls = ("cycle", "connected", "tree")[trial % 3]
+        m = rng.randint(3, 7)
+        parts = rng.randint(1, min(m, 4))
+        inst = gen_random(seed=trial + 6000, cls=cls, m=m, n=2)
+        rows = (
+            inst.utilities[0],
+            # residual-style rows: scaled, so they no longer sum to 1
+            tuple(x * rng.randint(1, 5) / 7 for x in inst.utilities[1]),
+            tuple(rng.randint(0, 9) for _ in range(m)),  # plain ints
+        )
+        values = mms_values_raw(inst.graph, rows, parts)
+        assert values == mms_reference(inst.graph, rows, parts), inst
+        assert all(type(v) is Fraction for v in values)
+        assert mms_values_raw(inst.graph, (), parts) == ()
+        assert mms_values_raw(inst.graph, (), m + 1) == ()
+        with pytest.raises(InputError):
+            mms_values_raw(inst.graph, rows, m + 1)
+
+
+# Smallest enumeration budgets that let each search finish; a change to the
+# search order or to what it counts moves them.
+@pytest.mark.parametrize("make, prop_least, mms_least, decision", [
+    (fixture_cycle8, 136, 136, False),
+    (lambda: gen_random(seed=1, cls="connected", m=8, n=3), 651, 652, True),
+], ids=["cycle8", "connected-seed1"])
+def test_oracle_budget_spend_is_pinned(make, prop_least, mms_least, decision):
+    inst = make()
+    for solve, least in ((oracle_prop, prop_least), (oracle_mms_exists, mms_least)):
+        assert solve(inst, OracleBudget(max_enumerated=least)).decision == decision
+        with pytest.raises(BudgetExceeded):
+            solve(inst, OracleBudget(max_enumerated=least - 1))
+
+
+@pytest.mark.parametrize("cls, seed, m, n, options, bundles", [
+    ("cycle", 0, 7, 3, {"denom_bound": 4}, ({3, 6}, {0, 1, 2, 5}, {4})),
+    ("connected", 0, 7, 3, {"denom_bound": 4}, ({0, 1, 2, 4}, {3}, {5, 6})),
+    ("cycle", 1, 7, 3, {"denom_bound": 4}, ({4}, {0, 2, 5, 6}, {1, 3})),
+    ("connected", 7, 8, 4, {"denom_bound": 3, "types": 2},
+     ({1, 7}, {0, 2, 4}, {3, 5}, {6})),
+])
+def test_ef_complete_first_witness_is_pinned(cls, seed, m, n, options, bundles):
+    inst = gen_random(seed=seed, cls=cls, m=m, n=n, **options)
+    assert not classify(inst.graph).is_tree
+    rep = oracle_ef_complete(inst)
+    assert rep.decision
+    assert rep.witness.bundles == tuple(frozenset(b) for b in bundles)
 
 
 def test_mms_exists_examples():

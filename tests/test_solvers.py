@@ -272,6 +272,18 @@ def test_tree_fpt_twelve_items_eight_agents():
     assert is_proportional(inst, rep.witness)
 
 
+def test_tree_fpt_star_with_one_usable_root_partition():
+    # Eight identical agents and seven leaves worth 1/8 each: at the root
+    # only the all-singletons partition of the seven served agents can be
+    # placed, and the other 876 set partitions have a block no leaf takes.
+    row = ("1/8",) * 8 + ("0",) * 52
+    inst = mk(star_graph(59), *(row,) * 8)
+    rep = prop_tree_fpt(inst)
+    assert rep.decision
+    assert is_valid(inst, rep.witness)
+    assert is_proportional(inst, rep.witness)
+
+
 def test_tree_fpt_leaves_no_reference_cycles():
     # A solve frees all it builds by reference counting alone, so the cyclic
     # collector finds nothing afterwards.
