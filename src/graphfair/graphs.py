@@ -120,68 +120,37 @@ def classify(g: ItemGraph) -> GraphClass:
 
 @dataclass(frozen=True)
 class RootedTreeView:
-    """A tree (or residual subtree) rooted at a fixed vertex.
+    """A tree rooted at a fixed vertex.
 
-    All sequences are indexed by original vertex id; vertices outside the view
-    carry empty child tuples and empty subtree sets.
-    Children are listed in ascending order and ``postorder`` visits them
-    before their parent.
+    Sequences are indexed by vertex id.  Children are listed in ascending
+    order and ``postorder`` visits them before their parent, so every subtree
+    is the contiguous run of ``postorder`` that ends at its root.
     """
 
     root: int
     children: tuple[tuple[int, ...], ...]
     postorder: tuple[int, ...]
-    subtree: tuple[frozenset[int], ...]
 
 
-def root_tree(
-    g: ItemGraph, root: int, within: Optional[Iterable[int]] = None
-) -> RootedTreeView:
-    """Root a tree (or a connected induced subtree given by ``within``)."""
+def root_tree(g: ItemGraph, root: int) -> RootedTreeView:
+    """Root the tree ``g`` at ``root``; raises ``InputError`` if ``g`` is no tree."""
     m = g.vertex_count
-    if within is None:
-        view = frozenset(range(m))
-    else:
-        view = frozenset(within)
-        if not all(0 <= v < m for v in view):
-            raise InputError("subtree vertices outside the graph")
-    if root not in view:
-        raise InputError(f"root {root} not among the tree's vertices")
-    inner_edges = sum(1 for a, b in g.edges if a in view and b in view)
-    if inner_edges != len(view) - 1 or not is_connected_set(g, view):
-        raise InputError("vertex set does not induce a tree")
+    if not 0 <= root < m:
+        raise InputError(f"root {root} outside 0..{m - 1}")
+    if len(g.edges) != m - 1 or not mask_is_connected(g, (1 << m) - 1):
+        raise InputError("the item graph is not a tree")
 
+    # A parent, then its children's subtrees from the highest child down:
+    # reversed, that is the postorder with children in ascending order.
     children: list[tuple[int, ...]] = [()] * m
-    post: list[int] = []
-    subtree: list[frozenset[int]] = [frozenset()] * m
-
-    stack: list[tuple[int, bool]] = [(root, False)]
-    seen = {root}
+    order: list[int] = []
+    stack = [(root, -1)]
     while stack:
-        v, processed = stack.pop()
-        if processed:
-            post.append(v)
-            acc = {v}
-            for c in children[v]:
-                acc |= subtree[c]
-            subtree[v] = frozenset(acc)
-            continue
-        kids = tuple(
-            w for w in g.neighbors(v) if w in view and w not in seen
-        )
-        for w in kids:
-            seen.add(w)
-        children[v] = kids
-        stack.append((v, True))
-        for w in reversed(kids):
-            stack.append((w, False))
-
-    return RootedTreeView(
-        root=root,
-        children=tuple(children),
-        postorder=tuple(post),
-        subtree=tuple(subtree),
-    )
+        v, parent = stack.pop()
+        order.append(v)
+        children[v] = tuple(w for w in g.neighbors(v) if w != parent)
+        stack.extend((w, v) for w in children[v])
+    return RootedTreeView(root, tuple(children), tuple(reversed(order)))
 
 
 def connected_set_masks(g: ItemGraph) -> Iterator[int]:

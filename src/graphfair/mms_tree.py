@@ -12,6 +12,10 @@ quota, which is automatically inclusion-minimal among qualifying subtrees.
 Peeling minimal subtrees never destroys feasibility for the others, so with
 quotas set to the agents' maximin shares the loop always terminates with a
 full allocation.
+
+Shares and peel run on one view of the tree rooted at vertex 0 and on the
+integer grid of ``integer_grid``; each award is a contiguous run of the
+residual postorder, so no round roots the tree again.
 """
 
 from __future__ import annotations
@@ -80,33 +84,39 @@ def allocate_with_quotas(
     The item graph must be a tree.  Failure is honest only when the quotas
     are simultaneously satisfiable by no peeling order; with maximin-share
     quotas the call always succeeds.
+
+    Quotas and utilities are scaled to one integer grid.  Every award is a
+    whole subtree of the residual, so the residual keeps vertex 0 as its root
+    until it is awarded whole, and its postorder is the postorder of
+    ``_rooted_tree`` with the awarded runs cut out.  A round walks that list
+    once, taking each subtree size from the children and each claimant's
+    subtree sum as a difference of her prefix sums.
     """
-    if not classify(inst.graph).is_tree:
-        raise InputError("the item graph is not a tree")
+    view = _rooted_tree(inst.graph)
     n = inst.agent_count
     if len(quotas) != n:
         raise InputError("one quota per agent is required")
-    rows = inst.utilities
+    scale, rows = integer_grid(inst.utilities, quotas)
+    need = [int(q * scale) for q in quotas]
+    left = [sum(row) for row in rows]  # each agent's value of the residual
+    children = view.children
+    post = list(view.postorder)  # the residual's postorder
     bundles: list[frozenset[int]] = [frozenset()] * n
-    residual = frozenset(range(inst.item_count))
     remaining = list(range(n))
     rounds: list[DiminisherRound] = []
 
-    def value(agent: int, vertices) -> Fraction:
-        return sum((rows[agent][v] for v in vertices), Fraction(0))
-
     while remaining:
         for j in remaining:
-            if value(j, residual) < quotas[j]:
+            if left[j] < need[j]:
                 return None
+        residual = frozenset(post)
         if len(remaining) == 1:
             i = remaining.pop()
             rounds.append(DiminisherRound(i, None, residual, residual))
             bundles[i] = residual
-            residual = frozenset()
             continue
         i = remaining[0]
-        if quotas[i] <= 0:
+        if need[i] <= 0:
             # nothing to claim: step aside so agents still needing value
             # race for minimal subtrees undisturbed
             remaining.pop(0)
@@ -116,22 +126,30 @@ def allocate_with_quotas(
         # an inclusion-minimal qualifying subtree for every one of them;
         # awarding a non-minimal subtree could swallow the only piece some
         # other agent can reach her quota with.
-        claimants = [j for j in remaining if quotas[j] > 0]
-        view = root_tree(inst.graph, min(residual), within=residual)
-        taken: Optional[int] = None
-        winner: Optional[int] = None
-        for v in view.postorder:
-            for j in claimants:
-                if value(j, view.subtree[v]) >= quotas[j]:
-                    taken, winner = v, j
+        claimants = [(j, rows[j], need[j], [0]) for j in remaining if need[j] > 0]
+        size = [0] * inst.item_count  # residual subtree sizes
+        winner = -1
+        for pos, v in enumerate(post):
+            s = 1
+            for c in children[v]:
+                s += size[c]
+            size[v] = s
+            start = pos + 1 - s
+            for j, row, q, prefix in claimants:
+                total = prefix[-1] + row[v]
+                prefix.append(total)
+                if total - prefix[start] >= q:
+                    winner = j
                     break
-            if taken is not None:
+            if winner >= 0:
                 break
-        assert taken is not None and winner is not None  # the root qualifies
-        awarded = frozenset(view.subtree[taken])
-        rounds.append(DiminisherRound(winner, taken, awarded, residual))
-        bundles[winner] = awarded
-        residual = residual - awarded
+        assert winner >= 0  # the root qualifies
+        awarded = post[start : pos + 1]
+        del post[start : pos + 1]
+        for j in remaining:
+            left[j] -= sum(rows[j][u] for u in awarded)
+        bundles[winner] = frozenset(awarded)
+        rounds.append(DiminisherRound(winner, v, bundles[winner], residual))
         remaining.remove(winner)
     trace = DiminisherTrace(tuple(Fraction(q) for q in quotas), tuple(rounds))
     return Allocation(tuple(bundles)), trace
@@ -142,9 +160,10 @@ def _rooted_tree(graph: ItemGraph) -> RootedTreeView:
     """``graph`` rooted at vertex 0, after checking that it is a tree.
 
     ``solve_mms_tree`` asks ``mms_value_tree`` for one agent's share after
-    another on the same graph; keeping the last graph's view lets those n
-    binary searches share one ``classify`` and one ``root_tree``.  The view
-    is immutable and only one is kept.
+    another on the same graph and then peels with ``allocate_with_quotas``;
+    keeping the last graph's view lets the n binary searches and the peel
+    share one ``classify`` and one ``root_tree``.  The view is immutable and
+    only one is kept.
     """
     if not classify(graph).is_tree:
         raise InputError("the item graph is not a tree")

@@ -40,6 +40,24 @@ def mk(graph, *rows):
     )
 
 
+def subtree_of(view, v):
+    """The vertices of v's subtree in a rooted view, read as a postorder run.
+
+    The run of ``view.postorder`` that ends at v, as long as v's subtree
+    (counted through ``children``), must hold exactly v's descendants.
+    """
+    below = {v}
+    stack = [v]
+    while stack:
+        for c in view.children[stack.pop()]:
+            below.add(c)
+            stack.append(c)
+    end = view.postorder.index(v) + 1
+    run = frozenset(view.postorder[end - len(below) : end])
+    assert run == below
+    return run
+
+
 def frac_row(numerators, denominator):
     return tuple(Fraction(x, denominator) for x in numerators)
 

@@ -6,7 +6,7 @@ from math import comb
 
 import pytest
 
-from conftest import cycle_graph, path_graph, star_graph
+from conftest import cycle_graph, path_graph, star_graph, subtree_of
 from graphfair import (
     InputError,
     ItemGraph,
@@ -110,31 +110,31 @@ def _bipartite_brute(g):
 def test_root_tree_views():
     g = path_graph(3)
     view = root_tree(g, 0)
-    assert view.subtree[1] == frozenset({1, 2})
+    assert subtree_of(view, 1) == frozenset({1, 2})
     assert view.root == 0 and view.children[0] == (1,)
     assert view.postorder == (2, 1, 0)
 
     single = root_tree(ItemGraph(("v",), ()), 0)
-    assert single.subtree[0] == frozenset({0})
+    assert subtree_of(single, 0) == frozenset({0})
 
     star = star_graph(3)
     sview = root_tree(star, 0)
     for leaf in (1, 2, 3):
-        assert sview.subtree[leaf] == frozenset({leaf})
+        assert subtree_of(sview, leaf) == frozenset({leaf})
 
 
-def test_root_tree_within_and_errors():
-    g = path_graph(4)
-    view = root_tree(g, 1, within={1, 2, 3})
-    assert view.subtree[1] == frozenset({1, 2, 3})
-    assert view.subtree[2] == frozenset({2, 3})
-    assert view.subtree[0] == frozenset()
+def test_root_tree_errors():
     with pytest.raises(InputError):
         root_tree(cycle_graph(4), 0)
+    for root in (-1, 4):
+        with pytest.raises(InputError):
+            root_tree(path_graph(4), root)
+    # a triangle plus an isolated vertex: m - 1 edges, but no tree
+    forest = ItemGraph(("a", "b", "c", "d"), ((0, 1), (1, 2), (0, 2)))
     with pytest.raises(InputError):
-        root_tree(g, 0, within={1, 2})
+        root_tree(forest, 0)
     with pytest.raises(InputError):
-        root_tree(g, 0, within={0, 2})  # disconnected selection
+        root_tree(forest, 3)
 
 
 def test_enumerate_connected_sets_counts():

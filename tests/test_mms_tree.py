@@ -18,10 +18,19 @@ from graphfair import (
     solve_mms_tree,
 )
 from graphfair.generators import gen_random
-from graphfair.graphs import root_tree
+from graphfair.graphs import induced_subgraph, root_tree
+from graphfair.mms_tree import DiminisherRound, DiminisherTrace
 from graphfair.model import Instance
 
-from conftest import DIFFERENTIAL, cycle_graph, mk, path_graph, star_graph, tree_instances
+from conftest import (
+    DIFFERENTIAL,
+    cycle_graph,
+    mk,
+    path_graph,
+    star_graph,
+    subtree_of,
+    tree_instances,
+)
 
 
 def test_two_agents_on_path3_golden_trace():
@@ -179,10 +188,12 @@ def replay_minimality(inst, quotas, trace):
             continue
         live = claims[id(r)] | {r.agent}
         claimants = [j for j in live if quotas[j] > 0]
-        view = root_tree(inst.graph, min(r.residual_before), within=r.residual_before)
-        for w in view.children[r.vertex]:
+        sub, back = induced_subgraph(inst.graph, r.residual_before)
+        view = root_tree(sub, 0)
+        for w in view.children[back.index(r.vertex)]:
+            below = [back[u] for u in subtree_of(view, w)]
             for j in claimants:
-                assert bundle_value(inst, j, view.subtree[w]) < quotas[j]
+                assert bundle_value(inst, j, below) < quotas[j]
 
 
 def test_awarded_subtrees_are_minimal():
@@ -195,3 +206,82 @@ def test_awarded_subtrees_are_minimal():
         assert out is not None
         _, trace = out
         replay_minimality(inst, quotas, trace)
+
+
+def peel_reference(inst, quotas):
+    """The peel with Fractions, rooting the residual afresh every round.
+
+    The residual is relabelled through ``induced_subgraph`` and rooted at its
+    lowest vertex; subtree sets come from the children lists, so this does
+    not lean on subtrees being postorder runs.
+    """
+    rows = inst.utilities
+    n = inst.agent_count
+    bundles = [frozenset()] * n
+    residual = frozenset(range(inst.item_count))
+    remaining = list(range(n))
+    rounds = []
+
+    def value(j, vertices):
+        return sum((rows[j][v] for v in vertices), Fraction(0))
+
+    while remaining:
+        if any(value(j, residual) < quotas[j] for j in remaining):
+            return None
+        i = remaining[0]
+        if len(remaining) == 1:
+            rounds.append(DiminisherRound(i, None, residual, residual))
+            bundles[i] = residual
+            break
+        if quotas[i] <= 0:
+            remaining.pop(0)
+            rounds.append(DiminisherRound(i, None, frozenset(), residual))
+            continue
+        claimants = [j for j in remaining if quotas[j] > 0]
+        sub, back = induced_subgraph(inst.graph, residual)
+        view = root_tree(sub, 0)
+        below = {}
+        for v in view.postorder:
+            below[v] = frozenset({back[v]}).union(*(below[c] for c in view.children[v]))
+        v, j = next(
+            (v, j)
+            for v in view.postorder
+            for j in claimants
+            if value(j, below[v]) >= quotas[j]
+        )
+        rounds.append(DiminisherRound(j, back[v], below[v], residual))
+        bundles[j] = below[v]
+        residual -= below[v]
+        remaining.remove(j)
+    return bundles, rounds
+
+
+def test_peel_matches_fraction_reference():
+    """Bundles and traces equal the re-rooting Fraction peel on seeded trees."""
+    rng = random.Random(2024)
+    checked = failed = 0
+    for trial in range(150):
+        cls = ("tree", "path", "star")[trial % 3]
+        m = rng.randint(1, 24)
+        n = rng.randint(1, min(5, m))
+        inst = gen_random(seed=trial + 14000, cls=cls, m=m, n=n,
+                          denom_bound=rng.choice((3, 10, 30)))
+        shares = tuple(mms_value_tree(inst, i) for i in range(n))
+        for quotas in (
+            shares,
+            tuple(Fraction(0) if i % 2 else q for i, q in enumerate(shares)),
+            tuple(q + Fraction(1, 50) for q in shares),
+        ):
+            expected = peel_reference(inst, quotas)
+            out = allocate_with_quotas(inst, quotas)
+            checked += 1
+            if expected is None:
+                failed += 1
+                assert out is None, (inst, quotas)
+                continue
+            bundles, rounds = expected
+            alloc, trace = out
+            assert alloc.bundles == tuple(bundles), (inst, quotas)
+            want = DiminisherTrace(tuple(quotas), tuple(rounds))
+            assert trace.to_dict(inst.graph.labels) == want.to_dict(inst.graph.labels)
+    assert checked == 450 and 0 < failed < checked
