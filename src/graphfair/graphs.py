@@ -8,7 +8,6 @@ restartable stream with a deterministic order.  Vertex sets travel as
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import lru_cache
 from itertools import combinations
 from typing import Iterable, Iterator, Optional
 
@@ -26,21 +25,11 @@ __all__ = [
 ]
 
 
-@lru_cache(maxsize=None)
-def neighbor_masks(g: ItemGraph) -> tuple[int, ...]:
-    """Per-vertex adjacency as bitmasks (cached per graph)."""
-    masks = [0] * g.vertex_count
-    for a, b in g.edges:
-        masks[a] |= 1 << b
-        masks[b] |= 1 << a
-    return tuple(masks)
-
-
 def mask_is_connected(g: ItemGraph, mask: int) -> bool:
     """Connectivity of the induced subgraph on a vertex bitmask (empty is connected)."""
     if mask == 0:
         return True
-    nbr = neighbor_masks(g)
+    nbr = g.neighbor_masks
     start = mask & -mask
     reached = start
     frontier = start
@@ -161,7 +150,7 @@ def connected_set_masks(g: ItemGraph) -> Iterator[int]:
     deterministic.
     """
     m = g.vertex_count
-    nbr = neighbor_masks(g)
+    nbr = g.neighbor_masks
     full = (1 << m) - 1
 
     def grow(s: int, excluded: int, allowed: int) -> Iterator[int]:
@@ -249,7 +238,7 @@ def _tree_partitions(g: ItemGraph, k: int) -> Iterator[tuple[frozenset[int], ...
 
 def _generic_partitions(g: ItemGraph, k: int) -> Iterator[tuple[frozenset[int], ...]]:
     m = g.vertex_count
-    nbr = neighbor_masks(g)
+    nbr = g.neighbor_masks
     full = (1 << m) - 1
 
     def can_still_connect(part: int, remaining: int) -> bool:

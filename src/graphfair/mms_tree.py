@@ -13,9 +13,9 @@ Peeling minimal subtrees never destroys feasibility for the others, so with
 quotas set to the agents' maximin shares the loop always terminates with a
 full allocation.
 
-Shares and peel run on one view of the tree rooted at vertex 0 and on the
-integer grid of ``integer_grid``; each award is a contiguous run of the
-residual postorder, so no round roots the tree again.
+Shares and peel run on one view of the tree rooted at vertex 0 and on each
+agent's integer grid from ``Instance.grid``; each award is a contiguous run
+of the residual postorder, so no round roots the tree again.
 """
 
 from __future__ import annotations
@@ -32,7 +32,7 @@ from .model import (
     Instance,
     ItemGraph,
     SolveReport,
-    integer_grid,
+    at_least,
     make_report,
 )
 from .serialize import rational_to_str
@@ -85,19 +85,19 @@ def allocate_with_quotas(
     are simultaneously satisfiable by no peeling order; with maximin-share
     quotas the call always succeeds.
 
-    Quotas and utilities are scaled to one integer grid.  Every award is a
-    whole subtree of the residual, so the residual keeps vertex 0 as its root
-    until it is awarded whole, and its postorder is the postorder of
-    ``_rooted_tree`` with the awarded runs cut out.  A round walks that list
-    once, taking each subtree size from the children and each claimant's
-    subtree sum as a difference of her prefix sums.
+    Quota q goes onto its agent's grid of scale L as ``at_least(q, L)``.
+    Every award is a whole subtree of the residual, so the residual keeps
+    vertex 0 as its root until it is awarded whole, and its postorder is the
+    postorder of ``_rooted_tree`` with the awarded runs cut out.  A round
+    walks that list once, taking each subtree size from the children and
+    each claimant's subtree sum as a difference of her prefix sums.
     """
     view = _rooted_tree(inst.graph)
     n = inst.agent_count
     if len(quotas) != n:
         raise InputError("one quota per agent is required")
-    scale, rows = integer_grid(inst.utilities, quotas)
-    need = [int(q * scale) for q in quotas]
+    scales, rows = inst.grid
+    need = [at_least(q, scale) for q, scale in zip(quotas, scales)]
     left = [sum(row) for row in rows]  # each agent's value of the residual
     children = view.children
     post = list(view.postorder)  # the residual's postorder
@@ -173,7 +173,7 @@ def _rooted_tree(graph: ItemGraph) -> RootedTreeView:
 def mms_value_tree(inst: Instance, agent: int) -> Fraction:
     """Exact maximin share of one agent over connected n-partitions of a tree.
 
-    The agent's utilities are scaled to integers summing to L.  Whether the
+    The agent's row of ``Instance.grid`` sums to her scale L.  Whether the
     tree splits into n connected parts each worth at least q is monotone in
     q and decided by counting greedy postorder cuts, so a binary search over
     q in [0, L] finds the share exactly.
@@ -184,7 +184,7 @@ def mms_value_tree(inst: Instance, agent: int) -> Fraction:
         raise InputError(f"agent {agent} outside 0..{n - 1}")
     if inst.item_count < n:
         raise InputError("fewer items than agents: no complete connected partition")
-    scale, (weights,) = integer_grid([inst.utilities[agent]])
+    scale, weights = inst.grid[0][agent], inst.grid[1][agent]
     children = view.children
 
     def feasible(q: int) -> bool:

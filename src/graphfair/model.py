@@ -11,6 +11,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from fractions import Fraction
+from functools import cached_property
 from math import lcm
 from typing import Iterable, Optional, Sequence
 
@@ -24,6 +25,7 @@ __all__ = [
     "SolveReport",
     "normalize_utilities",
     "integer_grid",
+    "at_least",
     "bundle_value",
     "is_valid",
     "is_proportional",
@@ -104,6 +106,15 @@ class ItemGraph:
     def degree(self, v: int) -> int:
         return len(self._adjacency[v])
 
+    @cached_property
+    def neighbor_masks(self) -> tuple[int, ...]:
+        """Each vertex's neighbors as one bitmask, computed on first use."""
+        masks = [0] * self.vertex_count
+        for a, b in self.edges:
+            masks[a] |= 1 << b
+            masks[b] |= 1 << a
+        return tuple(masks)
+
     def index_of(self, label: str) -> int:
         try:
             return self.labels.index(label)
@@ -142,6 +153,15 @@ class Instance:
             rows.append(vals)
         object.__setattr__(self, "agent_names", names)
         object.__setattr__(self, "utilities", tuple(rows))
+
+    @cached_property
+    def grid(self) -> tuple[tuple[int, ...], tuple[tuple[int, ...], ...]]:
+        """``(scales, rows)`` of ``integer_grid``, computed on first use.
+
+        Every fairness test compares values under one agent's row, so each
+        agent keeps her own scale.
+        """
+        return integer_grid(self.utilities)
 
     @property
     def agent_count(self) -> int:
@@ -228,18 +248,27 @@ def normalize_utilities(values: Iterable) -> tuple[Fraction, ...]:
 
 
 def integer_grid(
-    rows: Sequence[Sequence[Fraction]], thresholds: Sequence[Fraction] = ()
-) -> tuple[int, list[list[int]]]:
-    """The common denominator L of the rows and thresholds, and the rows times L.
+    rows: Sequence[Sequence[Fraction]],
+) -> tuple[tuple[int, ...], tuple[tuple[int, ...], ...]]:
+    """``(scales, scaled)``: per row, the lcm L of its denominators and the row times L.
 
-    Every scaled entry is an exact integer, and so is ``t * L`` for every
-    threshold t, which lets callers compare sums on the integer grid.
+    Every scaled entry is an exact integer, so sums over one row compare
+    exactly on that row's grid; ``at_least`` puts a threshold on it.
     """
-    scale = lcm(
-        *(x.denominator for row in rows for x in row),
-        *(t.denominator for t in thresholds),
+    scales = tuple(lcm(*(x.denominator for x in row)) for row in rows)
+    return scales, tuple(
+        tuple(x.numerator * (scale // x.denominator) for x in row)
+        for scale, row in zip(scales, rows)
     )
-    return scale, [[int(x * scale) for x in row] for row in rows]
+
+
+def at_least(t: Fraction, scale: int) -> int:
+    """The least int v with ``v / scale >= t``, that is ``ceil(t * scale)``.
+
+    >>> [at_least(Fraction(1, 3), 9), at_least(Fraction(1, 3), 10), at_least(-1, 7)]
+    [3, 4, -7]
+    """
+    return -(-t.numerator * scale // t.denominator)
 
 
 def bundle_value(inst: Instance, agent: int, vertices: Iterable[int]) -> Fraction:

@@ -6,12 +6,12 @@ explicit budget.  Pruning (value thresholds, minimal candidate bundles,
 symmetric-agent canonicalization, forward checking) may only skip branches
 that provably contain no witness, so pruned and unpruned runs decide alike.
 
-All scans run on the integer grid of ``model.integer_grid``: utilities
-times their common denominator.  A bundle search lists the connected sets
-once per solve and shares that list among all agent types; a partition
-scan keeps a part-value table, so each part's value for every row is summed
-once, the first time the part appears, and a partition costs only lookups
-and int comparisons.
+All scans run on ``Instance.grid``, one integer grid per agent, with each
+threshold put on its agent's grid by ``model.at_least``.  A bundle search
+lists the connected sets once per solve and shares that list among all
+agent types; a partition scan keeps a part-value table, so each part's
+value for every row is summed once, the first time the part appears, and a
+partition costs only lookups and int comparisons.
 """
 
 from __future__ import annotations
@@ -35,6 +35,7 @@ from .model import (
     Instance,
     ItemGraph,
     SolveReport,
+    at_least,
     compute_type_partition,
     integer_grid,
     make_report,
@@ -130,8 +131,8 @@ def _search_thresholds(
     g = inst.graph
     n = inst.agent_count
     counter = _NodeCounter(budget.max_enumerated)
-    scale, weights = integer_grid(inst.utilities, thresholds)
-    scaled = [int(t * scale) for t in thresholds]
+    scales, weights = inst.grid
+    scaled = [at_least(t, scale) for t, scale in zip(thresholds, scales)]
 
     if not prune:
         # Reference mode: every agent may take any connected bundle or nothing,
@@ -273,8 +274,8 @@ def mms_values_raw(
     """Max-over-partitions min-part value for arbitrary nonnegative rows.
 
     Shared by the oracle proper and by trace replays on residual subtrees,
-    where utility rows no longer sum to 1.  The rows are scaled to the
-    integer grid once; each part's values go into a part-value table the
+    where utility rows no longer sum to 1.  Each row is scaled once to its
+    own integer grid; each part's values go into a part-value table the
     first time the part appears, so a partition costs one lookup per part
     and the running best per row stays an int until the end.  Every
     partition spends one unit of ``node_limit``.
@@ -285,7 +286,7 @@ def mms_values_raw(
     (Fraction(1, 2),)
     """
     counter = _NodeCounter(node_limit)
-    scale, grid = integer_grid(weight_rows)
+    scales, grid = integer_grid(weight_rows)
     table: dict[frozenset[int], tuple[int, ...]] = {}
     best: Optional[list[int]] = None
     for partition in enumerate_connected_partitions(g, parts):
@@ -299,7 +300,7 @@ def mms_values_raw(
                 f"the graph admits no partition into {parts} connected parts"
             )
         return ()
-    return tuple(Fraction(v, scale) for v in best)
+    return tuple(Fraction(v, scale) for v, scale in zip(best, scales))
 
 
 def _part_values(
@@ -342,7 +343,7 @@ def oracle_ef_complete(
     if inst.item_count < n:
         return make_report(inst, "oracle", None)
     counter = _NodeCounter(b.max_enumerated)
-    _, weights = integer_grid(inst.utilities)
+    _, weights = inst.grid
     table: dict[frozenset[int], tuple[int, ...]] = {}
 
     for partition in enumerate_connected_partitions(inst.graph, n):

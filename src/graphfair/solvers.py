@@ -1,12 +1,13 @@
 """Structure-aware solvers for proportional and envy-free division.
 
-Each solver exploits one graph class: a matching formulation on stars, a
-left-to-right sweep on paths with identical agents, and on trees a subtree
-dynamic program that folds in one child at a time over subsets of agents,
-so it is exponential only in the number of agents.  On paths with few
-agent types, proportionality is an earliest-end dynamic program over
-per-type piece counts, and complete envy-freeness is one left-to-right
-pass that fixes each type's piece value at its first piece.
+Each solver exploits one graph class: a matching formulation on stars, and
+on trees a subtree dynamic program that folds in one child at a time over
+subsets of agents, so it is exponential only in the number of agents.  On
+paths with few agent types, proportionality is an earliest-end dynamic
+program over per-type piece counts (with identical agents, the greedy
+left-to-right sweep), and complete envy-freeness is one left-to-right pass
+that fixes each type's piece value at its first piece.  Every solver
+compares values on ``Instance.grid``, one integer grid per agent.
 ``METHODS`` is the one routing table: ``dispatch`` runs the first entry that
 fits the instance, and the exhaustive oracle closes every problem's list.
 """
@@ -17,6 +18,7 @@ import logging
 from bisect import bisect_left
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import accumulate
 from typing import Callable, Iterator, Optional, Sequence
 
 from . import mms_tree
@@ -29,8 +31,8 @@ from .model import (
     InputError,
     Instance,
     SolveReport,
+    at_least,
     compute_type_partition,
-    integer_grid,
     make_report,
 )
 from .oracle import OracleBudget, oracle_ef_complete, oracle_mms_exists, oracle_prop
@@ -84,8 +86,9 @@ def prop_star(inst: Instance) -> SolveReport:
     single leaf she values at 1/n or more; among such systems a min-weight
     matching minimizes what the center owner gives away, so i keeps 1/n
     exactly when the matching total stays within (n-1)/n.  Values are
-    compared on the instance's integer grid, where 1 is ``scale`` and 1/n is
-    ``scale // n``, so the matchings run on ints.
+    compared on each agent's grid from ``Instance.grid``, where 1 is her
+    scale L and 1/n is ``at_least(1/n, L)``, so the matchings run on ints;
+    a matching total sums the center owner's row only.
     """
     g = inst.graph
     if not classify(g).is_star:
@@ -97,16 +100,16 @@ def prop_star(inst: Instance) -> SolveReport:
     if n - 1 > len(leaves):
         return make_report(inst, "star", None)
 
-    scale, grid = integer_grid(inst.utilities, [Fraction(1, n)])
-    share = scale // n
+    scales, grid = inst.grid
+    share = [at_least(Fraction(1, n), scale) for scale in scales]
     for i in range(n):
         others = [j for j in range(n) if j != i]
         rows = [
-            [grid[i][v] if grid[j][v] >= share else ABSENT for v in leaves]
+            [grid[i][v] if grid[j][v] >= share[j] else ABSENT for v in leaves]
             for j in others
         ]
         solved = _assign(rows, len(leaves), 1)
-        if solved is None or solved[1] > scale - share:
+        if solved is None or solved[1] > scales[i] - share[i]:
             continue
         bundles = [frozenset()] * n
         matched = set()
@@ -119,62 +122,19 @@ def prop_star(inst: Instance) -> SolveReport:
 
 
 # ---------------------------------------------------------------------------
-# paths, single type
+# paths
 
 
-def prop_path_greedy(inst: Instance) -> SolveReport:
-    """Left-to-right sweep for identical agents on a path.
+def _typed_path_setup(inst, types):
+    """The path order, and per type its grid scale and prefix sums along it.
 
-    Close a piece as soon as its value reaches 1/n; the instance is a yes
-    exactly when n pieces close, and the last piece then absorbs the suffix.
+    A type's values live on the grid of its first member.
     """
-    types = compute_type_partition(inst)
-    if types.type_count != 1:
-        raise InputError("the greedy path solver needs all agents identical")
     order = path_order(inst)
-    n = inst.agent_count
-    share = Fraction(1, n)
-    row = inst.utilities[0]
-
-    pieces: list[list[int]] = []
-    current: list[int] = []
-    acc = Fraction(0)
-    for v in order:
-        current.append(v)
-        acc += row[v]
-        if acc >= share:
-            pieces.append(current)
-            current = []
-            acc = Fraction(0)
-    if len(pieces) < n:
-        return make_report(inst, "greedy", None)
-    bundles = [frozenset(p) for p in pieces[: n - 1]]
-    tail: set[int] = set()
-    for p in pieces[n - 1 :]:
-        tail |= set(p)
-    tail |= set(current)
-    bundles.append(frozenset(tail))
-    return make_report(inst, "greedy", Allocation(tuple(bundles)))
-
-
-# ---------------------------------------------------------------------------
-# paths, few types
-
-
-def _typed_path_setup(inst: Instance):
-    order = path_order(inst)
-    types = compute_type_partition(inst)
-    scale, rows = integer_grid(
-        [inst.utilities[members[0]] for members in types.members],
-        [Fraction(1, inst.agent_count)],
-    )
-    prefix = []
-    for row in rows:
-        acc = [0]
-        for v in order:
-            acc.append(acc[-1] + row[v])
-        prefix.append(acc)
-    return order, types, scale, prefix
+    scales, rows = inst.grid
+    firsts = [members[0] for members in types.members]
+    prefix = [[0, *accumulate(rows[a][v] for v in order)] for a in firsts]
+    return order, [scales[a] for a in firsts], prefix
 
 
 def _tiling_allocation(inst, order, types, pieces) -> Allocation:
@@ -191,6 +151,18 @@ def _tiling_allocation(inst, order, types, pieces) -> Allocation:
         for agent, (s, e) in zip(members, by_type[t]):
             bundles[agent] = frozenset(order[s:e])
     return Allocation(tuple(bundles))
+
+
+def prop_path_greedy(inst: Instance) -> SolveReport:
+    """Identical agents on a path: ``prop_path_typed`` with one type.
+
+    ``earliest[k]`` is where a left-to-right sweep closes its k-th piece,
+    once it is worth 1/n; the witness gives the last agent the suffix.
+    """
+    types = compute_type_partition(inst)
+    if types.type_count != 1:
+        raise InputError("the greedy path solver needs all agents identical")
+    return make_report(inst, "greedy", _earliest_end_tiling(inst, types))
 
 
 def prop_path_typed(inst: Instance) -> SolveReport:
@@ -212,8 +184,15 @@ def prop_path_typed(inst: Instance) -> SolveReport:
     ascending, t ascending, loose item last, by which a prefix table of
     reachable vectors would have first reached (e, vec).
     """
-    order, types, scale, prefix = _typed_path_setup(inst)
-    threshold = scale // inst.agent_count
+    types = compute_type_partition(inst)
+    return make_report(inst, "path-dp", _earliest_end_tiling(inst, types))
+
+
+def _earliest_end_tiling(inst, types) -> Optional[Allocation]:
+    """The witness of ``prop_path_typed`` for these types, or None for a no."""
+    order, scales, prefix = _typed_path_setup(inst, types)
+    share = Fraction(1, inst.agent_count)
+    threshold = [at_least(share, scale) for scale in scales]
     m, p = len(order), types.type_count
     full = types.agents_per_type
     # Count vectors are numbered in mixed radix with the last type fastest,
@@ -229,11 +208,11 @@ def prop_path_typed(inst: Instance) -> SolveReport:
             if idx // stride[t] % radix[t]:
                 s = earliest[idx - stride[t]]
                 if s < best:
-                    end = bisect_left(prefix[t], prefix[t][s] + threshold, s + 1)
+                    end = bisect_left(prefix[t], prefix[t][s] + threshold[t], s + 1)
                     best = min(best, end)
         earliest[idx] = best
     if earliest[-1] > m:
-        return make_report(inst, "path-dp", None)
+        return None
 
     pieces: list[tuple[int, int, int]] = []
     e, idx = m, len(earliest) - 1
@@ -242,14 +221,14 @@ def prop_path_typed(inst: Instance) -> SolveReport:
         for t in range(p):
             if idx // stride[t] % radix[t]:
                 s = earliest[idx - stride[t]]
-                if s < start and prefix[t][e] - prefix[t][s] >= threshold:
+                if s < start and prefix[t][e] - prefix[t][s] >= threshold[t]:
                     start, pick = s, t
         if pick is None:
             e -= 1
         else:
             pieces.append((start, e, pick))
             e, idx = start, idx - stride[pick]
-    return make_report(inst, "path-dp", _tiling_allocation(inst, order, types, pieces))
+    return _tiling_allocation(inst, order, types, pieces)
 
 
 # ---------------------------------------------------------------------------
@@ -298,9 +277,9 @@ def _tree_dp_run(inst: Instance):
     ``entries[v][i][S]`` is the most agent i can keep in a connected bundle
     that contains v and stays in v's subtree, while every agent in the
     bitmask S (which never holds i) gets a connected bundle there worth at
-    least 1/n to her; None when no such split exists.  Entries are ints: the
-    utilities times ``scale`` from ``integer_grid``, so 1/n is ``share =
-    scale // n``.
+    least 1/n to her; None when no such split exists.  Entries are ints on
+    agent i's grid from ``Instance.grid``: her utilities times her scale L,
+    where 1/n is ``share[i] = at_least(1/n, L)``.
 
     ``cell(z, i, T)`` is ``(kept, owner)`` for a child z whose subtree serves
     the agents in T: i extends into z and keeps ``entries[z][i][T]`` (all of
@@ -317,8 +296,8 @@ def _tree_dp_run(inst: Instance):
     n = inst.agent_count
     full = (1 << n) - 1
     view = root_tree(g, 0)
-    scale, grid = integer_grid(inst.utilities, [Fraction(1, n)])
-    share = scale // n
+    scales, grid = inst.grid
+    share = [at_least(Fraction(1, n), scale) for scale in scales]
     entries: list[list] = [[None] * n for _ in range(g.vertex_count)]
 
     def cell(z: int, i: int, T: int) -> Optional[tuple[int, int]]:
@@ -326,7 +305,7 @@ def _tree_dp_run(inst: Instance):
             return entries[z][i][T], i
         for j in _mask_bits(T):
             sub = entries[z][j][T & ~(1 << j)]
-            if sub is not None and sub >= share:
+            if sub is not None and sub >= share[j]:
                 return 0, j
         return None
 
@@ -356,7 +335,7 @@ def _tree_dp_run(inst: Instance):
 def prop_tree_fpt(inst: Instance) -> SolveReport:
     """Proportionality on trees, exponential only in the number of agents.
 
-    Runs ``_tree_dp_run`` on the integer grid; the instance is a yes when
+    Runs ``_tree_dp_run`` on each agent's grid; the instance is a yes when
     some agent, tried in index order, can own the root while all others are
     served.  The bundles are then built top-down, and at each vertex v that
     i owns while serving S the choice behind the entry is replayed once:
@@ -371,8 +350,8 @@ def prop_tree_fpt(inst: Instance) -> SolveReport:
     view, entries, share, cell = _tree_dp_run(inst)
     n = inst.agent_count
     full = (1 << n) - 1
-    at_root = [entries[view.root][i][full & ~(1 << i)] for i in range(n)]
-    owner = next((i for i, k in enumerate(at_root) if k is not None and k >= share), None)
+    kept = [entries[view.root][i][full & ~(1 << i)] for i in range(n)]
+    owner = next((i for i, k in enumerate(kept) if k is not None and k >= share[i]), None)
     if owner is None:
         return make_report(inst, "tree-fpt", None)
 
@@ -463,7 +442,8 @@ def ef_path_typed(inst: Instance) -> SolveReport:
     guess tuple among the states that tile the whole path with one piece per
     agent becomes the quotas, and ``_ef_tile`` builds the witness for it.
     """
-    order, types, scale, prefix = _typed_path_setup(inst)
+    types = compute_type_partition(inst)
+    order, scales, prefix = _typed_path_setup(inst, types)
     m = len(order)
     p = types.type_count
     n = inst.agent_count
@@ -487,9 +467,9 @@ def ef_path_typed(inst: Instance) -> SolveReport:
                         break
                     own = values[t]
                     if guess[t] is None:
-                        if own * full[t] > scale:
+                        if own * full[t] > scales[t]:
                             break
-                        if own < seen[t] or own * n < scale:
+                        if own < seen[t] or own * n < scales[t]:
                             continue
                         fixed = guess[:t] + (own,) + guess[t + 1 :]
                     elif own == guess[t]:
@@ -508,9 +488,7 @@ def ef_path_typed(inst: Instance) -> SolveReport:
         return make_report(inst, "ef-path", None)
     targets = min(finished)
     witness = _ef_tile(inst, order, types, prefix, targets)
-    quotas = tuple(
-        Fraction(targets[types.type_of_agent[a]], scale) for a in range(n)
-    )
+    quotas = tuple(Fraction(targets[t], scales[t]) for t in types.type_of_agent)
     return make_report(inst, "ef-path", witness, quotas=quotas)
 
 

@@ -1,12 +1,15 @@
 """Command-line behaviour: exit codes, report shapes, round-trips."""
 
+import hashlib
 import json
+import random
 
 import pytest
 
 from graphfair.cli import build_parser, main
 from graphfair.generators import X3cInstance, fixture_cycle8, gen_random, gen_x3c_prop_path
 from graphfair.serialize import instance_from_json, instance_to_json
+from graphfair.solvers import METHODS
 
 from conftest import mk, path_graph
 
@@ -339,3 +342,46 @@ def test_parser_is_built_once_and_reused(capsys, cycle8_file):
     assert shared == fresh
     assert [code for code, _, _ in shared] == [1, 2, 0, 1]
     assert "invalid choice" in shared[1][2]
+
+
+# ---------------------------------------------------------------------------
+# pinned bytes
+
+CLI_BYTES_DIGEST = "cf26f9829978a4666f4b8f506b9c56b35dcb82f490f87111680c5665a61159b4"
+
+
+def test_cli_bytes_pinned(capsys, tmp_path):
+    """One sha256 over ``main``'s exit code, stdout and stderr on a seeded corpus.
+
+    Every ``gen_random`` class, 48 instances each, goes through
+    ``mms-values`` and through ``solve`` for every problem, with auto
+    routing and with each of the problem's methods forced (a method that
+    does not fit exits 2 with its message).  A refactor that keeps the
+    answers keeps the digest.  A change that alters a witness, a
+    tie-break, a quota, a message or an exit code on purpose must re-pin
+    ``CLI_BYTES_DIGEST`` and say so in CHANGES.md.
+    """
+    rng = random.Random(7)
+    path = str(tmp_path / "inst.json")
+    digest = hashlib.sha256()
+    for cls in ("path", "star", "tree", "cycle", "connected"):
+        for k in range(48):
+            inst = gen_random(
+                seed=k, cls=cls,
+                m=rng.randint(3 if cls == "cycle" else 1, 12 if cls in ("path", "star") else 8),
+                n=rng.randint(1, 4),
+                denom_bound=rng.choice([2, 6, 10, 30]),
+                types=rng.choice([None, 1, 2]),
+            )
+            with open(path, "w", encoding="utf-8") as fh:
+                fh.write(instance_to_json(inst))
+            calls = [["mms-values"]]
+            for problem in ("prop", "ef-complete", "mms"):
+                calls.append(["solve", "--problem", problem])
+                calls += [["solve", "--problem", problem, "--method", name]
+                          for name in dict.fromkeys(e.name for e in METHODS if e.problem == problem)]
+            for argv in calls:
+                code = main([*argv, path])
+                captured = capsys.readouterr()
+                digest.update(json.dumps([cls, k, argv, code, captured.out, captured.err]).encode())
+    assert digest.hexdigest() == CLI_BYTES_DIGEST

@@ -1,6 +1,8 @@
 """Graph utilities: connectivity, classification, rooted trees, enumeration."""
 
+import gc
 import random
+import weakref
 from itertools import combinations
 from math import comb
 
@@ -18,6 +20,7 @@ from graphfair import (
     is_connected_set,
     root_tree,
 )
+from graphfair.graphs import mask_is_connected
 
 
 def test_item_graph_validation():
@@ -42,6 +45,18 @@ def test_is_connected_set_path3():
     assert not is_connected_set(g, {0, 2})
     assert is_connected_set(g, set())
     assert is_connected_set(g, {0, 1, 2})
+
+
+def test_graph_is_collected_after_mask_use():
+    # The neighbor masks live on the graph, so nothing outside it keeps a
+    # graph alive once a connectivity test has used it.
+    g = cycle_graph(9)
+    assert mask_is_connected(g, 0b111)
+    assert g.neighbor_masks[0] == 0b100000010
+    ref = weakref.ref(g)
+    del g
+    gc.collect()
+    assert ref() is None
 
 
 def test_classify_fixed_graphs():

@@ -1,12 +1,16 @@
 """Core model: instances, allocations, verifiers, agent types."""
 
 import random
+from dataclasses import FrozenInstanceError
 from fractions import Fraction
 from itertools import permutations
+from math import lcm
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from conftest import frac_row, mk, path_graph, random_row
+from conftest import DIFFERENTIAL, frac_row, mk, path_graph, random_row
 from graphfair import (
     Allocation,
     InputError,
@@ -25,6 +29,7 @@ from graphfair import (
     normalize_utilities,
     oracle_mms_values,
 )
+from graphfair.model import at_least, integer_grid
 
 C8 = fixture_cycle8()
 P1 = Allocation(
@@ -213,3 +218,56 @@ def test_utilities_coerced_to_fraction():
     assert all(isinstance(x, Fraction) for x in inst.utilities[0])
     r = random_row(random.Random(0), 4)
     assert sum(r) == 1
+
+
+# Thresholds below 0, at 0, inside (0, 1), at 1 and above 1.
+FIXED_THRESHOLDS = (Fraction(-5, 2), Fraction(-1, 7), 0, Fraction(1, 3), Fraction(5, 7), 1, Fraction(9, 4))
+
+
+@settings(DIFFERENTIAL, max_examples=200)
+@given(
+    rows=st.lists(
+        st.lists(
+            st.one_of(st.just(0), st.integers(0, 3), st.fractions(0, 3, max_denominator=12)),
+            min_size=1,
+            max_size=6,
+        ),
+        min_size=1,
+        max_size=4,
+    ),
+    drawn=st.lists(st.fractions(-3, 3, max_denominator=20), max_size=3),
+)
+def test_integer_grid_is_exact(rows, drawn):
+    scales, scaled = integer_grid(rows)
+    assert len(scales) == len(scaled) == len(rows)
+    for row, scale, ints in zip(rows, scales, scaled):
+        assert scale == lcm(*(Fraction(x).denominator for x in row))
+        assert all(type(v) is int for v in ints)
+        assert list(ints) == [x * scale for x in row]
+        for t in FIXED_THRESHOLDS + tuple(drawn):
+            need = at_least(t, scale)
+            for v in range(need - 2, need + 3):
+                assert (Fraction(v, scale) >= t) == (v >= need)
+
+
+def test_instance_grid_computed_once_and_invisible():
+    rng = random.Random(11)
+    for seed in range(40):
+        inst = gen_random(seed=seed, cls="tree", m=rng.randint(1, 9),
+                          n=rng.randint(1, 4), denom_bound=rng.choice([1, 3, 10]))
+        copy = Instance(inst.graph, inst.agent_names, inst.utilities)
+        assert inst == copy
+        before = (repr(inst), hash(inst))
+        grid = inst.grid
+        assert inst.grid is grid
+        scales, rows = grid
+        assert isinstance(scales, tuple) and all(isinstance(r, tuple) for r in rows)
+        for row, scale, ints in zip(inst.utilities, scales, rows):
+            assert scale == lcm(*(x.denominator for x in row))
+            assert list(ints) == [x * scale for x in row]
+        assert (repr(inst), hash(inst)) == before == (repr(copy), hash(copy))
+        assert inst == copy and copy == inst
+        with pytest.raises(FrozenInstanceError):
+            inst.utilities = ()
+        with pytest.raises(FrozenInstanceError):
+            inst.grid = grid

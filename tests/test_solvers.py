@@ -29,8 +29,8 @@ from graphfair import (
 from graphfair.cli import build_parser
 from graphfair.generators import fixture_cycle8, gen_random
 from graphfair.graphs import classify
-from graphfair.model import Instance, ItemGraph, compute_type_partition
-from graphfair.solvers import METHODS, _set_partitions, select_method
+from graphfair.model import Allocation, Instance, ItemGraph, compute_type_partition
+from graphfair.solvers import METHODS, _set_partitions, path_order, select_method
 
 from conftest import (
     DIFFERENTIAL,
@@ -101,6 +101,49 @@ def test_greedy_single_agent():
     rep = prop_path_greedy(inst)
     assert rep.decision
     assert rep.witness.bundles == (frozenset({0, 1, 2}),)
+
+
+def greedy_reference(inst):
+    """The left-to-right ``Fraction`` sweep: close a piece once it is worth 1/n.
+
+    n closed pieces make a yes; the first n-1 go to agents 0..n-2 and the
+    last agent takes the rest of the path.  Returns the witness or None.
+    """
+    n = inst.agent_count
+    share = Fraction(1, n)
+    row = inst.utilities[0]
+    pieces, current, acc = [], [], Fraction(0)
+    for v in path_order(inst):
+        current.append(v)
+        acc += row[v]
+        if acc >= share:
+            pieces.append(current)
+            current, acc = [], Fraction(0)
+    if len(pieces) < n:
+        return None
+    tail = [v for piece in pieces[n - 1 :] for v in piece] + current
+    return Allocation(tuple(frozenset(p) for p in pieces[: n - 1]) + (frozenset(tail),))
+
+
+def test_greedy_matches_fraction_sweep():
+    rng = random.Random(2024)
+    yes = 0
+    for seed in range(600):
+        inst = gen_random(seed=seed, cls="path", m=rng.randint(1, 14), n=rng.randint(1, 6),
+                          denom_bound=rng.choice([2, 5, 10, 30]), types=1)
+        expected = greedy_reference(inst)
+        rep = prop_path_greedy(inst)
+        assert rep.method == "greedy"
+        assert rep.decision == (expected is not None)
+        assert rep.witness == expected
+        if expected is None:
+            assert rep.achieved is None
+        else:
+            assert rep.achieved == tuple(
+                bundle_value(inst, i, b) for i, b in enumerate(expected.bundles)
+            )
+        yes += rep.decision
+    assert 100 < yes < 500  # both answers are well represented
 
 
 def test_greedy_preconditions():
