@@ -6,9 +6,9 @@ big-M penalties, and among equal-weight optima returns the lexicographically
 smallest assignment vector.
 
 ``solve_matching`` validates a ``MatchingProblem`` of Fractions and answers
-in Fractions.  The solvers call the unchecked core ``_assign`` on the rows of
-their integer grid instead, so the whole solve runs on ints; any positive
-scaling of the weights keeps the same optima and the same tie-break.
+in Fractions.  The star solver calls the unchecked core ``_assign`` on the
+rows of its integer grid instead, so the whole solve runs on ints; any
+positive scaling of the weights keeps the same optima and the same tie-break.
 """
 
 from __future__ import annotations

@@ -2,11 +2,12 @@
 
 Each solver exploits one graph class: a matching formulation on stars, and
 on trees a subtree dynamic program that folds in one child at a time over
-subsets of agents, so it is exponential only in the number of agents.  On
-paths with few agent types, proportionality is an earliest-end dynamic
-program over per-type piece counts (with identical agents, the greedy
-left-to-right sweep), and complete envy-freeness is one left-to-right pass
-that fixes each type's piece value at its first piece.  Every solver
+subsets of agents, so it is exponential only in the number of agents; its
+witness walks back through the fold's own tables.  On paths with few agent
+types, proportionality is an earliest-end dynamic program over per-type
+piece counts (with identical agents, the greedy left-to-right sweep), and
+complete envy-freeness is one left-to-right pass that fixes each type's
+piece value at its first piece.  Every solver
 compares values on ``Instance.grid``, one integer grid per agent.
 ``METHODS`` is the one routing table: ``dispatch`` runs the first entry that
 fits the instance, and the exhaustive oracle closes every problem's list.
@@ -19,12 +20,12 @@ from bisect import bisect_left
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import accumulate
-from typing import Callable, Iterator, Optional, Sequence
+from typing import Callable, Iterator, Optional
 
 from . import mms_tree
 from .graphs import GraphClass, _mask_bits, classify, root_tree
 # ``solve_matching`` stays bound here because bench/tracer.py wraps
-# ``solvers.solve_matching``; the solvers call the core ``_assign`` directly.
+# ``solvers.solve_matching``; the star solver calls the core ``_assign`` directly.
 from .matching import ABSENT, _assign, solve_matching  # noqa: F401
 from .model import (
     Allocation,
@@ -235,33 +236,6 @@ def _earliest_end_tiling(inst, types) -> Optional[Allocation]:
 # trees
 
 
-def _set_partitions(members: Sequence[int], max_blocks: int) -> Iterator[list[int]]:
-    """Partitions of ``members`` into at most ``max_blocks`` bitmask blocks.
-
-    Restricted-growth order: deterministic and duplicate-free.
-    """
-    if members:
-        yield from _grow_blocks(members, max_blocks, [], 0)
-
-
-def _grow_blocks(
-    members: Sequence[int], max_blocks: int, blocks: list[int], idx: int
-) -> Iterator[list[int]]:
-    """Place ``members[idx:]`` into ``blocks``: each joins every block, then opens one."""
-    if idx == len(members):
-        yield list(blocks)
-        return
-    bit = 1 << members[idx]
-    for b in range(len(blocks)):
-        blocks[b] |= bit
-        yield from _grow_blocks(members, max_blocks, blocks, idx + 1)
-        blocks[b] &= ~bit
-    if len(blocks) < max_blocks:
-        blocks.append(bit)
-        yield from _grow_blocks(members, max_blocks, blocks, idx + 1)
-        blocks.pop()
-
-
 def _submasks(mask: int) -> Iterator[int]:
     """Every submask of ``mask``, from ``mask`` itself down to 0."""
     sub = mask
@@ -287,8 +261,11 @@ def _tree_dp_run(inst: Instance):
     j in T who can own z's subtree while serving the rest of T takes it and
     i keeps 0; None when neither works.  The children are folded in one at
     a time: from ``f[0]``, i's value for v alone, each child z turns
-    ``f[S]`` into the best ``f[S - T] + kept`` over T ⊆ S.  That is
-    O(m·n·3^(n-1)) steps, with no set partition and no matching.
+    ``f[S]`` into the best ``f[S - T] + kept`` over T ⊆ S, keeping the first
+    best in the order S - T descending.  That is O(m·n·3^(n-1)) steps, with
+    no set partition and no matching.  ``folds[v][i]`` lists i's table at v
+    before the first child and after each child; its last table is
+    ``entries[v][i]``.
     """
     g = inst.graph
     if not classify(g).is_tree:
@@ -299,6 +276,7 @@ def _tree_dp_run(inst: Instance):
     scales, grid = inst.grid
     share = [at_least(Fraction(1, n), scale) for scale in scales]
     entries: list[list] = [[None] * n for _ in range(g.vertex_count)]
+    folds: list[list] = [[None] * n for _ in range(g.vertex_count)]
 
     def cell(z: int, i: int, T: int) -> Optional[tuple[int, int]]:
         if entries[z][i][T] is not None:
@@ -314,6 +292,7 @@ def _tree_dp_run(inst: Instance):
             others = full & ~(1 << i)
             f: list[Optional[int]] = [None] * (full + 1)
             f[0] = grid[i][v]
+            folds[v][i] = [f]
             for z in view.children[v]:
                 kept = {
                     T: c[0] for T in _submasks(others) if (c := cell(z, i, T)) is not None
@@ -328,8 +307,9 @@ def _tree_dp_run(inst: Instance):
                         ):
                             folded[A | T] = f[A] + kept[T]
                 f = folded
+                folds[v][i].append(f)
             entries[v][i] = f
-    return view, entries, share, cell
+    return view, entries, folds, share, cell
 
 
 def prop_tree_fpt(inst: Instance) -> SolveReport:
@@ -337,17 +317,14 @@ def prop_tree_fpt(inst: Instance) -> SolveReport:
 
     Runs ``_tree_dp_run`` on each agent's grid; the instance is a yes when
     some agent, tried in index order, can own the root while all others are
-    served.  The bundles are then built top-down, and at each vertex v that
-    i owns while serving S the choice behind the entry is replayed once:
-    the set partitions of S into at most one block per child, in
-    restricted-growth order, each with one max-weight matching of blocks
-    (rows from ``cell``, built once per vertex) and leftover children (i's
-    whole subtree) to the children; a partition with a block that no child
-    can take is skipped.  The first strictly best partition and its
-    lexicographically smallest matching decide who owns each child and whom
-    it serves.
+    served.  The bundles are then built top-down by walking the fold back:
+    at a vertex v that i owns while serving S, the children go from last
+    to first, and child z takes the agents T = S - A of the first A in
+    ``_submasks(S)`` whose table entry before z plus ``cell(z, i, T)``'s
+    kept value equals the entry for S after z, which is the pair the
+    fold kept.  ``cell`` names z's owner, and S shrinks to A.
     """
-    view, entries, share, cell = _tree_dp_run(inst)
+    view, entries, folds, share, cell = _tree_dp_run(inst)
     n = inst.agent_count
     full = (1 << n) - 1
     kept = [entries[view.root][i][full & ~(1 << i)] for i in range(n)]
@@ -360,23 +337,15 @@ def prop_tree_fpt(inst: Instance) -> SolveReport:
     while stack:
         v, i, S = stack.pop()
         bundles[i].add(v)
-        kids = view.children[v]
-        rows: dict[int, list[Optional[int]]] = {}
-        best, blocks, assignment = None, [0] * len(kids), range(len(kids))
-        for parts in _set_partitions(sorted(_mask_bits(S)), len(kids)):
-            trial = parts + [0] * (len(kids) - len(parts))
-            for T in trial:
-                if T not in rows:
-                    cells = [cell(z, i, T) for z in kids]
-                    rows[T] = [ABSENT if c is None else c[0] for c in cells]
-            if any(all(w is ABSENT for w in rows[T]) for T in parts):
-                continue  # no matching places that block
-            solved = _assign([rows[T] for T in trial], len(kids), -1)
-            if solved is not None and (best is None or solved[1] > best):
-                best, blocks, assignment = solved[1], trial, solved[0]
-        for T, col in zip(blocks, assignment):
-            _, j = cell(kids[col], i, T)
-            stack.append((kids[col], j, T & ~(1 << j)))
+        kids, tables = view.children[v], folds[v][i]
+        for k in reversed(range(len(kids))):
+            z, before, after = kids[k], tables[k], tables[k + 1]
+            for A in _submasks(S):
+                c = cell(z, i, S & ~A) if before[A] is not None else None
+                if c is not None and before[A] + c[0] == after[S]:
+                    break
+            stack.append((z, c[1], S & ~A & ~(1 << c[1])))
+            S = A
     return make_report(
         inst, "tree-fpt", Allocation(tuple(frozenset(b) for b in bundles))
     )
@@ -513,11 +482,13 @@ class Method:
 
 # Per problem, ``auto`` takes the first entry that applies.  Each ``run`` looks
 # its solver up by module attribute at call time, never through a captured
-# function object, so a wrapper installed on that attribute sees the call; so
-# does greedy's ``applies``, the only one that reads the type partition.
+# function object, so a wrapper installed on that attribute sees the call.
+# Greedy's ``applies`` compares rows with ``==`` and leaves the type partition
+# to the solver.
 METHODS = (
     Method("greedy", "prop",
-           lambda cls, inst: cls.is_path and compute_type_partition(inst).type_count == 1,
+           lambda cls, inst: cls.is_path
+           and all(row == inst.utilities[0] for row in inst.utilities),
            lambda inst, budget: prop_path_greedy(inst),
            "greedy needs a path and identical agents"),
     Method("path-dp", "prop",

@@ -29,8 +29,14 @@ from graphfair import (
 from graphfair.cli import build_parser
 from graphfair.generators import fixture_cycle8, gen_random
 from graphfair.graphs import classify
-from graphfair.model import Allocation, Instance, ItemGraph, compute_type_partition
-from graphfair.solvers import METHODS, _set_partitions, path_order, select_method
+from graphfair.model import (
+    Allocation,
+    Instance,
+    ItemGraph,
+    at_least,
+    compute_type_partition,
+)
+from graphfair.solvers import METHODS, _tree_dp_run, path_order, select_method
 
 from conftest import (
     DIFFERENTIAL,
@@ -265,16 +271,12 @@ def test_prop_tree_and_star_match_oracle(inst):
             assert is_proportional(inst, rep.witness)
 
 
-def test_set_partitions_order():
-    # blocks are bitmasks over members 0, 1, 2, in restricted-growth order
-    assert list(_set_partitions([0, 1, 2], 2)) == [[7], [3, 4], [5, 2], [1, 6]]
-    assert list(_set_partitions([0, 1, 2], 3)) == [[7], [3, 4], [5, 2], [1, 6], [1, 2, 4]]
-
-
 def test_tree_fpt_witness_on_tied_matching():
     # The arms v2-v3 and v4-v5 are each worth 1/2 to a2 and to a3, so the
-    # root's matching ties between the two ways of handing them out; the
-    # lexicographically smallest assignment gives a2 the lower child.
+    # root's fold ties between the two ways of handing them out.  The fold
+    # keeps the first best split with the agents served before a child, as
+    # a bitmask, descending: a3 (bit 4) stays with the earlier arm v2-v3,
+    # and a2 takes the later arm v4-v5.
     graph = ItemGraph(
         tuple(f"v{i + 1}" for i in range(7)),
         ((0, 1), (1, 2), (0, 3), (3, 4), (0, 5), (5, 6)),
@@ -285,26 +287,59 @@ def test_tree_fpt_witness_on_tied_matching():
     assert rep.decision
     assert rep.witness.bundles == (
         frozenset({0, 5, 6}),
-        frozenset({1, 2}),
         frozenset({3, 4}),
+        frozenset({1, 2}),
     )
 
 
 @pytest.mark.parametrize("seed, m, n, options, bundles", [
     (15, 8, 5, {"denom_bound": 3}, ({0, 4, 7}, {2, 3}, {1}, {5}, {6})),
-    (46, 7, 5, {"denom_bound": 3}, ({0, 1}, {4}, {6}, {5}, {2, 3})),
-    (69, 7, 5, {"denom_bound": 3}, ({0, 4, 6}, {2}, {1}, {3}, {5})),
-    (34, 9, 4, {"types": 2}, ({3}, {0, 2, 4, 5, 6}, {7}, {1, 8})),
+    (46, 7, 5, {"denom_bound": 3}, ({0, 4, 5}, {2}, {6}, {1}, {3})),
+    (69, 7, 5, {"denom_bound": 3}, ({0, 1, 6}, {2}, {4}, {3}, {5})),
+    (34, 9, 4, {"types": 2}, ({3}, {0, 2, 4, 5, 6}, {1, 8}, {7})),
 ])
 def test_tree_fpt_witness_on_tied_root_partitions(seed, m, n, options, bundles):
-    # The root has three or more children, and several set partitions of the
-    # agents it serves reach the best matching total; the witness is the one
-    # of the first best partition in restricted-growth order.
+    # The root has three or more children, and several splits of the agents
+    # it serves among them reach the best entry.  The witness is the fold's
+    # own choice: walking the children from last to first, each child serves
+    # the agents that leave the numerically largest bitmask, among the best
+    # splits, to the children before it.
     inst = gen_random(seed=seed, cls="tree", m=m, n=n, **options)
     assert inst.graph.degree(0) >= 3
     rep = prop_tree_fpt(inst)
     assert rep.decision
     assert rep.witness.bundles == tuple(frozenset(b) for b in bundles)
+
+
+def test_tree_fpt_witness_realizes_the_dp():
+    # Few denominators and few agent types make ties common.  On every yes,
+    # the root owner's bundle is worth exactly the DP entry the decision
+    # read, and every agent reaches 1/n on its own grid.
+    rng = random.Random(1111)
+    yes = 0
+    for trial in range(320):
+        n = rng.randint(2, 6)
+        options = (
+            {"denom_bound": rng.randint(2, 3)}
+            if trial % 2
+            else {"types": rng.randint(1, 2)}
+        )
+        inst = gen_random(seed=trial + 11000, cls=("tree", "star")[trial % 4 == 3],
+                          m=rng.randint(2, 12), n=n, **options)
+        rep = prop_tree_fpt(inst)
+        if not rep.decision:
+            continue
+        yes += 1
+        assert is_valid(inst, rep.witness)
+        view, entries, _, _, _ = _tree_dp_run(inst)
+        scales, grid = inst.grid
+        values = [sum(grid[i][v] for v in b) for i, b in enumerate(rep.witness.bundles)]
+        owner = next(i for i, b in enumerate(rep.witness.bundles) if view.root in b)
+        others = ((1 << n) - 1) & ~(1 << owner)
+        assert values[owner] == entries[view.root][owner][others]
+        for i in range(n):
+            assert values[i] >= at_least(Fraction(1, n), scales[i])
+    assert yes >= 100
 
 
 def test_tree_fpt_twelve_items_eight_agents():
@@ -317,8 +352,9 @@ def test_tree_fpt_twelve_items_eight_agents():
 
 def test_tree_fpt_star_with_one_usable_root_partition():
     # Eight identical agents and seven leaves worth 1/8 each: at the root
-    # only the all-singletons partition of the seven served agents can be
-    # placed, and the other 876 set partitions have a block no leaf takes.
+    # each of the seven served agents needs one of those leaves to itself,
+    # and the fold over 59 children and its walk back must find them among
+    # 52 worthless leaves.
     row = ("1/8",) * 8 + ("0",) * 52
     inst = mk(star_graph(59), *(row,) * 8)
     rep = prop_tree_fpt(inst)
