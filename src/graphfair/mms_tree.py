@@ -25,7 +25,9 @@ from fractions import Fraction
 from functools import lru_cache
 from typing import Optional, Sequence
 
-from .graphs import RootedTreeView, classify, root_tree
+# ``classify`` stays bound here because bench/tracer.py wraps ``mms_tree.classify``;
+# ``root_tree`` does the tree check itself.
+from .graphs import RootedTreeView, classify, root_tree  # noqa: F401
 from .model import (
     Allocation,
     InputError,
@@ -157,16 +159,13 @@ def allocate_with_quotas(
 
 @lru_cache(maxsize=1)
 def _rooted_tree(graph: ItemGraph) -> RootedTreeView:
-    """``graph`` rooted at vertex 0, after checking that it is a tree.
+    """``graph`` rooted at vertex 0; ``root_tree`` rejects a graph that is not a tree.
 
     ``solve_mms_tree`` asks ``mms_value_tree`` for one agent's share after
     another on the same graph and then peels with ``allocate_with_quotas``;
     keeping the last graph's view lets the n binary searches and the peel
-    share one ``classify`` and one ``root_tree``.  The view is immutable and
-    only one is kept.
+    share one ``root_tree``.  The view is immutable and only one is kept.
     """
-    if not classify(graph).is_tree:
-        raise InputError("the item graph is not a tree")
     return root_tree(graph, 0)
 
 

@@ -7,8 +7,9 @@ witness walks back through the fold's own tables.  On paths with few agent
 types, proportionality is an earliest-end dynamic program over per-type
 piece counts (with identical agents, the greedy left-to-right sweep), and
 complete envy-freeness is one left-to-right pass that fixes each type's
-piece value at its first piece.  Every solver
-compares values on ``Instance.grid``, one integer grid per agent.
+piece value at its first piece; its witness walks back through the pass's
+own states.  Every solver compares values on ``Instance.grid``, one integer
+grid per agent.
 ``METHODS`` is the one routing table: ``dispatch`` runs the first entry that
 fits the instance, and the exhaustive oracle closes every problem's list.
 """
@@ -248,7 +249,7 @@ def _submasks(mask: int) -> Iterator[int]:
 def _tree_dp_run(inst: Instance):
     """The subtree DP on the instance's integer grid; returns its tables.
 
-    ``entries[v][i][S]`` is the most agent i can keep in a connected bundle
+    ``folds[v][i][-1][S]`` is the most agent i can keep in a connected bundle
     that contains v and stays in v's subtree, while every agent in the
     bitmask S (which never holds i) gets a connected bundle there worth at
     least 1/n to her; None when no such split exists.  Entries are ints on
@@ -256,7 +257,7 @@ def _tree_dp_run(inst: Instance):
     where 1/n is ``share[i] = at_least(1/n, L)``.
 
     ``cell(z, i, T)`` is ``(kept, owner)`` for a child z whose subtree serves
-    the agents in T: i extends into z and keeps ``entries[z][i][T]`` (all of
+    the agents in T: i extends into z and keeps ``folds[z][i][-1][T]`` (all of
     z's subtree when T is empty) if that entry exists; otherwise the lowest
     j in T who can own z's subtree while serving the rest of T takes it and
     i keeps 0; None when neither works.  The children are folded in one at
@@ -264,25 +265,22 @@ def _tree_dp_run(inst: Instance):
     ``f[S]`` into the best ``f[S - T] + kept`` over T ⊆ S, keeping the first
     best in the order S - T descending.  That is O(m·n·3^(n-1)) steps, with
     no set partition and no matching.  ``folds[v][i]`` lists i's table at v
-    before the first child and after each child; its last table is
-    ``entries[v][i]``.
+    before the first child and after each child.  ``root_tree`` rejects a
+    graph that is not a tree.
     """
     g = inst.graph
-    if not classify(g).is_tree:
-        raise InputError("the item graph is not a tree")
     n = inst.agent_count
     full = (1 << n) - 1
     view = root_tree(g, 0)
     scales, grid = inst.grid
     share = [at_least(Fraction(1, n), scale) for scale in scales]
-    entries: list[list] = [[None] * n for _ in range(g.vertex_count)]
     folds: list[list] = [[None] * n for _ in range(g.vertex_count)]
 
     def cell(z: int, i: int, T: int) -> Optional[tuple[int, int]]:
-        if entries[z][i][T] is not None:
-            return entries[z][i][T], i
+        if folds[z][i][-1][T] is not None:
+            return folds[z][i][-1][T], i
         for j in _mask_bits(T):
-            sub = entries[z][j][T & ~(1 << j)]
+            sub = folds[z][j][-1][T & ~(1 << j)]
             if sub is not None and sub >= share[j]:
                 return 0, j
         return None
@@ -308,8 +306,7 @@ def _tree_dp_run(inst: Instance):
                             folded[A | T] = f[A] + kept[T]
                 f = folded
                 folds[v][i].append(f)
-            entries[v][i] = f
-    return view, entries, folds, share, cell
+    return view, folds, share, cell
 
 
 def prop_tree_fpt(inst: Instance) -> SolveReport:
@@ -324,10 +321,10 @@ def prop_tree_fpt(inst: Instance) -> SolveReport:
     kept value equals the entry for S after z, which is the pair the
     fold kept.  ``cell`` names z's owner, and S shrinks to A.
     """
-    view, entries, folds, share, cell = _tree_dp_run(inst)
+    view, folds, share, cell = _tree_dp_run(inst)
     n = inst.agent_count
     full = (1 << n) - 1
-    kept = [entries[view.root][i][full & ~(1 << i)] for i in range(n)]
+    kept = [folds[view.root][i][-1][full & ~(1 << i)] for i in range(n)]
     owner = next((i for i, k in enumerate(kept) if k is not None and k >= share[i]), None)
     if owner is None:
         return make_report(inst, "tree-fpt", None)
@@ -355,42 +352,6 @@ def prop_tree_fpt(inst: Instance) -> SolveReport:
 # envy-freeness on paths
 
 
-def _ef_tile(inst, order, types, prefix, targets) -> Allocation:
-    """Tile the whole path with exactly one piece per agent.
-
-    A piece may go to type t when it is worth exactly ``targets[t]`` to t
-    and at most ``targets[o]`` to every other type o; ``targets`` must admit
-    a tiling.  ``tables[e][vec]`` is ``(s, t, prev)`` for the first piece s..e-1,
-    in the order s ascending, t ascending, that grows ``prev`` in
-    ``tables[s]`` to the count vector ``vec`` (at most ``n_t`` pieces of type
-    t); the witness follows these backpointers from the full vector at m.
-    """
-    m = len(order)
-    p = types.type_count
-    full = types.agents_per_type
-    tables: list[dict[tuple[int, ...], Optional[tuple]]] = [{(0,) * p: None}]
-    tables += [{} for _ in range(m)]
-    for s in range(m):
-        for e in range(s + 1, m + 1):
-            values = [prefix[o][e] - prefix[o][s] for o in range(p)]
-            for t in range(p):
-                if values[t] != targets[t] or any(
-                    values[o] > targets[o] for o in range(p) if o != t
-                ):
-                    continue
-                for vec in tables[s]:
-                    if vec[t] < full[t]:
-                        grown = vec[:t] + (vec[t] + 1,) + vec[t + 1 :]
-                        tables[e].setdefault(grown, (s, t, vec))
-    pieces = []
-    e, vec = m, full
-    while e > 0:
-        s, t, vec = tables[e][vec]
-        pieces.append((s, e, t))
-        e = s
-    return _tiling_allocation(inst, order, types, pieces)
-
-
 def ef_path_typed(inst: Instance) -> SolveReport:
     """Complete envy-freeness on paths by fixing each type's guess as it goes.
 
@@ -407,9 +368,14 @@ def ef_path_typed(inst: Instance) -> SolveReport:
     to its value, which must lie in [1/n, 1/n_t] and be at least that
     running maximum; a later piece of type t must be worth exactly g_t; and
     a piece worth more than a fixed g_o to another type o is refused, as is
-    every longer piece from the same start.  The lexicographically smallest
-    guess tuple among the states that tile the whole path with one piece per
-    agent becomes the quotas, and ``_ef_tile`` builds the witness for it.
+    every longer piece from the same start.  The finished state with the
+    lexicographically smallest guess tuple sets the quotas.
+
+    Each state keeps the first piece ``(s, t)`` and predecessor that reached
+    it, in the pass's order: s ascending, then t ascending, then the states
+    at s as they were reached.  The witness walks these back-pointers from
+    the finished state to position 0, so each piece, from the right, is the
+    one with the smallest start, ties going to the lower type.
     """
     types = compute_type_partition(inst)
     order, scales, prefix = _typed_path_setup(inst, types)
@@ -418,11 +384,14 @@ def ef_path_typed(inst: Instance) -> SolveReport:
     n = inst.agent_count
     full = types.agents_per_type
 
-    states: list[set] = [set() for _ in range(m + 1)]
-    states[0].add(((0,) * p, (None,) * p, (0,) * p))
+    # Dicts, not sets: the walk follows insertion order, and before Python
+    # 3.12 hash(None) differs per process, so a set of guesses would not.
+    states: list[dict[tuple, Optional[tuple]]] = [{} for _ in range(m + 1)]
+    states[0][(0,) * p, (None,) * p, (0,) * p] = None
     for s in range(m):
-        for vec, guess, seen in states[s]:
-            for t in range(p):
+        for t in range(p):
+            for state in states[s]:
+                vec, guess, seen = state
                 if vec[t] == full[t]:
                     continue
                 grown = vec[:t] + (vec[t] + 1,) + vec[t + 1 :]
@@ -451,12 +420,19 @@ def ef_path_typed(inst: Instance) -> SolveReport:
                         0 if fixed[o] is not None else max(seen[o], values[o])
                         for o in range(p)
                     )
-                    states[e].add((grown, fixed, seen_after))
-    finished = [guess for vec, guess, _ in states[m] if vec == full]
+                    states[e].setdefault((grown, fixed, seen_after), (s, t, state))
+    finished = [state for state in states[m] if state[0] == full]
     if not finished:
         return make_report(inst, "ef-path", None)
-    targets = min(finished)
-    witness = _ef_tile(inst, order, types, prefix, targets)
+    state = min(finished)  # vec is full and seen is zero: this orders by guess
+    targets = state[1]
+    pieces = []
+    e = m
+    while e:
+        s, t, state = states[e][state]
+        pieces.append((s, e, t))
+        e = s
+    witness = _tiling_allocation(inst, order, types, pieces)
     quotas = tuple(Fraction(targets[t], scales[t]) for t in types.type_of_agent)
     return make_report(inst, "ef-path", witness, quotas=quotas)
 

@@ -2,13 +2,19 @@
 
 import argparse
 import gc
+import json
+import os
 import random
 import re
+import subprocess
+import sys
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
 
+import graphfair
 from graphfair import (
     BudgetExceeded,
     InputError,
@@ -36,7 +42,15 @@ from graphfair.model import (
     at_least,
     compute_type_partition,
 )
-from graphfair.solvers import METHODS, _tree_dp_run, path_order, select_method
+from graphfair.serialize import dumps, instance_to_dict
+from graphfair.solvers import (
+    METHODS,
+    _tiling_allocation,
+    _tree_dp_run,
+    _typed_path_setup,
+    path_order,
+    select_method,
+)
 
 from conftest import (
     DIFFERENTIAL,
@@ -331,12 +345,12 @@ def test_tree_fpt_witness_realizes_the_dp():
             continue
         yes += 1
         assert is_valid(inst, rep.witness)
-        view, entries, _, _, _ = _tree_dp_run(inst)
+        view, folds, _, _ = _tree_dp_run(inst)
         scales, grid = inst.grid
         values = [sum(grid[i][v] for v in b) for i, b in enumerate(rep.witness.bundles)]
         owner = next(i for i, b in enumerate(rep.witness.bundles) if view.root in b)
         others = ((1 << n) - 1) & ~(1 << owner)
-        assert values[owner] == entries[view.root][owner][others]
+        assert values[owner] == folds[view.root][owner][-1][others]
         for i in range(n):
             assert values[i] >= at_least(Fraction(1, n), scales[i])
     assert yes >= 100
@@ -466,6 +480,131 @@ def test_ef_path_more_agents_than_items():
     inst = mk(path_graph(2), ("1/2", "1/2"), ("1/2", "1/2"), ("1/2", "1/2"))
     rep = ef_path_typed(inst)
     assert not rep.decision and rep.quotas is None
+
+
+def ef_two_phase_reference(inst):
+    """The guess pass over a set of states, then a second DP that tiles for the guesses.
+
+    The second DP keeps, per position e and count vector, the first piece
+    s..e-1 in the order s ascending, t ascending (then the vectors at s in
+    the order they were reached) that is worth exactly its type's guess to
+    that type and at most the guess to every other type, and the witness
+    follows those back-pointers from the full vector at m.  Returns the
+    quotas and the witness, or None for a no.
+    """
+    types = compute_type_partition(inst)
+    order, scales, prefix = _typed_path_setup(inst, types)
+    m, p, n = len(order), types.type_count, inst.agent_count
+    full = types.agents_per_type
+    states = [set() for _ in range(m + 1)]
+    states[0].add(((0,) * p, (None,) * p, (0,) * p))
+    for s in range(m):
+        for vec, guess, seen in states[s]:
+            for t in range(p):
+                if vec[t] == full[t]:
+                    continue
+                grown = vec[:t] + (vec[t] + 1,) + vec[t + 1 :]
+                for e in range(s + 1, m + 1):
+                    values = [prefix[o][e] - prefix[o][s] for o in range(p)]
+                    if any(values[o] > guess[o] for o in range(p)
+                           if o != t and guess[o] is not None):
+                        break
+                    own = values[t]
+                    if guess[t] is None:
+                        if own * full[t] > scales[t]:
+                            break
+                        if own < seen[t] or own * n < scales[t]:
+                            continue
+                        fixed = guess[:t] + (own,) + guess[t + 1 :]
+                    elif own == guess[t]:
+                        fixed = guess
+                    elif own > guess[t]:
+                        break
+                    else:
+                        continue
+                    seen_after = tuple(0 if fixed[o] is not None else max(seen[o], values[o])
+                                       for o in range(p))
+                    states[e].add((grown, fixed, seen_after))
+    finished = [guess for vec, guess, _ in states[m] if vec == full]
+    if not finished:
+        return None
+    targets = min(finished)
+
+    tables = [{(0,) * p: None}] + [{} for _ in range(m)]
+    for s in range(m):
+        for e in range(s + 1, m + 1):
+            values = [prefix[o][e] - prefix[o][s] for o in range(p)]
+            for t in range(p):
+                if values[t] != targets[t] or any(
+                    values[o] > targets[o] for o in range(p) if o != t
+                ):
+                    continue
+                for vec in tables[s]:
+                    if vec[t] < full[t]:
+                        grown = vec[:t] + (vec[t] + 1,) + vec[t + 1 :]
+                        tables[e].setdefault(grown, (s, t, vec))
+    pieces = []
+    e, vec = m, full
+    while e > 0:
+        s, t, vec = tables[e][vec]
+        pieces.append((s, e, t))
+        e = s
+    quotas = tuple(Fraction(targets[t], scales[t]) for t in types.type_of_agent)
+    return quotas, _tiling_allocation(inst, order, types, pieces)
+
+
+def test_ef_path_matches_two_phase_reference():
+    # Half the draws have one-item denominators 1 or 2, where many tilings
+    # share the smallest guess tuple and the tie rule decides the witness.
+    rng = random.Random(4242)
+    yes = 0
+    for trial in range(1500):
+        options = {"types": rng.choice([None, 1, 2, 3])}
+        if trial % 2:
+            options["denom_bound"] = rng.randint(1, 2)
+        inst = gen_random(seed=trial + 42000, cls="path", m=rng.randint(1, 12),
+                          n=rng.randint(1, 6), **options)
+        expected = ef_two_phase_reference(inst)
+        rep = ef_path_typed(inst)
+        assert rep.decision == (expected is not None), inst
+        if expected is None:
+            assert rep.witness is None and rep.quotas is None
+        else:
+            yes += 1
+            assert (rep.quotas, rep.witness) == expected, inst
+    assert 300 < yes < 1300  # both answers are well represented
+
+
+def test_ef_path_witness_is_the_same_in_every_process(tmp_path):
+    # Along the path v4 v3 v2 v1 v5 v8 v6 v7 the smallest guess tuple is 1/3
+    # for all three types and 9 tilings reach it.  The partial guesses hold
+    # None, whose hash before Python 3.12 differs per process, so a walk over
+    # set order would pick different tilings in different processes.
+    inst = gen_random(seed=2145, cls="path", m=8, n=4, denom_bound=1, types=3)
+    rep = ef_path_typed(inst)
+    assert rep.witness.bundles == (
+        frozenset({5, 6}), frozenset({3}), frozenset({0, 4, 7}), frozenset({1, 2})
+    )
+    path = tmp_path / "path.json"
+    path.write_text(dumps(instance_to_dict(inst)))
+    package_parent = str(Path(graphfair.__file__).resolve().parent.parent)
+    pythonpath = os.pathsep.join(
+        p for p in (package_parent, os.environ.get("PYTHONPATH")) if p
+    )
+    env = {k: v for k, v in os.environ.items() if k != "PYTHONHASHSEED"}
+    env["PYTHONPATH"] = pythonpath
+    outs = [
+        subprocess.run(
+            [sys.executable, "-m", "graphfair", "solve", str(path), "--problem", "ef-complete"],
+            capture_output=True, env=env, cwd=str(tmp_path), check=True,
+        ).stdout
+        for _ in range(3)
+    ]
+    assert outs[0] == outs[1] == outs[2]
+    assert json.loads(outs[0])["allocation"]["bundles"] == {
+        "agent1": ["v6", "v7"], "agent2": ["v4"], "agent3": ["v1", "v5", "v8"],
+        "agent4": ["v2", "v3"],
+    }
 
 
 # ---------------------------------------------------------------------------
