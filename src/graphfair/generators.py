@@ -14,6 +14,7 @@ from fractions import Fraction
 from typing import Optional
 
 import random
+import sys
 
 from .graphs import ItemGraph, mask_is_connected
 from .model import InputError, Instance
@@ -284,7 +285,8 @@ def gen_random(
     if types is not None and types < 1:
         raise InputError("the type cap must be positive")
     rng = random.Random(seed)
-    labels = tuple(f"v{i + 1}" for i in range(m))
+    # Interned labels are shared by every instance that is alive at once.
+    labels = tuple(sys.intern(f"v{i + 1}") for i in range(m))
 
     if cls == "path":
         perm = list(range(m))
@@ -323,7 +325,9 @@ def _random_row(rng: random.Random, m: int, denom_bound: int) -> tuple[Fraction,
         ]
         total = sum(raw)
         if total > 0:
-            return tuple(x / total for x in raw)
+            # Equal draws share one normalized Fraction, which keeps long rows small.
+            normalized = {x: x / total for x in set(raw)}
+            return tuple(normalized[x] for x in raw)
 
 
 def _random_tree_edges(rng: random.Random, m: int) -> tuple[tuple[int, int], ...]:

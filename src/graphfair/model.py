@@ -9,7 +9,7 @@ unless a predicate explicitly asks for completeness.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
 from math import lcm
@@ -65,7 +65,6 @@ class ItemGraph:
 
     labels: tuple[str, ...]
     edges: tuple[tuple[int, int], ...]
-    _adjacency: tuple[tuple[int, ...], ...] = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         labels = tuple(self.labels)
@@ -82,7 +81,10 @@ class ItemGraph:
                 raise InputError(f"edge {e} has an endpoint outside 0..{m - 1}")
             if a == b:
                 raise InputError(f"self-loop at vertex {a}")
-            pair = (a, b) if a < b else (b, a)
+            if a < b:
+                pair = e if type(e) is tuple else (a, b)
+            else:
+                pair = (b, a)
             if pair in seen:
                 raise InputError(f"duplicate edge {pair}")
             seen.add(pair)
@@ -90,11 +92,6 @@ class ItemGraph:
         canon.sort()
         object.__setattr__(self, "labels", labels)
         object.__setattr__(self, "edges", tuple(canon))
-        adj = [[] for _ in range(m)]
-        for a, b in canon:
-            adj[a].append(b)
-            adj[b].append(a)
-        object.__setattr__(self, "_adjacency", tuple(tuple(sorted(x)) for x in adj))
 
     @property
     def vertex_count(self) -> int:
@@ -105,6 +102,19 @@ class ItemGraph:
 
     def degree(self, v: int) -> int:
         return len(self._adjacency[v])
+
+    @cached_property
+    def _adjacency(self) -> tuple[tuple[int, ...], ...]:
+        """Each vertex's neighbors in ascending order, computed on first use.
+
+        The edges are sorted pairs in sorted order, so every list comes out
+        ascending without a sort.
+        """
+        adj: list[list[int]] = [[] for _ in range(self.vertex_count)]
+        for a, b in self.edges:
+            adj[a].append(b)
+            adj[b].append(a)
+        return tuple(map(tuple, adj))
 
     @cached_property
     def neighbor_masks(self) -> tuple[int, ...]:
@@ -141,12 +151,14 @@ class Instance:
             raise InputError("one utility row per agent is required")
         rows = []
         for name, row in zip(names, self.utilities):
-            vals = tuple(_as_fraction(x) for x in row)
+            vals = tuple(map(_as_fraction, row))
             if len(vals) != m:
                 raise InputError(f"utility row for {name!r} must have {m} entries")
-            if any(v < 0 for v in vals):
+            # Both checks run on the row's integer grid, whose scale is positive.
+            (scale,), (scaled,) = integer_grid((vals,))
+            if min(scaled) < 0:
                 raise InputError(f"negative utility for agent {name!r}")
-            if sum(vals) != 1:
+            if sum(scaled) != scale:
                 raise InputError(
                     f"utilities of agent {name!r} sum to {sum(vals)}, expected exactly 1"
                 )

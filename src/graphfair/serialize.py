@@ -27,7 +27,7 @@ __all__ = [
     "dumps",
 ]
 
-_RATIONAL_RE = re.compile(r"^-?\d+(/\d+)?$")
+_RATIONAL_RE = re.compile(r"^(-?\d+)(?:/(\d+))?$")
 
 
 def rational_to_str(x: Fraction) -> str:
@@ -35,10 +35,22 @@ def rational_to_str(x: Fraction) -> str:
 
 
 def rational_from_str(s: str) -> Fraction:
-    if not isinstance(s, str) or not _RATIONAL_RE.match(s.strip()):
+    """Read ``"p"`` or ``"p/q"``: an optional ``-``, digits, an optional ``/`` and
+    digits, with surrounding whitespace trimmed.  Lowest terms are not required.
+
+    >>> [rational_from_str(s) for s in (" 7/21 ", "-0", "3")]
+    [Fraction(1, 3), Fraction(0, 1), Fraction(3, 1)]
+    >>> rational_from_str("+1")
+    Traceback (most recent call last):
+    ...
+    graphfair.model.InputError: not a rational literal: '+1'
+    """
+    match = _RATIONAL_RE.match(s.strip()) if isinstance(s, str) else None
+    if match is None:
         raise InputError(f"not a rational literal: {s!r}")
+    num, den = match.groups()
     try:
-        return Fraction(s.strip())
+        return Fraction(int(num), int(den) if den else 1)
     except ZeroDivisionError:
         raise InputError(f"zero denominator in {s!r}") from None
     except ValueError:  # an integer over Python's digit limit
@@ -98,6 +110,8 @@ def instance_from_dict(doc: dict) -> Instance:
         edges.append((index[a], index[b]))
     graph = ItemGraph(tuple(vertices), tuple(edges))
 
+    # Agents of one type repeat whole rows, so each literal is parsed once.
+    rationals: dict[str, Fraction] = {}
     names = []
     rows = []
     for a in agent_docs:
@@ -113,7 +127,13 @@ def instance_from_dict(doc: dict) -> Instance:
         for label, value in utilities.items():
             if label not in index:
                 raise InputError(f"utility for unknown vertex {label!r}")
-            row[index[label]] = rational_from_str(value)
+            if isinstance(value, str):
+                parsed = rationals.get(value)
+                if parsed is None:
+                    parsed = rationals[value] = rational_from_str(value)
+            else:
+                parsed = rational_from_str(value)  # raises InputError
+            row[index[label]] = parsed
         rows.append(tuple(row))
     return Instance(graph, tuple(names), tuple(rows))
 

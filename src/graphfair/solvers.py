@@ -389,6 +389,10 @@ def ef_path_typed(inst: Instance) -> SolveReport:
     states: list[dict[tuple, Optional[tuple]]] = [{} for _ in range(m + 1)]
     states[0][(0,) * p, (None,) * p, (0,) * p] = None
     for s in range(m):
+        # The piece s..e's value to each type, shared by every t and state.
+        pieces = {
+            e: [prefix[o][e] - prefix[o][s] for o in range(p)] for e in range(s + 1, m + 1)
+        }
         for t in range(p):
             for state in states[s]:
                 vec, guess, seen = state
@@ -396,7 +400,7 @@ def ef_path_typed(inst: Instance) -> SolveReport:
                     continue
                 grown = vec[:t] + (vec[t] + 1,) + vec[t + 1 :]
                 for e in range(s + 1, m + 1):
-                    values = [prefix[o][e] - prefix[o][s] for o in range(p)]
+                    values = pieces[e]
                     if any(
                         values[o] > guess[o]
                         for o in range(p)

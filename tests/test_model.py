@@ -56,6 +56,28 @@ def test_instance_validation():
         Instance(g, (), ())  # no agents
 
 
+def test_instance_validation_messages():
+    g = path_graph(3)
+    with pytest.raises(InputError) as exc:
+        Instance(g, ("a", "b"), ((1, 0, 0), (Fraction(3, 2), Fraction(-1, 2), 0)))
+    assert str(exc.value) == "negative utility for agent 'b'"
+    with pytest.raises(InputError) as exc:
+        Instance(g, ("a",), ((Fraction(1, 2), Fraction(1, 3), Fraction(1, 12)),))
+    assert str(exc.value) == "utilities of agent 'a' sum to 11/12, expected exactly 1"
+    with pytest.raises(InputError) as exc:
+        Instance(g, ("a",), ((1, 1, 0),))
+    assert str(exc.value) == "utilities of agent 'a' sum to 2, expected exactly 1"
+
+
+def test_instance_accepts_int_and_str_rows():
+    g = path_graph(3)
+    from_ints = Instance(g, ("a",), ((0, 1, 0),))
+    from_strs = Instance(g, ("a",), (("1/6", " 1/3", "0.5"),))
+    assert from_ints.utilities == ((Fraction(0), Fraction(1), Fraction(0)),)
+    assert from_strs.utilities == ((Fraction(1, 6), Fraction(1, 3), Fraction(1, 2)),)
+    assert all(type(x) is Fraction for x in from_ints.utilities[0] + from_strs.utilities[0])
+
+
 def test_normalize_utilities():
     assert normalize_utilities((1, 1, 2)) == (
         Fraction(1, 4),

@@ -2,6 +2,7 @@
 
 import json
 import random
+import re
 from fractions import Fraction
 
 import pytest
@@ -19,6 +20,7 @@ from graphfair import (
     rational_from_str,
     rational_to_str,
 )
+from graphfair.cli import main
 from graphfair.generators import fixture_cycle8, gen_random
 
 from conftest import mk, path_graph
@@ -35,6 +37,65 @@ def test_rational_strings():
                 "9" * 5000):
         with pytest.raises(InputError):
             rational_from_str(bad)
+
+
+def _rational_from_str_reference(s):
+    """The former parser: a check against the ungrouped pattern, then ``Fraction(str)``."""
+    if not isinstance(s, str) or not re.match(r"^-?\d+(/\d+)?$", s.strip()):
+        raise InputError(f"not a rational literal: {s!r}")
+    try:
+        return Fraction(s.strip())
+    except ZeroDivisionError:
+        raise InputError(f"zero denominator in {s!r}") from None
+    except ValueError:
+        raise InputError(f"rational literal too long ({len(s)} characters)") from None
+
+
+def _outcome(parse, s):
+    try:
+        return parse(s)
+    except InputError as exc:
+        return f"InputError: {exc}"
+
+
+@pytest.mark.parametrize(
+    "literal",
+    [" 1/2 ", "-0", "7/21", "+1", "1_0", "\u0661/\u0662", "1/2\n", "0/00", "1.5", "1e3",
+     "9" * 4301, "9" * 5000, "-" + "1" * 4300, "1/" + "0" * 4300, None, 7, ["1/2"]],
+    ids=lambda x: f"{x[:2]}...({len(x)} chars)" if isinstance(x, str) and len(x) > 12 else repr(x),
+)
+def test_rational_from_str_matches_the_fraction_parser(literal):
+    got = _outcome(rational_from_str, literal)
+    assert got == _outcome(_rational_from_str_reference, literal)
+    assert type(got) is type(_outcome(_rational_from_str_reference, literal))
+
+
+UTILITY_DOC = {
+    "graph": {"vertices": ["x", "y"], "edges": [["x", "y"]]},
+    "agents": [
+        {"name": "a1", "utilities": {"x": "1/2", "y": "1/2"}},
+        {"name": "a2", "utilities": {"x": "1/2", "y": "1/2"}},
+    ],
+}
+
+
+@pytest.mark.parametrize("value", [["1/2"], {"v": "1/2"}, 1, None, True])
+def test_non_string_utility_is_an_input_error(value, tmp_path, capsys):
+    doc = json.loads(json.dumps(UTILITY_DOC))
+    doc["agents"][1]["utilities"]["y"] = value  # "1/2" is already parsed
+    with pytest.raises(InputError, match="^not a rational literal: "):
+        instance_from_dict(doc)
+    path = tmp_path / "inst.json"
+    path.write_text(json.dumps(doc), encoding="utf-8")
+    assert main(["solve", str(path), "--problem", "prop"]) == 2
+    assert capsys.readouterr().err == f"error: not a rational literal: {value!r}\n"
+
+
+def test_repeated_literals_parse_to_equal_rows():
+    doc = json.loads(json.dumps(UTILITY_DOC))
+    doc["agents"][1]["utilities"] = {"x": "2/4", "y": " 1/2"}
+    inst = instance_from_dict(doc)
+    assert inst.utilities == ((Fraction(1, 2),) * 2,) * 2
 
 
 def test_dumps_is_canonical():
