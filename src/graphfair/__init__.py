@@ -28,7 +28,6 @@ from .generators import (
     gen_random,
     gen_x3c_prop_path,
 )
-from .matching import ABSENT, MatchingProblem, MatchingResult, solve_matching
 from .mms_tree import (
     DiminisherRound,
     DiminisherTrace,
@@ -112,11 +111,6 @@ __all__ = [
     "enumerate_connected_sets",
     "enumerate_connected_partitions",
     "induced_subgraph",
-    # matching
-    "ABSENT",
-    "MatchingProblem",
-    "MatchingResult",
-    "solve_matching",
     # oracle
     "OracleBudget",
     "DEFAULT_BUDGET",

@@ -159,9 +159,11 @@ class Instance:
             if min(scaled) < 0:
                 raise InputError(f"negative utility for agent {name!r}")
             if sum(scaled) != scale:
-                raise InputError(
-                    f"utilities of agent {name!r} sum to {sum(vals)}, expected exactly 1"
-                )
+                try:
+                    wrong = f"sum to {sum(vals)}, expected exactly 1"
+                except ValueError:  # the sum has more digits than str() may print
+                    wrong = "do not sum to exactly 1"
+                raise InputError(f"utilities of agent {name!r} {wrong}")
             rows.append(vals)
         object.__setattr__(self, "agent_names", names)
         object.__setattr__(self, "utilities", tuple(rows))

@@ -357,7 +357,7 @@ def oracle_ef_complete(
             all(value[i][p] != favorite[i] for i in range(n)) for p in range(n)
         ):
             continue  # some part is nobody's favorite, so it cannot be owned
-        assignment = _lex_smallest_perfect(adj, n, n)
+        assignment = _lex_smallest_perfect(adj)
         if assignment is not None:
             bundles: list[frozenset[int]] = [frozenset()] * n
             for agent, part_idx in enumerate(assignment):

@@ -25,9 +25,7 @@ from typing import Callable, Iterator, Optional
 
 from . import mms_tree
 from .graphs import GraphClass, _mask_bits, classify, root_tree
-# ``solve_matching`` stays bound here because bench/tracer.py wraps
-# ``solvers.solve_matching``; the star solver calls the core ``_assign`` directly.
-from .matching import ABSENT, _assign, solve_matching  # noqa: F401
+from .matching import solve_matching
 from .model import (
     Allocation,
     InputError,
@@ -82,15 +80,17 @@ def path_order(inst: Instance) -> list[int]:
 
 
 def prop_star(inst: Instance) -> SolveReport:
-    """Proportionality on stars via one assignment problem per center owner.
+    """Proportionality on stars via one matching per center owner.
 
     For a candidate owner i of the center, every other agent must take a
-    single leaf she values at 1/n or more; among such systems a min-weight
-    matching minimizes what the center owner gives away, so i keeps 1/n
-    exactly when the matching total stays within (n-1)/n.  Values are
+    single leaf she values at 1/n or more, and i keeps the center with the
+    rest; i keeps 1/n exactly when what she gives away stays within
+    (n-1)/n.  A leaf's weight is i's value for it, so ``solve_matching``
+    gives the least such loss by taking leaves cheapest first for i, ties
+    going to the lower position, and keeping each leaf when an augmenting
+    path admits it, trying the other agents in index order.  Values are
     compared on each agent's grid from ``Instance.grid``, where 1 is her
-    scale L and 1/n is ``at_least(1/n, L)``, so the matchings run on ints;
-    a matching total sums the center owner's row only.
+    scale L and 1/n is ``at_least(1/n, L)``, so the matchings run on ints.
     """
     g = inst.graph
     if not classify(g).is_star:
@@ -104,21 +104,19 @@ def prop_star(inst: Instance) -> SolveReport:
 
     scales, grid = inst.grid
     share = [at_least(Fraction(1, n), scale) for scale in scales]
+    accepts = [
+        [c for c, v in enumerate(leaves) if grid[j][v] >= share[j]] for j in range(n)
+    ]
     for i in range(n):
         others = [j for j in range(n) if j != i]
-        rows = [
-            [grid[i][v] if grid[j][v] >= share[j] else ABSENT for v in leaves]
-            for j in others
-        ]
-        solved = _assign(rows, len(leaves), 1)
-        if solved is None or solved[1] > scales[i] - share[i]:
+        cost = [grid[i][v] for v in leaves]
+        cols = solve_matching([accepts[j] for j in others], cost)
+        if cols is None or sum(cost[c] for c in cols) > scales[i] - share[i]:
             continue
         bundles = [frozenset()] * n
-        matched = set()
-        for j, col in zip(others, solved[0]):
-            bundles[j] = frozenset({leaves[col]})
-            matched.add(leaves[col])
-        bundles[i] = frozenset({center} | (set(leaves) - matched))
+        for j, c in zip(others, cols):
+            bundles[j] = frozenset({leaves[c]})
+        bundles[i] = frozenset(range(m)).difference(*bundles)
         return make_report(inst, "star", Allocation(tuple(bundles)))
     return make_report(inst, "star", None)
 

@@ -120,6 +120,18 @@ def test_solve_malformed_document_exits_2(capsys, tmp_path, doc):
     assert out == "" and err.startswith("error:") and "Traceback" not in err
 
 
+def test_solve_row_sum_too_long_to_print_exits_2(capsys, tmp_path):
+    doc = {
+        "graph": {"vertices": ["x", "y"], "edges": [["x", "y"]]},
+        "agents": [{"name": "a", "utilities": {"x": "9" * 4300, "y": "1/3"}}],
+    }
+    f = tmp_path / "long.json"
+    f.write_text(json.dumps(doc), encoding="utf-8")
+    code, out, err = run(capsys, ["solve", "--problem", "prop", str(f)])
+    assert code == 2 and out == ""
+    assert err == "error: utilities of agent 'a' do not sum to exactly 1\n"
+
+
 DEEP = b"[" * 100_000 + b"]" * 100_000
 
 
@@ -347,7 +359,7 @@ def test_parser_is_built_once_and_reused(capsys, cycle8_file):
 # ---------------------------------------------------------------------------
 # pinned bytes
 
-CLI_BYTES_DIGEST = "cf26f9829978a4666f4b8f506b9c56b35dcb82f490f87111680c5665a61159b4"
+CLI_BYTES_DIGEST = "b1c7debd5e974288d9a0672025021e02bcfb95b443b6dd05557bab7b2ef35169"
 
 
 def test_cli_bytes_pinned(capsys, tmp_path):

@@ -1,5 +1,7 @@
 """Core model: instances, allocations, verifiers, agent types."""
 
+import importlib
+import pkgutil
 import random
 from dataclasses import FrozenInstanceError
 from fractions import Fraction
@@ -30,6 +32,7 @@ from graphfair import (
     oracle_mms_values,
 )
 from graphfair.model import at_least, integer_grid
+from graphfair.serialize import instance_from_dict
 
 C8 = fixture_cycle8()
 P1 = Allocation(
@@ -67,6 +70,35 @@ def test_instance_validation_messages():
     with pytest.raises(InputError) as exc:
         Instance(g, ("a",), ((1, 1, 0),))
     assert str(exc.value) == "utilities of agent 'a' sum to 2, expected exactly 1"
+
+
+def test_instance_sum_too_long_to_print():
+    # The wrong sum has more digits than int-to-str conversion allows.
+    g = path_graph(2)
+    with pytest.raises(InputError) as exc:
+        Instance(g, ("a",), (("9" * 4300, "1/3"),))
+    assert str(exc.value) == "utilities of agent 'a' do not sum to exactly 1"
+    doc = {
+        "graph": {"vertices": ["x", "y"], "edges": [["x", "y"]]},
+        "agents": [{"name": "a", "utilities": {"x": "9" * 4300, "y": "1/3"}}],
+    }
+    with pytest.raises(InputError) as exc:
+        instance_from_dict(doc)
+    assert str(exc.value) == "utilities of agent 'a' do not sum to exactly 1"
+
+
+def test_every_export_is_bound():
+    import graphfair
+
+    modules = [graphfair] + [
+        importlib.import_module(f"graphfair.{info.name}")
+        for info in pkgutil.iter_modules(graphfair.__path__)
+        if not info.name.startswith("_")
+    ]
+    assert len(modules) > 5
+    for module in modules:
+        for name in getattr(module, "__all__", ()):
+            assert hasattr(module, name), (module.__name__, name)
 
 
 def test_instance_accepts_int_and_str_rows():

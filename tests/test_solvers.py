@@ -93,6 +93,35 @@ def test_star_contested_leaf():
     assert not rep.decision and rep.witness is None
 
 
+def test_star_with_three_hundred_leaves():
+    # Each agent values two leaves at 1/3 and spreads 1/3 over the other 298.
+    leaves = 300
+    rows = []
+    for a in range(3):
+        favorites = (2 * a + 1, 2 * a + 2)
+        rows.append(
+            [0]
+            + [
+                Fraction(1, 3) if v in favorites else Fraction(1, 3 * (leaves - 2))
+                for v in range(1, leaves + 1)
+            ]
+        )
+    inst = mk(star_graph(leaves), *rows)
+    rep = prop_star(inst)
+    assert rep.decision
+    assert is_valid(inst, rep.witness) and is_proportional(inst, rep.witness)
+
+
+def test_star_witness_takes_cheap_leaves_by_augmenting_paths():
+    # Agents 1 and 3 are identical.  With agent 2 on the center, leaf v1
+    # (worth 0 to agent 2) goes to agent 1 first; v3 is then admitted through
+    # agent 1, who moves to it, and agent 3 takes v1.
+    inst = gen_random(seed=26, cls="star", m=4, n=3, denom_bound=6, types=2)
+    rep = prop_star(inst)
+    assert rep.decision
+    assert rep.witness.bundles == (frozenset({2}), frozenset({1, 3}), frozenset({0}))
+
+
 def test_star_rejects_non_star():
     inst = mk(path_graph(4), ("1/4",) * 4)
     with pytest.raises(InputError):
