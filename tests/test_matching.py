@@ -67,6 +67,27 @@ def test_agrees_with_brute_force():
         assert sum(cost[c] for c in got) == want, (accepts, cost)
 
 
+def test_int_core_agrees_with_brute_force():
+    # Negative costs too: the cheapest-first order needs no sign convention.
+    rng = random.Random(20261018)
+    for _ in range(160):
+        rows = rng.randint(1, 5)
+        width = rng.randint(rows, 5)
+        accepts = [
+            [c for c in range(width) if rng.random() >= 0.25] for _ in range(rows)
+        ]
+        cost = [rng.randint(-9, 9) for _ in range(width)]
+        got = solve_matching(accepts, cost)
+        want = brute_min(accepts, cost)
+        if want is None:
+            assert got is None, (accepts, cost)
+            continue
+        assert got is not None and len(set(got)) == rows, (accepts, cost)
+        assert all(c in ok for c, ok in zip(got, accepts))
+        total = sum(cost[c] for c in got)
+        assert total == want and type(total) is int, (accepts, cost)
+
+
 def test_lex_smallest_perfect_agrees_with_brute_force():
     rng = random.Random(5)
     for _ in range(300):
