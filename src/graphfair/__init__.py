@@ -33,6 +33,7 @@ from .mms_tree import (
     DiminisherTrace,
     allocate_with_quotas,
     mms_value_tree,
+    mms_values_tree,
     solve_mms_tree,
 )
 from .model import (
@@ -131,6 +132,7 @@ __all__ = [
     "DiminisherTrace",
     "allocate_with_quotas",
     "mms_value_tree",
+    "mms_values_tree",
     "solve_mms_tree",
     # serialization
     "rational_to_str",

@@ -31,7 +31,7 @@ from .generators import (
     gen_x3c_prop_path,
 )
 from .graphs import ItemGraph, classify
-from .mms_tree import mms_value_tree
+from .mms_tree import mms_values_tree
 from .model import (
     BudgetExceeded,
     InputError,
@@ -228,9 +228,7 @@ def cmd_verify(args: argparse.Namespace) -> int:
 
 def _mms_values(inst: Instance, budget: Optional[OracleBudget]):
     if select_method(inst, "mms").name == "mms-tree":
-        return "tree", tuple(
-            mms_value_tree(inst, i) for i in range(inst.agent_count)
-        )
+        return "tree", mms_values_tree(inst)
     return "oracle", oracle_mms_values(inst, budget)
 
 

@@ -113,12 +113,14 @@ class RootedTreeView:
 
     Sequences are indexed by vertex id.  Children are listed in ascending
     order and ``postorder`` visits them before their parent, so every subtree
-    is the contiguous run of ``postorder`` that ends at its root.
+    is the contiguous run of ``postorder`` that ends at its root.  The root's
+    ``parent`` is -1.
     """
 
     root: int
     children: tuple[tuple[int, ...], ...]
     postorder: tuple[int, ...]
+    parent: tuple[int, ...]
 
 
 def root_tree(g: ItemGraph, root: int) -> RootedTreeView:
@@ -132,14 +134,19 @@ def root_tree(g: ItemGraph, root: int) -> RootedTreeView:
     # A parent, then its children's subtrees from the highest child down:
     # reversed, that is the postorder with children in ascending order.
     children: list[tuple[int, ...]] = [()] * m
+    parent = [-1] * m
     order: list[int] = []
-    stack = [(root, -1)]
+    stack = [root]
     while stack:
-        v, parent = stack.pop()
+        v = stack.pop()
         order.append(v)
-        children[v] = tuple(w for w in g.neighbors(v) if w != parent)
-        stack.extend((w, v) for w in children[v])
-    return RootedTreeView(root, tuple(children), tuple(reversed(order)))
+        children[v] = tuple(w for w in g.neighbors(v) if w != parent[v])
+        for w in children[v]:
+            parent[w] = v
+        stack.extend(children[v])
+    return RootedTreeView(
+        root, tuple(children), tuple(reversed(order)), tuple(parent)
+    )
 
 
 def connected_set_masks(g: ItemGraph) -> Iterator[int]:

@@ -5,6 +5,10 @@ probe q is decided by one postorder sweep that cuts a vertex off, with the
 uncut weight of its children, once that weight reaches q (Perl and Schach,
 "Max-min tree partitioning", JACM 1981); with nonnegative weights, n
 connected parts all worth at least q exist iff there are at least n cuts.
+The search runs over [0, L // n] on a grid of scale L, since n parts worth
+at least q each sum to at most L; a sweep stops at its n-th cut and the
+search jumps to the least part of the split that cut completes.  Agents
+with equal grid rows share one search.
 
 The allocator is a last-diminisher loop: the lowest-indexed remaining agent
 walks the residual tree in postorder and takes the first subtree worth her
@@ -44,6 +48,7 @@ __all__ = [
     "DiminisherTrace",
     "allocate_with_quotas",
     "mms_value_tree",
+    "mms_values_tree",
     "solve_mms_tree",
 ]
 
@@ -161,10 +166,11 @@ def allocate_with_quotas(
 def _rooted_tree(graph: ItemGraph) -> RootedTreeView:
     """``graph`` rooted at vertex 0; ``root_tree`` rejects a graph that is not a tree.
 
-    ``solve_mms_tree`` asks ``mms_value_tree`` for one agent's share after
-    another on the same graph and then peels with ``allocate_with_quotas``;
-    keeping the last graph's view lets the n binary searches and the peel
-    share one ``root_tree``.  The view is immutable and only one is kept.
+    ``solve_mms_tree`` asks ``mms_value_tree`` for one agent type's share
+    after another on the same graph and then peels with
+    ``allocate_with_quotas``; keeping the last graph's view lets the binary
+    searches and the peel share one ``root_tree``.  The view is immutable
+    and only one is kept.
     """
     return root_tree(graph, 0)
 
@@ -172,10 +178,23 @@ def _rooted_tree(graph: ItemGraph) -> RootedTreeView:
 def mms_value_tree(inst: Instance, agent: int) -> Fraction:
     """Exact maximin share of one agent over connected n-partitions of a tree.
 
-    The agent's row of ``Instance.grid`` sums to her scale L.  Whether the
-    tree splits into n connected parts each worth at least q is monotone in
-    q and decided by counting greedy postorder cuts, so a binary search over
-    q in [0, L] finds the share exactly.
+    The agent's row of ``Instance.grid`` sums to her scale L, and her share
+    is q / L for the largest int q such that the tree splits into n connected
+    parts each worth at least q.  That test is monotone in q and decided by
+    counting greedy postorder cuts, so a binary search finds q exactly.  It
+    searches [0, L // n]: n parts worth at least q sum to at most L.
+
+    A probe copies the row once and adds each uncut vertex's total into its
+    parent's slot.  It stops at the n-th cut: the first n - 1 cuts and the
+    rest of the tree, which holds the root and is worth at least that cut,
+    are n connected parts, so the least of them is feasible and at least the
+    probe, and the search raises its lower end to it.
+
+    >>> path = ItemGraph(("a", "b", "c", "d"), ((0, 1), (1, 2), (2, 3)))
+    >>> row = (Fraction(1, 2), Fraction(1, 6), Fraction(1, 6), Fraction(1, 6))
+    >>> inst = Instance(path, ("x", "y"), (row, row))
+    >>> mms_value_tree(inst, 0)
+    Fraction(1, 2)
     """
     view = _rooted_tree(inst.graph)
     n = inst.agent_count
@@ -184,32 +203,53 @@ def mms_value_tree(inst: Instance, agent: int) -> Fraction:
     if inst.item_count < n:
         raise InputError("fewer items than agents: no complete connected partition")
     scale, weights = inst.grid[0][agent], inst.grid[1][agent]
-    children = view.children
+    postorder, parent = view.postorder, view.parent
 
-    def feasible(q: int) -> bool:
-        uncut = [0] * inst.item_count
-        cuts = 0
-        for v in view.postorder:
-            total = weights[v] + sum(uncut[c] for c in children[v])
-            if total >= q:
-                cuts += 1
-            else:
-                uncut[v] = total
-        return cuts >= n
-
-    lo, hi = 0, scale  # feasible(0) always; the total value is exactly scale
+    lo, hi = 0, scale // n  # a split into n parts worth 0 always exists
     while lo < hi:
-        mid = (lo + hi + 1) // 2
-        if feasible(mid):
-            lo = mid
+        q = (lo + hi + 1) // 2
+        uncut = [*weights, 0]  # the root adds into the spare slot, parent -1
+        cuts = taken = 0
+        least = scale  # the least cut total so far
+        for v in postorder:
+            total = uncut[v]
+            if total < q:
+                uncut[parent[v]] += total
+            elif cuts < n - 1:
+                cuts += 1
+                taken += total
+                least = min(least, total)
+            else:
+                lo = min(least, scale - taken)
+                break
         else:
-            hi = mid - 1
+            hi = q - 1
     return Fraction(lo, scale)
+
+
+def mms_values_tree(inst: Instance) -> tuple[Fraction, ...]:
+    """Every agent's ``mms_value_tree``, one search per distinct grid row.
+
+    A grid row sums to its scale, so agents with equal grid rows have equal
+    utilities and equal shares.  The search is called through this module's
+    global name, which is where bench/tracer.py wraps it.
+
+    >>> star = ItemGraph(("c", "x", "y"), ((0, 1), (0, 2)))
+    >>> even = (Fraction(1, 3),) * 3
+    >>> on_x = (Fraction(0), Fraction(1), Fraction(0))
+    >>> mms_values_tree(Instance(star, ("a", "b", "c"), (even, on_x, even)))
+    (Fraction(1, 3), Fraction(0, 1), Fraction(1, 3))
+    """
+    shares: dict[tuple[int, ...], Fraction] = {}
+    for i, row in enumerate(inst.grid[1]):
+        if row not in shares:
+            shares[row] = mms_value_tree(inst, i)
+    return tuple(shares[row] for row in inst.grid[1])
 
 
 def solve_mms_tree(inst: Instance) -> SolveReport:
     """Maximin-share allocation on a tree; on trees one always exists."""
-    quotas = tuple(mms_value_tree(inst, i) for i in range(inst.agent_count))
+    quotas = mms_values_tree(inst)
     out = allocate_with_quotas(inst, quotas)
     if out is None:  # pragma: no cover - contradicts the peeling guarantee
         raise RuntimeError("peeling failed with maximin quotas on a tree")

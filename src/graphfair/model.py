@@ -398,11 +398,17 @@ def make_report(
     witness: Optional[Allocation],
     quotas: Optional[Sequence[Fraction]] = None,
 ) -> SolveReport:
-    """Assemble a report, recomputing achieved values from the witness."""
+    """Assemble a report, recomputing achieved values from the witness.
+
+    Each value is summed on the agent's row of ``Instance.grid``, which every
+    solver has built by the time it reports.
+    """
     achieved = None
     if witness is not None:
+        scales, rows = inst.grid
         achieved = tuple(
-            bundle_value(inst, i, b) for i, b in enumerate(witness.bundles)
+            Fraction(sum(row[v] for v in b), scale)
+            for scale, row, b in zip(scales, rows, witness.bundles)
         )
     return SolveReport(
         decision=witness is not None,

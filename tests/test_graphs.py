@@ -128,6 +128,7 @@ def test_root_tree_views():
     assert subtree_of(view, 1) == frozenset({1, 2})
     assert view.root == 0 and view.children[0] == (1,)
     assert view.postorder == (2, 1, 0)
+    assert view.parent == (-1, 0, 1)
 
     single = root_tree(ItemGraph(("v",), ()), 0)
     assert subtree_of(single, 0) == frozenset({0})
@@ -136,6 +137,7 @@ def test_root_tree_views():
     sview = root_tree(star, 0)
     for leaf in (1, 2, 3):
         assert subtree_of(sview, leaf) == frozenset({leaf})
+    assert root_tree(star, 2).parent == (2, 0, -1, 0)
 
 
 def test_root_tree_errors():

@@ -6,17 +6,22 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, settings
 
+import graphfair.mms_tree as mms_tree
 from graphfair import (
     InputError,
+    ItemGraph,
     allocate_with_quotas,
     bundle_value,
     dumps,
+    is_complete,
     is_mms_allocation,
     is_valid,
     mms_value_tree,
+    mms_values_tree,
     oracle_mms_values,
     solve_mms_tree,
 )
+from graphfair.cli import _mms_values
 from graphfair.generators import gen_random
 from graphfair.graphs import induced_subgraph, root_tree
 from graphfair.mms_tree import DiminisherRound, DiminisherTrace
@@ -174,6 +179,101 @@ def test_long_uniform_path_splits_into_equal_runs():
     assert sorted(rep.witness.bundles, key=min) == [
         frozenset(range(k, k + m // n)) for k in range(0, m, m // n)
     ]
+
+
+def mms_value_full_range(inst, agent):
+    """The share by bisecting all of [0, L], every probe a complete sweep."""
+    view = root_tree(inst.graph, 0)
+    scale, weights = inst.grid[0][agent], inst.grid[1][agent]
+
+    def feasible(q):
+        uncut = [0] * inst.item_count
+        cuts = 0
+        for v in view.postorder:
+            total = weights[v] + sum(uncut[c] for c in view.children[v])
+            if total >= q:
+                cuts += 1
+            else:
+                uncut[v] = total
+        return cuts >= inst.agent_count
+
+    lo, hi = 0, scale
+    while lo < hi:
+        mid = (lo + hi + 1) // 2
+        if feasible(mid):
+            lo = mid
+        else:
+            hi = mid - 1
+    return Fraction(lo, scale)
+
+
+def test_shares_match_full_range_bisection():
+    """Searching [0, L // n] with early stops and jumps finds the same shares."""
+    rng = random.Random(1515)
+    seen = {"n=1": 0, "m=n": 0, "zero item": 0, "shared row": 0}
+    for trial in range(1500):
+        cls = ("tree", "path", "star")[trial % 3]
+        m = rng.randint(1, 31)
+        n = rng.choice((1, m, rng.randint(1, min(6, m))))
+        inst = gen_random(seed=trial + 15000, cls=cls, m=m, n=n,
+                          denom_bound=rng.choice((1, 2, 3, 10)),
+                          types=rng.choice((None, 1, 2, 3)))
+        expected = tuple(mms_value_full_range(inst, i) for i in range(n))
+        assert tuple(mms_value_tree(inst, i) for i in range(n)) == expected, inst
+        assert mms_values_tree(inst) == expected, inst
+        seen["n=1"] += n == 1
+        seen["m=n"] += m == n > 1
+        seen["zero item"] += any(0 in row for row in inst.grid[1])
+        seen["shared row"] += len(set(inst.grid[1])) < n
+    assert min(seen.values()) >= 100, seen
+
+
+def test_one_search_per_distinct_row(monkeypatch):
+    """The solve and the CLI's shares search each distinct grid row once.
+
+    The count goes through the ``mms_tree.mms_value_tree`` binding, the one
+    that bench/tracer.py wraps.
+    """
+    inst = gen_random(seed=16000, cls="tree", m=12, n=6, types=2)
+    rows = inst.grid[1]
+    firsts = [rows.index(row) for row in dict.fromkeys(rows)]
+    assert len(firsts) == 2
+    calls = []
+    search = mms_tree.mms_value_tree
+
+    def counted(inst, agent):
+        calls.append(agent)
+        return search(inst, agent)
+
+    monkeypatch.setattr(mms_tree, "mms_value_tree", counted)
+    rep = solve_mms_tree(inst)
+    assert calls == firsts
+    assert rep.quotas == tuple(search(inst, i) for i in range(inst.agent_count))
+    calls.clear()
+    assert _mms_values(inst, None) == ("tree", rep.quotas)
+    assert calls == firsts
+
+
+def test_large_tree_gets_an_mms_allocation():
+    """3,000 items, 100 agents: every agent meets her share on a deep, bushy tree."""
+    m, n = 3000, 100
+    rng = random.Random(3000)
+    # a 1,000-item spine, then each item hangs from a random earlier one
+    edges = [(v, v - 1) for v in range(1, 1000)]
+    edges += [(v, rng.randrange(v)) for v in range(1000, m)]
+    graph = ItemGraph(tuple(f"v{v}" for v in range(m)), tuple(edges))
+    rows = []
+    for _ in range(n):
+        draws = [rng.choice((0, 1, 1, 2, 5, 9)) for _ in range(m)]
+        value = {w: Fraction(w, sum(draws)) for w in set(draws)}
+        rows.append(tuple(value[w] for w in draws))
+    inst = Instance(graph, tuple(f"a{i}" for i in range(n)), tuple(rows))
+    rep = solve_mms_tree(inst)
+    assert rep.decision and rep.method == "mms-tree"
+    assert all(0 < q <= Fraction(1, n) for q in rep.quotas)
+    assert is_complete(inst, rep.witness)
+    assert is_mms_allocation(inst, rep.witness, rep.quotas)
+    assert all(a >= q for a, q in zip(rep.achieved, rep.quotas))
 
 
 def replay_minimality(inst, quotas, trace):
