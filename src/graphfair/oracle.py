@@ -8,17 +8,18 @@ that provably contain no witness, so pruned and unpruned runs decide alike.
 
 All scans run on ``Instance.grid``, one integer grid per agent, with each
 threshold put on its agent's grid by ``model.at_least``.  A bundle search
-lists the connected sets once per solve and shares that list among all
-agent types; a partition scan keeps a part-value table, so each part's
-value for every row is summed once, the first time the part appears, and a
-partition costs only lookups and int comparisons.
+grows connected sets once per agent type, carrying each set's value down
+the growth, and stops growing a set as soon as it meets the threshold, since
+its supersets hold no other minimal bundle; a partition scan keeps a
+part-value table, so each part's value for every row is summed once, the
+first time the part appears, and a partition costs only lookups and int
+comparisons.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import islice
 from typing import Iterable, Optional, Sequence
 
 from .graphs import (
@@ -77,6 +78,9 @@ def _guard(inst: Instance, budget: Optional[OracleBudget]) -> OracleBudget:
     return b
 
 
+_EXHAUSTED = "oracle enumeration budget exhausted"
+
+
 class _NodeCounter:
     __slots__ = ("left",)
 
@@ -86,38 +90,59 @@ class _NodeCounter:
     def spend(self, amount: int = 1) -> None:
         self.left -= amount
         if self.left < 0:
-            raise BudgetExceeded("oracle enumeration budget exhausted")
+            raise BudgetExceeded(_EXHAUSTED)
 
 
 def _minimal_candidates(
     g: ItemGraph,
-    sets: Sequence[int],
     weights: Sequence[int],
     threshold: int,
     counter: _NodeCounter,
 ) -> list[int]:
     """Minimal connected bundles meeting the threshold, as bitmasks.
 
-    ``sets`` are the graph's connected sets in ``connected_set_masks`` order;
-    the result keeps that order.  A qualifying set is minimal iff no single
+    The growth branches like ``connected_set_masks`` (lowest root first, then
+    include-first on the lowest frontier vertex), so the result keeps that
+    stream's order.  Every set below a node is a superset of the node's set,
+    so once a set meets the threshold it is the only possible minimal bundle
+    there and the growth stops.  A qualifying set is minimal iff no single
     connected-preserving removal still qualifies; with nonnegative utilities
     that test is equivalent to having no qualifying connected proper subset
-    at all.
+    at all.  Every set the growth reaches spends one unit of ``counter``.
     """
     if threshold <= 0:
         return [0]
-    out = []
-    for mask in sets:
-        counter.spend()
-        total = _mask_value(weights, mask)
-        if total < threshold:
-            continue
-        for w in _mask_bits(mask):
-            shrunk = mask & ~(1 << w)
-            if total - weights[w] >= threshold and mask_is_connected(g, shrunk):
-                break
-        else:
-            out.append(mask)
+    nbr = g.neighbor_masks
+    out: list[int] = []
+    left = counter.left
+
+    def grow(s: int, total: int, frontier: int, avail: int) -> None:
+        # s is connected and below the threshold; avail holds the vertices
+        # not yet included or excluded, frontier those of them next to s
+        nonlocal left
+        while frontier:
+            left -= 1
+            if left < 0:
+                raise BudgetExceeded(_EXHAUSTED)
+            w = frontier & -frontier
+            frontier &= ~w
+            avail &= ~w  # w is in s | w below, and excluded after it
+            v = w.bit_length() - 1
+            bundle, value = s | w, total + weights[v]
+            if value < threshold:
+                grow(bundle, value, (frontier | nbr[v]) & avail, avail)
+                continue
+            for u in _mask_bits(bundle):
+                smaller = bundle & ~(1 << u)
+                if value - weights[u] >= threshold and mask_is_connected(g, smaller):
+                    break
+            else:
+                out.append(bundle)
+
+    full = (1 << g.vertex_count) - 1
+    for root in range(g.vertex_count):
+        grow(0, 0, 1 << root, full >> root << root)
+    counter.left = left
     return out
 
 
@@ -160,17 +185,13 @@ def _search_thresholds(
         return rec_plain(0, 0)
 
     types = compute_type_partition(inst)
-    # Every type's scan spends once per set, so a list cut one set past the
-    # budget runs out at the same spend as the full one.
-    sets = list(islice(connected_set_masks(g), budget.max_enumerated + 1))
+    # One growth per agent type; each spends once per set it reaches.
     candidates: list[list[int]] = []
     per_type_cache: dict[int, list[int]] = {}
     for a in range(n):
         t = types.type_of_agent[a]
         if t not in per_type_cache:
-            per_type_cache[t] = _minimal_candidates(
-                g, sets, weights[a], scaled[a], counter
-            )
+            per_type_cache[t] = _minimal_candidates(g, weights[a], scaled[a], counter)
         candidates.append(per_type_cache[t])
 
     last_pick_of_type: dict[int, int] = {}

@@ -5,6 +5,8 @@ from fractions import Fraction
 from itertools import permutations
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from graphfair import (
     Allocation,
@@ -25,10 +27,24 @@ from graphfair import (
     oracle_mms_values,
     oracle_prop,
 )
-from graphfair.generators import X3cInstance, fixture_cycle8, gen_random, gen_x3c_prop_path
-from graphfair.graphs import classify, enumerate_connected_partitions
+from graphfair.generators import (
+    RANDOM_CLASSES,
+    X3cInstance,
+    fixture_cycle8,
+    gen_random,
+    gen_x3c_prop_path,
+)
+from graphfair.graphs import (
+    _mask_bits,
+    classify,
+    connected_set_masks,
+    enumerate_connected_partitions,
+    mask_is_connected,
+)
+from graphfair.model import at_least
+from graphfair.oracle import _mask_value, _minimal_candidates, _NodeCounter
 
-from conftest import mk, path_graph, star_graph
+from conftest import DIFFERENTIAL, mk, path_graph, star_graph
 
 
 def ef_complete_naive(inst):
@@ -151,8 +167,8 @@ def test_mms_values_raw_matches_fraction_reference():
 # Smallest enumeration budgets that let each search finish; a change to the
 # search order or to what it counts moves them.
 @pytest.mark.parametrize("make, prop_least, mms_least, decision", [
-    (fixture_cycle8, 136, 136, False),
-    (lambda: gen_random(seed=1, cls="connected", m=8, n=3), 651, 652, True),
+    (fixture_cycle8, 59, 70, False),
+    (lambda: gen_random(seed=1, cls="connected", m=8, n=3), 280, 438, True),
 ], ids=["cycle8", "connected-seed1"])
 def test_oracle_budget_spend_is_pinned(make, prop_least, mms_least, decision):
     inst = make()
@@ -160,6 +176,102 @@ def test_oracle_budget_spend_is_pinned(make, prop_least, mms_least, decision):
         assert solve(inst, OracleBudget(max_enumerated=least)).decision == decision
         with pytest.raises(BudgetExceeded):
             solve(inst, OracleBudget(max_enumerated=least - 1))
+
+
+def test_budget_stops_the_bundle_growth():
+    inst = gen_random(seed=3, cls="connected", m=10, n=5)
+    with pytest.raises(BudgetExceeded):
+        oracle_prop(inst, OracleBudget(max_enumerated=1))
+
+
+def minimal_candidates_reference(g, sets, weights, threshold):
+    """The list-then-filter search the pruned growth replaced.
+
+    ``sets`` are the graph's connected sets in ``connected_set_masks`` order;
+    every one is summed, and each qualifying one is kept unless a single
+    connected-preserving removal still qualifies.
+    """
+    if threshold <= 0:
+        return [0]
+    out = []
+    for mask in sets:
+        total = _mask_value(weights, mask)
+        if total < threshold:
+            continue
+        for w in _mask_bits(mask):
+            shrunk = mask & ~(1 << w)
+            if total - weights[w] >= threshold and mask_is_connected(g, shrunk):
+                break
+        else:
+            out.append(mask)
+    return out
+
+
+def test_minimal_candidates_match_list_then_filter():
+    # m runs to 8, and to 12 on every tenth instance; finer denominators go
+    # with fewer items, which keeps each row's distinct connected-set values,
+    # and so the thresholds tried, to a few hundred.
+    rng = random.Random(161616)
+    seen = set()
+    for trial in range(1500):
+        cls = RANDOM_CLASSES[trial % len(RANDOM_CLASSES)]
+        m = rng.randint(3 if cls == "cycle" else 1, 12 if trial % 10 == 0 else 8)
+        n = rng.randint(1, 5)
+        denom = rng.choice((1, 2, 3, 10) if m <= 6 else (1, 2, 3) if m <= 8 else (1, 2))
+        inst = gen_random(seed=trial + 7000, cls=cls, m=m, n=n, denom_bound=denom)
+        seen.add((cls, m, n))
+        g = inst.graph
+        sets = list(connected_set_masks(g))
+        scales, grid = inst.grid
+        for scale, row in zip(scales, grid):
+            values = {_mask_value(row, mask) for mask in sets}
+            share = at_least(Fraction(1, n), scale)
+            for t in sorted({share, 0, -1, scale + 1} | values):
+                counter = _NodeCounter(10**9)
+                got = _minimal_candidates(g, row, t, counter)
+                assert got == minimal_candidates_reference(g, sets, row, t), (inst, t)
+                if t <= 0:
+                    assert got == [0]
+                elif t > scale:
+                    assert got == []
+                # every root vertex is reached at a positive threshold
+                assert 10**9 - counter.left >= (m if t > 0 else 0)
+    assert {c for c, _, _ in seen} == set(RANDOM_CLASSES)
+    assert max(m for _, m, _ in seen) == 12
+    assert {n for _, _, n in seen} == {1, 2, 3, 4, 5}
+
+
+@st.composite
+def weighted_graphs(draw, max_items):
+    """Any graph on up to ``max_items`` vertices, int weights and a threshold.
+
+    The threshold runs from below zero to above the weight total.
+    """
+    m = draw(st.integers(1, max_items))
+    pairs = [(a, b) for a in range(m) for b in range(a + 1, m)]
+    edges = tuple(e for e in pairs if draw(st.booleans()))
+    graph = ItemGraph(tuple(f"v{i + 1}" for i in range(m)), edges)
+    weights = draw(st.lists(st.integers(0, 9), min_size=m, max_size=m))
+    threshold = draw(st.integers(-1, sum(weights) + 1))
+    return graph, weights, threshold
+
+
+@settings(DIFFERENTIAL, max_examples=300)
+@given(weighted_graphs(max_items=9))
+def test_minimal_candidates_are_minimal_and_cover(case):
+    g, weights, threshold = case
+    cands = _minimal_candidates(g, weights, threshold, _NodeCounter(10**9))
+    assert len(set(cands)) == len(cands)
+    for c in cands:
+        assert mask_is_connected(g, c) and _mask_value(weights, c) >= threshold
+        for v in _mask_bits(c):
+            smaller = c & ~(1 << v)
+            assert not (
+                mask_is_connected(g, smaller) and _mask_value(weights, smaller) >= threshold
+            )
+    for s in [0, *connected_set_masks(g)]:
+        if _mask_value(weights, s) >= threshold:
+            assert any(c & ~s == 0 for c in cands), (s, cands)
 
 
 @pytest.mark.parametrize("cls, seed, m, n, options, bundles", [
