@@ -1,15 +1,17 @@
 """Graph services: connectivity tests, class flags, rooted views, enumerations.
 
 Enumeration functions are generators, so every call hands back a fresh,
-restartable stream with a deterministic order.  Vertex sets travel as
-``frozenset`` externally; bitmask variants exist for the hot internal loops.
+restartable stream with a deterministic order.  Inside the package vertex
+sets and partitions travel as int bitmasks (bit v set for vertex v), and one
+flood fill, ``_component``, answers every connectivity question on them; at
+the public boundary they become ``frozenset`` values.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from itertools import combinations
-from typing import Iterable, Iterator, Optional
+from typing import Iterable, Iterator, Optional, Sequence
 
 from .model import InputError, ItemGraph
 
@@ -25,21 +27,25 @@ __all__ = [
 ]
 
 
-def mask_is_connected(g: ItemGraph, mask: int) -> bool:
-    """Connectivity of the induced subgraph on a vertex bitmask (empty is connected)."""
-    if mask == 0:
-        return True
-    nbr = g.neighbor_masks
-    start = mask & -mask
-    reached = start
-    frontier = start
+def _component(nbr: Sequence[int], start: int, scope: int) -> int:
+    """``start`` plus every vertex it reaches through ``scope``, as a bitmask.
+
+    ``nbr`` holds each vertex's neighbors as a bitmask; ``start`` is a single
+    bit, usually one of ``scope``, or 0, which reaches nothing.
+    """
+    reached = frontier = start
     while frontier:
         v = frontier & -frontier
         frontier &= frontier - 1
-        grow = nbr[v.bit_length() - 1] & mask & ~reached
+        grow = nbr[v.bit_length() - 1] & scope & ~reached
         reached |= grow
         frontier |= grow
-    return reached == mask
+    return reached
+
+
+def mask_is_connected(g: ItemGraph, mask: int) -> bool:
+    """Connectivity of the induced subgraph on a vertex bitmask (empty is connected)."""
+    return _component(g.neighbor_masks, mask & -mask, mask) == mask
 
 
 def is_connected_set(g: ItemGraph, vertices: Iterable[int]) -> bool:
@@ -152,32 +158,26 @@ def root_tree(g: ItemGraph, root: int) -> RootedTreeView:
 def connected_set_masks(g: ItemGraph) -> Iterator[int]:
     """All nonempty connected vertex sets as bitmasks, each exactly once.
 
-    Sets are grouped by their lowest vertex; within a group the stream follows
-    a fixed include-first/exclude-second branching, so the order is
-    deterministic.
+    Sets are grouped by their lowest vertex; within a group the growth takes
+    the lowest frontier vertex first, includes it, and then excludes it for
+    the rest of the group, so the order is deterministic.
     """
-    m = g.vertex_count
     nbr = g.neighbor_masks
-    full = (1 << m) - 1
 
-    def grow(s: int, excluded: int, allowed: int) -> Iterator[int]:
-        frontier = 0
-        rest = s
-        while rest:
-            v = rest & -rest
-            rest &= rest - 1
-            frontier |= nbr[v.bit_length() - 1]
-        cands = frontier & allowed & ~s & ~excluded
-        if cands == 0:
-            yield s
-            return
-        w = cands & -cands
-        yield from grow(s | w, excluded, allowed)
-        yield from grow(s, excluded | w, allowed)
+    def grow(s: int, frontier: int, avail: int) -> Iterator[int]:
+        # avail holds the vertices not yet included or excluded, frontier
+        # those of them next to s
+        while frontier:
+            w = frontier & -frontier
+            frontier &= ~w
+            avail &= ~w  # w is in s | w below, and excluded after it
+            yield from grow(s | w, (frontier | nbr[w.bit_length() - 1]) & avail, avail)
+        yield s
 
-    for v in range(m):
-        allowed = full & ~((1 << v) - 1)
-        yield from grow(1 << v, 0, allowed)
+    full = (1 << g.vertex_count) - 1
+    for v in range(g.vertex_count):
+        avail = full >> (v + 1) << (v + 1)
+        yield from grow(1 << v, nbr[v] & avail, avail)
 
 
 def enumerate_connected_sets(g: ItemGraph) -> Iterator[frozenset[int]]:
@@ -202,86 +202,71 @@ def enumerate_connected_partitions(
     edge deletion (k-1 deleted edges out of m-1); other graphs use recursive
     vertex assignment with connectivity pruning.  ``k`` above the vertex count
     yields an empty stream.
+
+    >>> from graphfair.model import ItemGraph
+    >>> path = ItemGraph(("a", "b", "c"), ((0, 1), (1, 2)))
+    >>> [[sorted(part) for part in p] for p in enumerate_connected_partitions(path, 2)]
+    [[[0], [1, 2]], [[0, 1], [2]]]
     """
+    for parts in connected_partition_masks(g, k):
+        yield tuple(frozenset(_mask_bits(part)) for part in parts)
+
+
+def connected_partition_masks(g: ItemGraph, k: int) -> Iterator[tuple[int, ...]]:
+    """``enumerate_connected_partitions`` with every part as a bitmask."""
     if k < 1:
         raise InputError("part count must be at least 1")
     m = g.vertex_count
     if k > m:
         return
-    if classify(g).is_tree:
+    if len(g.edges) == m - 1 and mask_is_connected(g, (1 << m) - 1):
         yield from _tree_partitions(g, k)
     else:
         yield from _generic_partitions(g, k)
 
 
-def _tree_partitions(g: ItemGraph, k: int) -> Iterator[tuple[frozenset[int], ...]]:
-    m = g.vertex_count
-    for removed in combinations(range(len(g.edges)), k - 1):
-        removed_set = set(removed)
-        adj = [[] for _ in range(m)]
-        for idx, (a, b) in enumerate(g.edges):
-            if idx not in removed_set:
-                adj[a].append(b)
-                adj[b].append(a)
-        seen = [False] * m
+def _tree_partitions(g: ItemGraph, k: int) -> Iterator[tuple[int, ...]]:
+    # Peeling components off from the lowest remaining vertex leaves them
+    # ordered by smallest element.
+    full = (1 << g.vertex_count) - 1
+    for removed in combinations(g.edges, k - 1):
+        nbr = list(g.neighbor_masks)
+        for a, b in removed:
+            nbr[a] &= ~(1 << b)
+            nbr[b] &= ~(1 << a)
         parts = []
-        for s in range(m):
-            if seen[s]:
-                continue
-            comp = []
-            stack = [s]
-            seen[s] = True
-            while stack:
-                v = stack.pop()
-                comp.append(v)
-                for w in adj[v]:
-                    if not seen[w]:
-                        seen[w] = True
-                        stack.append(w)
-            parts.append(frozenset(comp))
-        parts.sort(key=min)
+        rest = full
+        while rest:
+            part = _component(nbr, rest & -rest, rest)
+            parts.append(part)
+            rest &= ~part
         yield tuple(parts)
 
 
-def _generic_partitions(g: ItemGraph, k: int) -> Iterator[tuple[frozenset[int], ...]]:
+def _generic_partitions(g: ItemGraph, k: int) -> Iterator[tuple[int, ...]]:
     m = g.vertex_count
     nbr = g.neighbor_masks
     full = (1 << m) - 1
 
-    def can_still_connect(part: int, remaining: int) -> bool:
-        # every vertex of the part must sit in one component of part|remaining
-        scope = part | remaining
-        start = part & -part
-        reached = start
-        frontier = start
-        while frontier:
-            v = frontier & -frontier
-            frontier &= frontier - 1
-            grow = nbr[v.bit_length() - 1] & scope & ~reached
-            reached |= grow
-            frontier |= grow
-        return part & ~reached == 0
-
-    def assign(v: int, parts: list[int]) -> Iterator[tuple[frozenset[int], ...]]:
+    def assign(v: int, parts: list[int]) -> Iterator[tuple[int, ...]]:
         if v == m:
             if len(parts) == k:
-                yield tuple(frozenset(_mask_bits(p)) for p in parts)
+                yield tuple(parts)
             return
-        remaining = full & ~((1 << (v + 1)) - 1)
+        remaining = full >> (v + 1) << (v + 1)
         bit = 1 << v
-        # not enough unassigned vertices left to open the missing parts
-        open_budget = m - v - (k - len(parts))
-        for idx in range(len(parts)):
-            if open_budget < 0:
-                break
+        # v joins a part only if the later vertices can still open the missing ones
+        for idx in range(len(parts) if m - v > k - len(parts) else 0):
             grown = parts[idx] | bit
             parts[idx] = grown
-            if all(can_still_connect(p, remaining) for p in parts):
+            # every part must still fit in one component of itself plus
+            # the unassigned vertices
+            if all(_component(nbr, p & -p, p | remaining) & p == p for p in parts):
                 yield from assign(v + 1, parts)
             parts[idx] = grown & ~bit
         if len(parts) < k:
             parts.append(bit)
-            if all(can_still_connect(p, remaining) for p in parts):
+            if all(_component(nbr, p & -p, p | remaining) & p == p for p in parts):
                 yield from assign(v + 1, parts)
             parts.pop()
 

@@ -48,10 +48,11 @@ class BudgetExceeded(RuntimeError):
 def _as_fraction(x) -> Fraction:
     if isinstance(x, Fraction):
         return x
-    if isinstance(x, int):
-        return Fraction(x)
-    if isinstance(x, str):
-        return Fraction(x)
+    if isinstance(x, (int, str)):
+        try:
+            return Fraction(x)
+        except (ValueError, ZeroDivisionError):
+            pass
     raise InputError(f"not an exact rational: {x!r}")
 
 
@@ -76,7 +77,12 @@ class ItemGraph:
         canon = []
         seen = set()
         for e in self.edges:
-            a, b = e
+            try:
+                a, b = e
+            except (TypeError, ValueError):
+                a = b = None
+            if not (isinstance(a, int) and isinstance(b, int)):
+                raise InputError(f"edge {e!r} is not a pair of int vertex indices")
             if not (0 <= a < m and 0 <= b < m):
                 raise InputError(f"edge {e} has an endpoint outside 0..{m - 1}")
             if a == b:
@@ -151,7 +157,10 @@ class Instance:
             raise InputError("one utility row per agent is required")
         rows = []
         for name, row in zip(names, self.utilities):
-            vals = tuple(map(_as_fraction, row))
+            try:
+                vals = tuple(map(_as_fraction, row))
+            except TypeError:  # the row is not iterable
+                raise InputError(f"utility row for {name!r} is not a sequence") from None
             if len(vals) != m:
                 raise InputError(f"utility row for {name!r} must have {m} entries")
             # Both checks run on the row's integer grid, whose scale is positive.

@@ -13,7 +13,8 @@ the growth, and stops growing a set as soon as it meets the threshold, since
 its supersets hold no other minimal bundle; a partition scan keeps a
 part-value table, so each part's value for every row is summed once, the
 first time the part appears, and a partition costs only lookups and int
-comparisons.
+comparisons.  Partitions arrive as tuples of part bitmasks, and the
+part-value table is keyed by mask; masks become frozensets only in a witness.
 """
 
 from __future__ import annotations
@@ -26,9 +27,10 @@ from .graphs import (
     _mask_bits,
     classify,
     connected_set_masks,
-    enumerate_connected_partitions,
     mask_is_connected,
 )
+# bench/tracer.py wraps this name for its graphs.partitions span.
+from .graphs import connected_partition_masks as enumerate_connected_partitions
 from .model import (
     Allocation,
     BudgetExceeded,
@@ -308,7 +310,7 @@ def mms_values_raw(
     """
     counter = _NodeCounter(node_limit)
     scales, grid = integer_grid(weight_rows)
-    table: dict[frozenset[int], tuple[int, ...]] = {}
+    table: dict[int, tuple[int, ...]] = {}
     best: Optional[list[int]] = None
     for partition in enumerate_connected_partitions(g, parts):
         counter.spend()
@@ -325,14 +327,14 @@ def mms_values_raw(
 
 
 def _part_values(
-    table: dict[frozenset[int], tuple[int, ...]],
+    table: dict[int, tuple[int, ...]],
     grid: Sequence[Sequence[int]],
-    part: frozenset[int],
+    part: int,
 ) -> tuple[int, ...]:
-    """Every grid row's value for ``part``, summed once per table."""
+    """Every grid row's value for the ``part`` bitmask, summed once per table."""
     values = table.get(part)
     if values is None:
-        values = table[part] = tuple(sum(row[v] for v in part) for row in grid)
+        values = table[part] = tuple(_mask_value(row, part) for row in grid)
     return values
 
 
@@ -365,7 +367,7 @@ def oracle_ef_complete(
         return make_report(inst, "oracle", None)
     counter = _NodeCounter(b.max_enumerated)
     _, weights = inst.grid
-    table: dict[frozenset[int], tuple[int, ...]] = {}
+    table: dict[int, tuple[int, ...]] = {}
 
     for partition in enumerate_connected_partitions(inst.graph, n):
         counter.spend()
@@ -380,8 +382,6 @@ def oracle_ef_complete(
             continue  # some part is nobody's favorite, so it cannot be owned
         assignment = _lex_smallest_perfect(adj)
         if assignment is not None:
-            bundles: list[frozenset[int]] = [frozenset()] * n
-            for agent, part_idx in enumerate(assignment):
-                bundles[agent] = partition[part_idx]
-            return make_report(inst, "oracle", Allocation(tuple(bundles)))
+            witness = _masks_to_allocation(partition[p] for p in assignment)
+            return make_report(inst, "oracle", witness)
     return make_report(inst, "oracle", None)

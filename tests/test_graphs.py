@@ -7,8 +7,10 @@ from itertools import combinations
 from math import comb
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from conftest import cycle_graph, path_graph, star_graph, subtree_of
+from conftest import DIFFERENTIAL, cycle_graph, path_graph, star_graph, subtree_of
 from graphfair import (
     InputError,
     ItemGraph,
@@ -20,7 +22,14 @@ from graphfair import (
     is_connected_set,
     root_tree,
 )
-from graphfair.graphs import mask_is_connected
+from graphfair.generators import RANDOM_CLASSES
+from graphfair.graphs import (
+    _component,
+    _mask_bits,
+    connected_partition_masks,
+    connected_set_masks,
+    mask_is_connected,
+)
 
 
 def test_item_graph_validation():
@@ -268,3 +277,159 @@ def test_induced_subgraph():
     assert mapping == (0, 1, 3)
     assert sub.labels == ("v1", "v2", "v4")
     assert sub.edges == ((0, 1),)
+
+
+# The partition and connected-set streams as they were before they moved to
+# one flood fill and a carried frontier, kept as the order reference.
+def _reference_connected_set_masks(g):
+    m = g.vertex_count
+    nbr = g.neighbor_masks
+    full = (1 << m) - 1
+
+    def grow(s, excluded, allowed):
+        frontier = 0
+        rest = s
+        while rest:
+            v = rest & -rest
+            rest &= rest - 1
+            frontier |= nbr[v.bit_length() - 1]
+        cands = frontier & allowed & ~s & ~excluded
+        if cands == 0:
+            yield s
+            return
+        w = cands & -cands
+        yield from grow(s | w, excluded, allowed)
+        yield from grow(s, excluded | w, allowed)
+
+    for v in range(m):
+        allowed = full & ~((1 << v) - 1)
+        yield from grow(1 << v, 0, allowed)
+
+
+def _reference_tree_partitions(g, k):
+    m = g.vertex_count
+    for removed in combinations(range(len(g.edges)), k - 1):
+        removed_set = set(removed)
+        adj = [[] for _ in range(m)]
+        for idx, (a, b) in enumerate(g.edges):
+            if idx not in removed_set:
+                adj[a].append(b)
+                adj[b].append(a)
+        seen = [False] * m
+        parts = []
+        for s in range(m):
+            if seen[s]:
+                continue
+            comp = []
+            stack = [s]
+            seen[s] = True
+            while stack:
+                v = stack.pop()
+                comp.append(v)
+                for w in adj[v]:
+                    if not seen[w]:
+                        seen[w] = True
+                        stack.append(w)
+            parts.append(frozenset(comp))
+        parts.sort(key=min)
+        yield tuple(parts)
+
+
+def _reference_generic_partitions(g, k):
+    m = g.vertex_count
+    nbr = g.neighbor_masks
+    full = (1 << m) - 1
+
+    def can_still_connect(part, remaining):
+        scope = part | remaining
+        start = part & -part
+        reached = start
+        frontier = start
+        while frontier:
+            v = frontier & -frontier
+            frontier &= frontier - 1
+            grow = nbr[v.bit_length() - 1] & scope & ~reached
+            reached |= grow
+            frontier |= grow
+        return part & ~reached == 0
+
+    def assign(v, parts):
+        if v == m:
+            if len(parts) == k:
+                yield tuple(frozenset(_mask_bits(p)) for p in parts)
+            return
+        remaining = full & ~((1 << (v + 1)) - 1)
+        bit = 1 << v
+        open_budget = m - v - (k - len(parts))
+        for idx in range(len(parts)):
+            if open_budget < 0:
+                break
+            grown = parts[idx] | bit
+            parts[idx] = grown
+            if all(can_still_connect(p, remaining) for p in parts):
+                yield from assign(v + 1, parts)
+            parts[idx] = grown & ~bit
+        if len(parts) < k:
+            parts.append(bit)
+            if all(can_still_connect(p, remaining) for p in parts):
+                yield from assign(v + 1, parts)
+            parts.pop()
+
+    yield from assign(1, [1])
+
+
+def _reference_partitions(g, k):
+    if k > g.vertex_count:
+        return []
+    if classify(g).is_tree:
+        return list(_reference_tree_partitions(g, k))
+    return list(_reference_generic_partitions(g, k))
+
+
+def test_streams_match_reference_order():
+    """1,000 seeded graphs; trees and cycles also with their first edge deleted.
+
+    Deleting an edge from a cycle leaves a path, which takes the tree route,
+    and from a tree a forest with m - 2 edges, which does not.  A graph on
+    8 or 9 vertices has thousands of partitions, so only every tenth graph
+    of each class may have more than 7 vertices.
+    """
+    rng = random.Random(1717)
+    for trial in range(1000):
+        cls = RANDOM_CLASSES[trial % len(RANDOM_CLASSES)]
+        top = 9 if trial % 50 < len(RANDOM_CLASSES) else 7
+        m = rng.randint(3 if cls == "cycle" else 1, top)
+        g = gen_random(trial + 17000, cls, m, 1).graph
+        cut = () if cls == "connected" else (ItemGraph(g.labels, g.edges[1:]),)
+        for h in (g, *cut):
+            sets = list(_reference_connected_set_masks(h))
+            assert list(connected_set_masks(h)) == sets
+            assert list(enumerate_connected_sets(h)) == [frozenset(_mask_bits(s)) for s in sets]
+            for k in range(1, m + 2):
+                expected = _reference_partitions(h, k)
+                assert list(enumerate_connected_partitions(h, k)) == expected
+                masks = list(connected_partition_masks(h, k))
+                assert [tuple(frozenset(_mask_bits(p)) for p in ps) for ps in masks] == expected
+
+
+@settings(DIFFERENTIAL, max_examples=300)
+@given(data=st.data())
+def test_component_matches_set_bfs(data):
+    m = data.draw(st.integers(1, 10))
+    pairs = list(combinations(range(m), 2))
+    edges = data.draw(st.lists(st.sampled_from(pairs), unique=True)) if pairs else []
+    g = ItemGraph(tuple(f"v{i}" for i in range(m)), tuple(edges))
+    scope = data.draw(st.integers(0, (1 << m) - 1))
+    start = data.draw(st.sampled_from([0] + [1 << v for v in range(m)]))
+
+    inside = set(_mask_bits(scope))
+    reached = set(_mask_bits(start))
+    queue = list(reached)
+    while queue:
+        v = queue.pop(0)
+        for w in g.neighbors(v):
+            if w in inside and w not in reached:
+                reached.add(w)
+                queue.append(w)
+    assert set(_mask_bits(_component(g.neighbor_masks, start, scope))) == reached
+    assert mask_is_connected(g, 0)

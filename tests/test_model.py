@@ -17,6 +17,7 @@ from graphfair import (
     Allocation,
     InputError,
     Instance,
+    ItemGraph,
     bundle_value,
     compute_type_partition,
     enumerate_connected_partitions,
@@ -70,6 +71,33 @@ def test_instance_validation_messages():
     with pytest.raises(InputError) as exc:
         Instance(g, ("a",), ((1, 1, 0),))
     assert str(exc.value) == "utilities of agent 'a' sum to 2, expected exactly 1"
+
+
+def test_item_graph_rejects_float_endpoint():
+    with pytest.raises(InputError, match="not a pair of int"):
+        ItemGraph(("a", "b"), ((0, 1.0),))
+
+
+def test_item_graph_rejects_edge_of_three():
+    with pytest.raises(InputError, match="not a pair of int"):
+        ItemGraph(("a", "b", "c"), ((0, 1, 2),))
+
+
+def test_item_graph_rejects_str_endpoint():
+    with pytest.raises(InputError, match="not a pair of int"):
+        ItemGraph(("a", "b"), ((0, "1"),))
+
+
+def test_instance_rejects_missing_row():
+    with pytest.raises(InputError, match="not a sequence"):
+        Instance(path_graph(2), ("a",), (None,))
+
+
+def test_instance_rejects_unparsable_str_entry():
+    g = path_graph(2)
+    for bad in ("half", "1/0"):
+        with pytest.raises(InputError, match="not an exact rational"):
+            Instance(g, ("a",), ((bad, "1/2"),))
 
 
 def test_instance_sum_too_long_to_print():

@@ -8,6 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import graphfair.oracle as oracle
 from graphfair import (
     Allocation,
     BudgetExceeded,
@@ -422,3 +423,36 @@ def test_mms_values_never_exceed_share():
                 for partition in enumerate_connected_partitions(inst.graph, n)
             )
             assert best == target
+
+
+def test_scans_go_through_the_traced_name(monkeypatch):
+    """Both partition scans read ``oracle.enumerate_connected_partitions``.
+
+    That binding is the one bench/tracer.py wraps for its partition span, so
+    a scan that called the stream under another name would drop the span.
+    Each instance below has no envy-free complete allocation, so the ef scan
+    reads the whole stream; the cycle takes the generic route, the tree the
+    tree route.
+    """
+    calls = []
+    stream = oracle.enumerate_connected_partitions
+
+    def counted(g, k):
+        calls.append(0)
+        for parts in stream(g, k):
+            calls[-1] += 1
+            yield parts
+
+    monkeypatch.setattr(oracle, "enumerate_connected_partitions", counted)
+    cycle = gen_random(seed=7, cls="cycle", m=7, n=3)
+    tree = gen_random(seed=2, cls="tree", m=7, n=3)
+    count = {
+        name: len(list(enumerate_connected_partitions(inst.graph, 3)))
+        for name, inst in (("cycle", cycle), ("tree", tree))
+    }
+    oracle_mms_values(cycle)
+    assert calls == [count["cycle"]]
+    for name, inst in (("cycle", cycle), ("tree", tree)):
+        calls.clear()
+        assert not oracle_ef_complete(inst).decision
+        assert calls == [count[name]]
