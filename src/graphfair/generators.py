@@ -13,6 +13,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Optional
 
+import heapq
 import random
 import sys
 
@@ -341,18 +342,13 @@ def _random_tree_edges(rng: random.Random, m: int) -> tuple[tuple[int, int], ...
     for v in seq:
         degree[v] += 1
     edges = []
-    leaves = sorted(v for v in range(m) if degree[v] == 1)
+    leaves = [v for v in range(m) if degree[v] == 1]  # ascending, so a heap
     for v in seq:
-        leaf = leaves.pop(0)
-        edges.append((leaf, v))
+        edges.append((heapq.heappop(leaves), v))
         degree[v] -= 1
         if degree[v] == 1:
-            # insertion keeps the pool sorted without a re-sort per step
-            lo = 0
-            while lo < len(leaves) and leaves[lo] < v:
-                lo += 1
-            leaves.insert(lo, v)
-    edges.append((leaves[0], leaves[1]))
+            heapq.heappush(leaves, v)
+    edges.append((leaves[0], leaves[1]))  # a heap of two: the lower one first
     return tuple(edges)
 
 

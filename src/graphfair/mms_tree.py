@@ -8,7 +8,7 @@ connected parts all worth at least q exist iff there are at least n cuts.
 The search runs over [0, L // n] on a grid of scale L, since n parts worth
 at least q each sum to at most L; a sweep stops at its n-th cut and the
 search jumps to the least part of the split that cut completes.  Agents
-with equal grid rows share one search.
+of one type share one search.
 
 The allocator is a last-diminisher loop: the lowest-indexed remaining agent
 walks the residual tree in postorder and takes the first subtree worth her
@@ -39,6 +39,7 @@ from .model import (
     ItemGraph,
     SolveReport,
     at_least,
+    compute_type_partition,
     make_report,
 )
 from .serialize import rational_to_str
@@ -228,11 +229,11 @@ def mms_value_tree(inst: Instance, agent: int) -> Fraction:
 
 
 def mms_values_tree(inst: Instance) -> tuple[Fraction, ...]:
-    """Every agent's ``mms_value_tree``, one search per distinct grid row.
+    """Every agent's ``mms_value_tree``, one search per agent type.
 
-    A grid row sums to its scale, so agents with equal grid rows have equal
-    utilities and equal shares.  The search is called through this module's
-    global name, which is where bench/tracer.py wraps it.
+    Agents of one type have equal utilities and so equal shares; each
+    type's search runs at its first member.  The search is called through
+    this module's global name, which is where bench/tracer.py wraps it.
 
     >>> star = ItemGraph(("c", "x", "y"), ((0, 1), (0, 2)))
     >>> even = (Fraction(1, 3),) * 3
@@ -240,11 +241,9 @@ def mms_values_tree(inst: Instance) -> tuple[Fraction, ...]:
     >>> mms_values_tree(Instance(star, ("a", "b", "c"), (even, on_x, even)))
     (Fraction(1, 3), Fraction(0, 1), Fraction(1, 3))
     """
-    shares: dict[tuple[int, ...], Fraction] = {}
-    for i, row in enumerate(inst.grid[1]):
-        if row not in shares:
-            shares[row] = mms_value_tree(inst, i)
-    return tuple(shares[row] for row in inst.grid[1])
+    types = compute_type_partition(inst)
+    shares = [mms_value_tree(inst, members[0]) for members in types.members]
+    return tuple(shares[t] for t in types.type_of_agent)
 
 
 def solve_mms_tree(inst: Instance) -> SolveReport:

@@ -68,15 +68,20 @@ class ItemGraph:
     edges: tuple[tuple[int, int], ...]
 
     def __post_init__(self):
-        labels = tuple(self.labels)
+        try:
+            labels, edges = tuple(self.labels), tuple(self.edges)
+        except TypeError:  # a field is None or another non-iterable
+            raise InputError("vertex labels and edges must be sequences") from None
         if len(labels) < 1:
             raise InputError("an item graph needs at least one vertex")
+        if not all(isinstance(label, str) for label in labels):
+            raise InputError("vertex labels must be strings")
         if len(set(labels)) != len(labels):
             raise InputError("vertex labels must be distinct")
         m = len(labels)
         canon = []
         seen = set()
-        for e in self.edges:
+        for e in edges:
             try:
                 a, b = e
             except (TypeError, ValueError):
@@ -147,16 +152,19 @@ class Instance:
     utilities: tuple[tuple[Fraction, ...], ...]
 
     def __post_init__(self):
-        names = tuple(self.agent_names)
+        try:
+            names, utilities = tuple(self.agent_names), tuple(self.utilities)
+        except TypeError:  # a field is None or another non-iterable
+            raise InputError("agent names and utility rows must be sequences") from None
         if len(names) < 1:
             raise InputError("an instance needs at least one agent")
         if len(set(names)) != len(names):
             raise InputError("agent names must be distinct")
         m = self.graph.vertex_count
-        if len(self.utilities) != len(names):
+        if len(utilities) != len(names):
             raise InputError("one utility row per agent is required")
         rows = []
-        for name, row in zip(names, self.utilities):
+        for name, row in zip(names, utilities):
             try:
                 vals = tuple(map(_as_fraction, row))
             except TypeError:  # the row is not iterable
@@ -383,7 +391,10 @@ def is_mms_allocation(
 
 
 def compute_type_partition(inst: Instance) -> AgentTypePartition:
-    """Group agents with identical utility rows.
+    """Group agents with equal rows of ``Instance.grid``.
+
+    A grid row sums to its own scale, so equal grid rows mean equal utility
+    rows; the rows are int tuples, so a dict groups them in one pass.
 
     >>> g = ItemGraph(("v1", "v2"), ((0, 1),))
     >>> u = (Fraction(1, 2), Fraction(1, 2))
@@ -391,14 +402,10 @@ def compute_type_partition(inst: Instance) -> AgentTypePartition:
     >>> compute_type_partition(Instance(g, ("a", "b", "c"), (u, w, u))).type_of_agent
     (0, 1, 0)
     """
-    # Match rows with ``==``: a dict keyed by rows would hash every Fraction.
-    seen: list[tuple[Fraction, ...]] = []
-    assignment = []
-    for row in inst.utilities:
-        if row not in seen:
-            seen.append(row)
-        assignment.append(seen.index(row))
-    return AgentTypePartition(tuple(assignment))
+    first: dict[tuple[int, ...], int] = {}
+    return AgentTypePartition(
+        tuple(first.setdefault(row, len(first)) for row in inst.grid[1])
+    )
 
 
 def make_report(

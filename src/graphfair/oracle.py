@@ -23,12 +23,10 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable, Optional, Sequence
 
-from .graphs import (
-    _mask_bits,
-    classify,
-    connected_set_masks,
-    mask_is_connected,
-)
+from .graphs import _mask_bits, connected_set_masks, mask_is_connected
+# ``classify`` stays bound here because bench/tracer.py wraps ``oracle.classify``;
+# ``oracle_mms_values`` tests connectivity with ``mask_is_connected``.
+from .graphs import classify  # noqa: F401
 # bench/tracer.py wraps this name for its graphs.partitions span.
 from .graphs import connected_partition_masks as enumerate_connected_partitions
 from .model import (
@@ -187,57 +185,39 @@ def _search_thresholds(
         return rec_plain(0, 0)
 
     types = compute_type_partition(inst)
-    # One growth per agent type; each spends once per set it reaches.
-    candidates: list[list[int]] = []
-    per_type_cache: dict[int, list[int]] = {}
-    for a in range(n):
-        t = types.type_of_agent[a]
-        if t not in per_type_cache:
-            per_type_cache[t] = _minimal_candidates(g, weights[a], scaled[a], counter)
-        candidates.append(per_type_cache[t])
+    # One growth per agent type, at the threshold of its first member; each
+    # spends once per set it reaches.
+    firsts = [members[0] for members in types.members]
+    per_type = [_minimal_candidates(g, weights[a], scaled[a], counter) for a in firsts]
+    candidates = [per_type[t] for t in types.type_of_agent]
 
-    last_pick_of_type: dict[int, int] = {}
-    chosen2: list[int] = []
-
-    def rec(i: int, used: int) -> Optional[list[int]]:
+    def rec(i: int, used: int, floors: tuple[int, ...]) -> Optional[list[int]]:
+        # Same-type agents are interchangeable, so their nonempty picks run
+        # strictly up each type's candidate list: ``floors[t]`` is the first
+        # index type t may still take.  A list holding the empty bundle holds
+        # nothing else, so its floor stays 0 and the empty bundle is shared.
         if i == n:
-            return list(chosen2)
+            return []
         t = types.type_of_agent[i]
         cand = candidates[i]
-        for idx, mask in enumerate(cand):
-            # same-type agents are interchangeable, so make their (nonempty)
-            # bundle picks strictly increasing in candidate order; the empty
-            # bundle is shareable and exempt
-            if mask != 0 and idx <= last_pick_of_type.get(t, -1):
-                continue
+        for idx in range(floors[t], len(cand)):
+            mask = cand[idx]
             if mask & used:
                 continue
             counter.spend()
             taken = used | mask
             # forward check: every later agent still needs a disjoint candidate
-            stuck = False
             for j in range(i + 1, n):
                 if all(c & taken for c in candidates[j]):
-                    stuck = True
                     break
-            if stuck:
-                continue
-            prev = last_pick_of_type.get(t)
-            if mask != 0:
-                last_pick_of_type[t] = idx
-            chosen2.append(mask)
-            found = rec(i + 1, taken)
-            if found is not None:
-                return found
-            chosen2.pop()
-            if mask != 0:
-                if prev is None:
-                    del last_pick_of_type[t]
-                else:
-                    last_pick_of_type[t] = prev
+            else:
+                below = floors[:t] + (idx + 1,) + floors[t + 1 :] if mask else floors
+                found = rec(i + 1, taken, below)
+                if found is not None:
+                    return [mask, *found]
         return None
 
-    return rec(0, 0)
+    return rec(0, 0, (0,) * types.type_count)
 
 
 def _mask_value(weights: Sequence[int], mask: int) -> int:
@@ -276,7 +256,7 @@ def oracle_mms_values(
 ) -> tuple[Fraction, ...]:
     """Each agent's maximin share over connected n-partitions, by enumeration."""
     b = _guard(inst, budget)
-    if not classify(inst.graph).is_connected:
+    if not mask_is_connected(inst.graph, (1 << inst.item_count) - 1):
         raise InputError("maximin shares are defined on connected item graphs only")
     if inst.item_count < inst.agent_count:
         raise InputError("maximin shares need at least as many items as agents")

@@ -55,23 +55,25 @@ logger = logging.getLogger(__name__)
 def path_order(inst: Instance) -> list[int]:
     """Vertices of a path graph from one end to the other.
 
-    The walk starts at the lower-indexed endpoint, which fixes the meaning of
-    "left" for every path solver.
+    The walk starts at the lowest vertex of degree at most 1, which fixes the
+    meaning of "left" for every path solver, and moves only through vertices
+    of degree at most 2, so it never comes back to a vertex.  The graph is a
+    path exactly when the walk covers all m vertices: every vertex it passed
+    through then has its two walk edges only, and the start its one, so the
+    last vertex has no edge but the one it was reached by.
     """
     g = inst.graph
-    if not classify(g).is_path:
-        raise InputError("the item graph is not a path")
     m = g.vertex_count
-    if m == 1:
-        return [0]
-    start = min(v for v in range(m) if g.degree(v) == 1)
-    order = [start]
+    order = [v for v in range(m) if g.degree(v) <= 1][:1]
     prev = -1
-    cur = start
-    while len(order) < m:
-        nxt = [w for w in g.neighbors(cur) if w != prev][0]
-        order.append(nxt)
-        prev, cur = cur, nxt
+    while order and g.degree(order[-1]) <= 2:
+        step = [w for w in g.neighbors(order[-1]) if w != prev]
+        if not step:
+            break
+        prev = order[-1]
+        order.append(step[0])
+    if len(order) != m:
+        raise InputError("the item graph is not a path")
     return order
 
 
@@ -93,10 +95,10 @@ def prop_star(inst: Instance) -> SolveReport:
     scale L and 1/n is ``at_least(1/n, L)``, so the matchings run on ints.
     """
     g = inst.graph
-    if not classify(g).is_star:
-        raise InputError("the item graph is not a star")
     m, n = inst.item_count, inst.agent_count
     center = 0 if m <= 2 else max(range(m), key=g.degree)
+    if len(g.edges) != m - 1 or g.degree(center) != m - 1:  # an edge misses the center
+        raise InputError("the item graph is not a star")
     leaves = [v for v in range(m) if v != center]
 
     if n - 1 > len(leaves):
@@ -461,12 +463,12 @@ class Method:
 # Per problem, ``auto`` takes the first entry that applies.  Each ``run`` looks
 # its solver up by module attribute at call time, never through a captured
 # function object, so a wrapper installed on that attribute sees the call.
-# Greedy's ``applies`` compares rows with ``==`` and leaves the type partition
-# to the solver.
+# Greedy's ``applies`` compares grid rows, which are equal exactly when the
+# utility rows are, and leaves the type partition to the solver.
 METHODS = (
     Method("greedy", "prop",
            lambda cls, inst: cls.is_path
-           and all(row == inst.utilities[0] for row in inst.utilities),
+           and len(set(inst.grid[1])) == 1,
            lambda inst, budget: prop_path_greedy(inst),
            "greedy needs a path and identical agents"),
     Method("path-dp", "prop",

@@ -58,6 +58,19 @@ def subtree_of(view, v):
     return run
 
 
+def types_by_equality(inst):
+    """Each agent's type number from ``==`` on the Fraction rows, first seen first.
+
+    ``compute_type_partition`` groups the integer grid's rows instead; tests
+    keep this grouping as its reference.
+    """
+    seen = []
+    for row in inst.utilities:
+        if row not in seen:
+            seen.append(row)
+    return tuple(seen.index(row) for row in inst.utilities)
+
+
 def frac_row(numerators, denominator):
     return tuple(Fraction(x, denominator) for x in numerators)
 

@@ -19,6 +19,7 @@ from graphfair.generators import (
     PartitionInstance,
     RANDOM_CLASSES,
     X3cInstance,
+    _random_tree_edges,
     fixture_cycle8,
     gen_indepset_ef_star,
     gen_partition_bipartite,
@@ -206,6 +207,38 @@ def test_gen_random_classes():
             elif cls == "cycle":
                 assert flags.is_cycle
     assert len(gen_random(seed=1, cls="tree", m=7, n=2).graph.edges) == 6
+
+
+def random_tree_edges_reference(rng, m):
+    """Prüfer decoding with a sorted leaf list, popped from the front."""
+    if m == 1:
+        return ()
+    if m == 2:
+        return ((0, 1),)
+    seq = [rng.randrange(m) for _ in range(m - 2)]
+    degree = [1] * m
+    for v in seq:
+        degree[v] += 1
+    edges = []
+    leaves = sorted(v for v in range(m) if degree[v] == 1)
+    for v in seq:
+        edges.append((leaves.pop(0), v))
+        degree[v] -= 1
+        if degree[v] == 1:
+            lo = 0
+            while lo < len(leaves) and leaves[lo] < v:
+                lo += 1
+            leaves.insert(lo, v)
+    edges.append((leaves[0], leaves[1]))
+    return tuple(edges)
+
+
+def test_random_tree_edges_match_sorted_list_decoder():
+    for m in range(1, 201):
+        for seed in range(3):
+            rng, ref = random.Random(seed * 1000 + m), random.Random(seed * 1000 + m)
+            assert _random_tree_edges(rng, m) == random_tree_edges_reference(ref, m)
+            assert rng.random() == ref.random()  # the same draws were consumed
 
 
 def test_gen_random_is_solver_ready():

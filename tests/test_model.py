@@ -12,7 +12,14 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import DIFFERENTIAL, frac_row, mk, path_graph, random_row
+from conftest import (
+    DIFFERENTIAL,
+    frac_row,
+    mk,
+    path_graph,
+    random_row,
+    types_by_equality,
+)
 from graphfair import (
     Allocation,
     InputError,
@@ -88,9 +95,28 @@ def test_item_graph_rejects_str_endpoint():
         ItemGraph(("a", "b"), ((0, "1"),))
 
 
+def test_item_graph_rejects_missing_field():
+    for labels, edges in ((("a", "b"), None), (None, ((0, 1),))):
+        with pytest.raises(InputError, match="must be sequences"):
+            ItemGraph(labels, edges)
+
+
+def test_item_graph_rejects_non_str_label():
+    for labels in (("a", ("b",)), ("a", 1)):
+        with pytest.raises(InputError, match="must be strings"):
+            ItemGraph(labels, ())
+
+
 def test_instance_rejects_missing_row():
     with pytest.raises(InputError, match="not a sequence"):
         Instance(path_graph(2), ("a",), (None,))
+
+
+def test_instance_rejects_missing_field():
+    row = (Fraction(1, 2), Fraction(1, 2))
+    for names, rows in ((("a",), None), (None, (row,))):
+        with pytest.raises(InputError, match="must be sequences"):
+            Instance(path_graph(2), names, rows)
 
 
 def test_instance_rejects_unparsable_str_entry():
@@ -249,6 +275,20 @@ def test_compute_type_partition():
     assert compute_type_partition(distinct).type_count == 3
 
 
+def test_type_partition_matches_row_equality():
+    # Every row is rebuilt from a pool row as new Fraction objects, through an
+    # unreduced numerator and denominator, so equal rows are never one object.
+    rng = random.Random(1818)
+    for _ in range(600):
+        m, n = rng.randint(1, 6), rng.randint(1, 7)
+        pool = [random_row(rng, m, bound=rng.choice((1, 2, 9))) for _ in range(3)]
+        rows = []
+        for _ in range(n):
+            k = rng.randint(1, 5)
+            row = rng.choice(pool)
+            rows.append(tuple(Fraction(x.numerator * k, x.denominator * k) for x in row))
+        inst = Instance(path_graph(m), tuple(f"a{i}" for i in range(n)), tuple(rows))
+        assert compute_type_partition(inst).type_of_agent == types_by_equality(inst)
 def test_make_report_fields():
     inst = mk(path_graph(2), frac_row((1, 1), 2), frac_row((1, 1), 2))
     alloc = Allocation((frozenset({0}), frozenset({1})))

@@ -45,7 +45,7 @@ from graphfair.graphs import (
 from graphfair.model import at_least
 from graphfair.oracle import _mask_value, _minimal_candidates, _NodeCounter
 
-from conftest import DIFFERENTIAL, mk, path_graph, star_graph
+from conftest import DIFFERENTIAL, mk, path_graph, star_graph, types_by_equality
 
 
 def ef_complete_naive(inst):
@@ -240,6 +240,96 @@ def test_minimal_candidates_match_list_then_filter():
     assert {c for c, _, _ in seen} == set(RANDOM_CLASSES)
     assert max(m for _, m, _ in seen) == 12
     assert {n for _, _, n in seen} == {1, 2, 3, 4, 5}
+
+
+def search_thresholds_reference(inst, thresholds, budget):
+    """The pruned bundle search with its type rule kept in a saved dict.
+
+    Types come from ``==`` on the utility rows and each grows its candidates
+    at its first agent.  Same-type agents pick nonempty bundles at strictly
+    increasing candidate indices: ``last_pick_of_type`` is set before each
+    descent and restored after it.
+    """
+    g, n = inst.graph, inst.agent_count
+    counter = oracle._NodeCounter(budget.max_enumerated)
+    scales, weights = inst.grid
+    scaled = [at_least(t, scale) for t, scale in zip(thresholds, scales)]
+    type_of = types_by_equality(inst)
+    candidates = []
+    per_type_cache = {}
+    for a in range(n):
+        t = type_of[a]
+        if t not in per_type_cache:
+            per_type_cache[t] = _minimal_candidates(g, weights[a], scaled[a], counter)
+        candidates.append(per_type_cache[t])
+    last_pick_of_type = {}
+    chosen = []
+
+    def rec(i, used):
+        if i == n:
+            return list(chosen)
+        t = type_of[i]
+        for idx, mask in enumerate(candidates[i]):
+            if mask != 0 and idx <= last_pick_of_type.get(t, -1):
+                continue
+            if mask & used:
+                continue
+            counter.spend()
+            taken = used | mask
+            if any(all(c & taken for c in candidates[j]) for j in range(i + 1, n)):
+                continue
+            prev = last_pick_of_type.get(t)
+            if mask != 0:
+                last_pick_of_type[t] = idx
+            chosen.append(mask)
+            found = rec(i + 1, taken)
+            if found is not None:
+                return found
+            chosen.pop()
+            if mask != 0:
+                if prev is None:
+                    del last_pick_of_type[t]
+                else:
+                    last_pick_of_type[t] = prev
+        return None
+
+    return rec(0, 0)
+
+
+def test_type_floors_match_saved_dict_rule(monkeypatch):
+    # Type caps 1-3 make agents repeat rows; each type's threshold is 0, the
+    # proportional share 1/n, or a draw in [0, 1/n], so some types take the
+    # empty bundle and others need a bundle for every member.
+    counters = []
+
+    class Recorded(_NodeCounter):
+        def __init__(self, limit):
+            super().__init__(limit)
+            counters.append(self)
+
+    monkeypatch.setattr(oracle, "_NodeCounter", Recorded)
+    budget = OracleBudget()
+    rng = random.Random(181818)
+    shared_yes = 0
+    for trial in range(1200):
+        cls = RANDOM_CLASSES[trial % len(RANDOM_CLASSES)]
+        m = rng.randint(3 if cls == "cycle" else 1, 8)
+        n = rng.randint(1, 5)
+        inst = gen_random(seed=trial + 9000, cls=cls, m=m, n=n, types=rng.randint(1, 3))
+        type_of = types_by_equality(inst)
+        per_type = [
+            rng.choice((Fraction(0), Fraction(1, n), Fraction(rng.randint(0, 12), 12 * n)))
+            for _ in range(max(type_of) + 1)
+        ]
+        thresholds = [per_type[t] for t in type_of]
+        got = oracle._search_thresholds(inst, thresholds, budget, prune=True)
+        want = search_thresholds_reference(inst, thresholds, budget)
+        assert got == want, (trial, thresholds)
+        new, ref = counters[-2:]
+        assert new.left == ref.left, trial  # the same spend
+        if want is not None and len(set(type_of)) < n:
+            shared_yes += 1
+    assert shared_yes > 200
 
 
 @st.composite

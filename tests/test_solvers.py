@@ -26,6 +26,7 @@ from graphfair import (
     is_proportional,
     is_valid,
     oracle_ef_complete,
+    oracle_mms_values,
     oracle_prop,
     prop_path_greedy,
     prop_path_typed,
@@ -33,7 +34,7 @@ from graphfair import (
     prop_tree_fpt,
 )
 from graphfair.cli import build_parser
-from graphfair.generators import fixture_cycle8, gen_random
+from graphfair.generators import RANDOM_CLASSES, fixture_cycle8, gen_random
 from graphfair.graphs import classify
 from graphfair.model import (
     Allocation,
@@ -727,6 +728,88 @@ def test_dispatch_follows_method_table():
     sub = next(a for a in parser._actions if isinstance(a, argparse._SubParsersAction))
     method_flag = next(a for a in sub.choices["solve"]._actions if a.dest == "method")
     assert list(method_flag.choices) == ["auto", *dict.fromkeys(e.name for e in METHODS)]
+
+
+def path_walk_reference(g):
+    """The walk from the lower endpoint of a graph ``classify`` calls a path."""
+    m = g.vertex_count
+    if m == 1:
+        return [0]
+    start = min(v for v in range(m) if g.degree(v) == 1)
+    order, prev, cur = [start], -1, start
+    while len(order) < m:
+        nxt = [w for w in g.neighbors(cur) if w != prev][0]
+        order.append(nxt)
+        prev, cur = cur, nxt
+    return order
+
+
+def test_class_guards_agree_with_classify():
+    # Each guard tests its class without ``classify``: the path walk, the
+    # star's edge count and center degree, the oracle's connectivity test.
+    rng = random.Random(18181)
+    cases = []
+    for trial in range(400):
+        cls = RANDOM_CLASSES[trial % len(RANDOM_CLASSES)]
+        m = rng.randint(3 if cls == "cycle" else 1, 8)
+        inst = gen_random(seed=trial + 1800, cls=cls, m=m, n=rng.randint(1, min(m, 3)))
+        cases.append(inst)
+        edges = inst.graph.edges
+        if edges:  # a forest, or a connected graph with one edge fewer
+            drop = rng.randrange(len(edges))
+            graph = ItemGraph(inst.graph.labels, edges[:drop] + edges[drop + 1 :])
+            cases.append(Instance(graph, inst.agent_names, inst.utilities))
+    for graph in (
+        ItemGraph(tuple("abcde"), ((0, 1), (1, 2), (2, 3))),  # path and a last vertex
+        ItemGraph(tuple("abcde"), ((1, 2), (2, 3), (3, 4))),  # a first vertex and path
+        broom_graph(),
+        ItemGraph(tuple("abcdefg"), ((0, 1), (1, 2), (0, 3), (3, 4), (0, 5), (5, 6))),
+        ItemGraph(tuple("abcd"), ((0, 1), (1, 2), (2, 0), (2, 3))),  # a cycle and a tail
+    ):
+        row = (Fraction(1, graph.vertex_count),) * graph.vertex_count
+        cases.append(mk(graph, row, row))
+    outcomes = set()
+    for inst in cases:
+        flags = classify(inst.graph)
+        for guard, flag in (
+            (path_order, flags.is_path),
+            (prop_star, flags.is_star),
+            (oracle_mms_values, flags.is_connected),
+        ):
+            try:
+                out = guard(inst)
+            except InputError:
+                out = None
+            assert (out is not None) == flag, (guard.__name__, inst.graph)
+            outcomes.add((guard.__name__, flag))
+        if flags.is_path:
+            assert path_order(inst) == path_walk_reference(inst.graph)
+    assert len(outcomes) == 6
+
+
+def test_one_classify_per_dispatch(monkeypatch):
+    # bench/tracer.py counts ``graphs.classify`` through these three names.
+    calls = []
+    for module in (graphfair.solvers, graphfair.oracle, graphfair.mms_tree):
+        def counted(g, classify=module.classify):
+            calls.append(g)
+            return classify(g)
+
+        monkeypatch.setattr(module, "classify", counted)
+    uniform6 = ("1/6",) * 6
+    candidates = (
+        mk(path_graph(6), uniform6, uniform6),
+        mk(path_graph(6), ("1/2", "1/4", "1/8", "1/8", "0", "0"), uniform6),
+        mk(star_graph(5), uniform6, uniform6),
+        mk(broom_graph(), *(("1/5",) * 5,) * 3),
+        mk(cycle_graph(6), uniform6, uniform6),
+    )
+    for entry in METHODS:
+        inst = next(c for c in candidates if select_method(c, entry.problem) is entry)
+        for method in ("auto", entry.name):
+            calls.clear()
+            assert dispatch(inst, entry.problem, method).method == entry.name
+            assert len(calls) == 1, (entry.problem, entry.name, method)
 
 
 def test_dispatch_forwards_budget():
