@@ -10,16 +10,19 @@ at least q each sum to at most L; a sweep stops at its n-th cut and the
 search jumps to the least part of the split that cut completes.  Agents
 of one type share one search.
 
-The allocator is a last-diminisher loop: the lowest-indexed remaining agent
-walks the residual tree in postorder and takes the first subtree worth her
-quota, which is automatically inclusion-minimal among qualifying subtrees.
-Peeling minimal subtrees never destroys feasibility for the others, so with
-quotas set to the agents' maximin shares the loop always terminates with a
-full allocation.
+The allocator peels subtrees in one postorder sweep with the probe's idiom:
+each claimant, an agent not yet served whose quota is above 0, copies her
+row, and each vertex that nobody takes adds its total into its parent's
+slot.  At each vertex the first claimant, in agent order, whose total meets
+her quota takes the vertex's residual subtree, which is inclusion-minimal
+for every claimant.  Peeling minimal subtrees never destroys feasibility
+for the others, so with quotas set to the agents' maximin shares the peel
+always ends in a full allocation.  A vertex that satisfies nobody never
+does later, as claimants only leave and its subtree does not change, so
+the sweep looks at each vertex once.
 
 Shares and peel run on one view of the tree rooted at vertex 0 and on each
-agent's integer grid from ``Instance.grid``; each award is a contiguous run
-of the residual postorder, so no round roots the tree again.
+agent's integer grid from ``Instance.grid``.
 """
 
 from __future__ import annotations
@@ -38,6 +41,7 @@ from .model import (
     Instance,
     ItemGraph,
     SolveReport,
+    _as_fraction,
     at_least,
     compute_type_partition,
     make_report,
@@ -93,74 +97,73 @@ def allocate_with_quotas(
     are simultaneously satisfiable by no peeling order; with maximin-share
     quotas the call always succeeds.
 
-    Quota q goes onto its agent's grid of scale L as ``at_least(q, L)``.
-    Every award is a whole subtree of the residual, so the residual keeps
-    vertex 0 as its root until it is awarded whole, and its postorder is the
-    postorder of ``_rooted_tree`` with the awarded runs cut out.  A round
-    walks that list once, taking each subtree size from the children and
-    each claimant's subtree sum as a difference of her prefix sums.
+    Quotas are read as exact rationals; quota q goes onto its agent's grid
+    of scale L as ``at_least(q, L)``.  One postorder sweep looks at each
+    vertex once.  Each claimant, a remaining agent whose quota is above 0,
+    copies her row with a spare slot for the root's parent -1, and a vertex
+    nobody takes adds its total into its parent's slot, so her total at v
+    is v's subtree value in the residual.  The first claimant in agent order
+    whose total meets her quota takes that subtree: the last ``size[v]``
+    vertices swept and not yet awarded.  A vertex that fails fails for good,
+    since claimants only leave and its subtree does not change.  Before the
+    sweep and after each award, the call returns None if an agent values the
+    residual below her quota, the last agent takes the whole residual, and
+    the lowest agent steps aside with nothing if her quota is 0 or less.
     """
     view = _rooted_tree(inst.graph)
     n = inst.agent_count
+    try:
+        quotas = tuple(map(_as_fraction, quotas))
+    except TypeError:  # None or another non-iterable
+        raise InputError("quotas must be a sequence of rationals") from None
     if len(quotas) != n:
         raise InputError("one quota per agent is required")
     scales, rows = inst.grid
     need = [at_least(q, scale) for q, scale in zip(quotas, scales)]
-    left = [sum(row) for row in rows]  # each agent's value of the residual
-    children = view.children
-    post = list(view.postorder)  # the residual's postorder
-    bundles: list[frozenset[int]] = [frozenset()] * n
+    left = [sum(row) for row in rows]  # each claimant's value of the residual
+    claimants = [(j, need[j], [*rows[j], 0]) for j in range(n) if need[j] > 0]
+    size = [1] * inst.item_count + [0]  # residual subtree sizes
+    sweep = iter(view.postorder)
+    swept: list[int] = []  # swept and not yet awarded, in postorder
     remaining = list(range(n))
-    rounds: list[DiminisherRound] = []
-
+    awards: list[tuple[int, Optional[int], frozenset[int]]] = []
     while remaining:
-        for j in remaining:
-            if left[j] < need[j]:
-                return None
-        residual = frozenset(post)
-        if len(remaining) == 1:
-            i = remaining.pop()
-            rounds.append(DiminisherRound(i, None, residual, residual))
-            bundles[i] = residual
-            continue
+        # an agent who is no claimant needs 0 or less and cannot fall short
+        if any(left[j] < q for j, q, _ in claimants):
+            return None
         i = remaining[0]
+        if len(remaining) == 1:
+            awards.append((i, None, frozenset(swept).union(sweep)))
+            break
         if need[i] <= 0:
             # nothing to claim: step aside so agents still needing value
             # race for minimal subtrees undisturbed
-            remaining.pop(0)
-            rounds.append(DiminisherRound(i, None, frozenset(), residual))
+            awards.append((remaining.pop(0), None, frozenset()))
             continue
-        # The first postorder vertex whose subtree satisfies any claimant is
-        # an inclusion-minimal qualifying subtree for every one of them;
-        # awarding a non-minimal subtree could swallow the only piece some
-        # other agent can reach her quota with.
-        claimants = [(j, rows[j], need[j], [0]) for j in remaining if need[j] > 0]
-        size = [0] * inst.item_count  # residual subtree sizes
-        winner = -1
-        for pos, v in enumerate(post):
-            s = 1
-            for c in children[v]:
-                s += size[c]
-            size[v] = s
-            start = pos + 1 - s
-            for j, row, q, prefix in claimants:
-                total = prefix[-1] + row[v]
-                prefix.append(total)
-                if total - prefix[start] >= q:
-                    winner = j
-                    break
-            if winner >= 0:
+        # The first qualifying subtree is inclusion-minimal for every
+        # claimant, and the root qualifies: each values it at her quota.
+        for v in sweep:
+            swept.append(v)
+            k = next((k for k, (_, q, t) in enumerate(claimants) if t[v] >= q), -1)
+            if k >= 0:
                 break
-        assert winner >= 0  # the root qualifies
-        awarded = post[start : pos + 1]
-        del post[start : pos + 1]
-        for j in remaining:
-            left[j] -= sum(rows[j][u] for u in awarded)
-        bundles[winner] = frozenset(awarded)
-        rounds.append(DiminisherRound(winner, v, bundles[winner], residual))
+            u = view.parent[v]
+            for _, _, total in claimants:
+                total[u] += total[v]
+            size[u] += size[v]
+        winner = claimants.pop(k)[0]
+        for j, _, total in claimants:
+            left[j] -= total[v]
+        awards.append((winner, v, frozenset(swept[-size[v] :])))
+        del swept[-size[v] :]
         remaining.remove(winner)
-    trace = DiminisherTrace(tuple(Fraction(q) for q in quotas), tuple(rounds))
-    return Allocation(tuple(bundles)), trace
+    bundles, rounds = [frozenset()] * n, []
+    residual = frozenset(range(inst.item_count))
+    for i, v, awarded in awards:
+        bundles[i] = awarded
+        rounds.append(DiminisherRound(i, v, awarded, residual))
+        residual -= awarded
+    return Allocation(tuple(bundles)), DiminisherTrace(quotas, tuple(rounds))
 
 
 @lru_cache(maxsize=1)
@@ -199,6 +202,8 @@ def mms_value_tree(inst: Instance, agent: int) -> Fraction:
     """
     view = _rooted_tree(inst.graph)
     n = inst.agent_count
+    if not isinstance(agent, int):
+        raise InputError(f"agent index {agent!r} is not an int")
     if not 0 <= agent < n:
         raise InputError(f"agent {agent} outside 0..{n - 1}")
     if inst.item_count < n:

@@ -78,7 +78,7 @@ def _guard(inst: Instance, budget: Optional[OracleBudget]) -> OracleBudget:
     return b
 
 
-_EXHAUSTED = "oracle enumeration budget exhausted"
+_EXHAUSTED = "enumeration budget exhausted"
 
 
 class _NodeCounter:

@@ -2,14 +2,14 @@
 
 Each solver exploits one graph class: a matching formulation on stars, and
 on trees a subtree dynamic program that folds in one child at a time over
-subsets of agents, so it is exponential only in the number of agents; its
-witness walks back through the fold's own tables.  On paths with few agent
-types, proportionality is an earliest-end dynamic program over per-type
-piece counts (with identical agents, the greedy left-to-right sweep), and
-complete envy-freeness is one left-to-right pass that fixes each type's
-piece value at its first piece; its witness walks back through the pass's
-own states.  Every solver compares values on ``Instance.grid``, one integer
-grid per agent.
+subsets of agents, so it is exponential only in the number of agents and
+spends the oracle's work budget; its witness walks back through the fold's
+own tables.  On paths with few agent types, proportionality is an
+earliest-end dynamic program over per-type piece counts (with identical
+agents, the greedy left-to-right sweep), and complete envy-freeness is one
+left-to-right pass that fixes each type's piece value at its first piece;
+its witness walks back through the pass's own states.  Every solver
+compares values on ``Instance.grid``, one integer grid per agent.
 ``METHODS`` is the one routing table: ``dispatch`` runs the first entry that
 fits the instance, and the exhaustive oracle closes every problem's list.
 """
@@ -35,7 +35,14 @@ from .model import (
     compute_type_partition,
     make_report,
 )
-from .oracle import OracleBudget, oracle_ef_complete, oracle_mms_exists, oracle_prop
+from .oracle import (
+    DEFAULT_BUDGET,
+    OracleBudget,
+    _NodeCounter,
+    oracle_ef_complete,
+    oracle_mms_exists,
+    oracle_prop,
+)
 
 __all__ = [
     "Method",
@@ -246,7 +253,7 @@ def _submasks(mask: int) -> Iterator[int]:
     yield 0
 
 
-def _tree_dp_run(inst: Instance):
+def _tree_dp_run(inst: Instance, budget: Optional[OracleBudget] = None):
     """The subtree DP on the instance's integer grid; returns its tables.
 
     ``folds[v][i][-1][S]`` is the most agent i can keep in a connected bundle
@@ -267,6 +274,12 @@ def _tree_dp_run(inst: Instance):
     no set partition and no matching.  ``folds[v][i]`` lists i's table at v
     before the first child and after each child.  ``root_tree`` rejects a
     graph that is not a tree.
+
+    The DP spends the budget's ``max_enumerated`` (``DEFAULT_BUDGET``'s when
+    None) in bulk: each fold spends the 2^(n-1) entries of the child's
+    ``kept`` table before building it, and the 2^|others - A| sets T it
+    tries for each A whose entry exists before trying them.  Running out
+    raises ``BudgetExceeded``.
     """
     g = inst.graph
     n = inst.agent_count
@@ -275,6 +288,7 @@ def _tree_dp_run(inst: Instance):
     scales, grid = inst.grid
     share = [at_least(Fraction(1, n), scale) for scale in scales]
     folds: list[list] = [[None] * n for _ in range(g.vertex_count)]
+    counter = _NodeCounter((budget or DEFAULT_BUDGET).max_enumerated)
 
     def cell(z: int, i: int, T: int) -> Optional[tuple[int, int]]:
         if folds[z][i][-1][T] is not None:
@@ -292,6 +306,7 @@ def _tree_dp_run(inst: Instance):
             f[0] = grid[i][v]
             folds[v][i] = [f]
             for z in view.children[v]:
+                counter.spend(1 << (n - 1))  # the kept table's entries
                 kept = {
                     T: c[0] for T in _submasks(others) if (c := cell(z, i, T)) is not None
                 }
@@ -299,7 +314,9 @@ def _tree_dp_run(inst: Instance):
                 for A in _submasks(others):
                     if f[A] is None:
                         continue
-                    for T in _submasks(others & ~A):
+                    rest = others & ~A
+                    counter.spend(1 << rest.bit_count())  # the sets T tried
+                    for T in _submasks(rest):
                         if T in kept and (
                             folded[A | T] is None or f[A] + kept[T] > folded[A | T]
                         ):
@@ -309,7 +326,7 @@ def _tree_dp_run(inst: Instance):
     return view, folds, share, cell
 
 
-def prop_tree_fpt(inst: Instance) -> SolveReport:
+def prop_tree_fpt(inst: Instance, budget: Optional[OracleBudget] = None) -> SolveReport:
     """Proportionality on trees, exponential only in the number of agents.
 
     Runs ``_tree_dp_run`` on each agent's grid; the instance is a yes when
@@ -319,9 +336,10 @@ def prop_tree_fpt(inst: Instance) -> SolveReport:
     to first, and child z takes the agents T = S - A of the first A in
     ``_submasks(S)`` whose table entry before z plus ``cell(z, i, T)``'s
     kept value equals the entry for S after z, which is the pair the
-    fold kept.  ``cell`` names z's owner, and S shrinks to A.
+    fold kept.  ``cell`` names z's owner, and S shrinks to A.  The DP's work
+    is bounded by ``budget`` as ``_tree_dp_run`` says.
     """
-    view, folds, share, cell = _tree_dp_run(inst)
+    view, folds, share, cell = _tree_dp_run(inst, budget)
     n = inst.agent_count
     full = (1 << n) - 1
     kept = [folds[view.root][i][-1][full & ~(1 << i)] for i in range(n)]
@@ -481,7 +499,7 @@ METHODS = (
            "the star solver needs a star graph"),
     Method("tree-fpt", "prop",
            lambda cls, inst: cls.is_tree,
-           lambda inst, budget: prop_tree_fpt(inst),
+           lambda inst, budget: prop_tree_fpt(inst, budget),
            "the tree solver needs a tree graph"),
     Method("oracle", "prop", lambda cls, inst: True,
            lambda inst, budget: oracle_prop(inst, budget)),

@@ -25,7 +25,7 @@ from graphfair.cli import _mms_values
 from graphfair.generators import gen_random
 from graphfair.graphs import induced_subgraph, root_tree
 from graphfair.mms_tree import DiminisherRound, DiminisherTrace
-from graphfair.model import Instance
+from graphfair.model import Instance, at_least
 
 from conftest import (
     DIFFERENTIAL,
@@ -83,6 +83,31 @@ def test_allocate_input_errors():
         allocate_with_quotas(mk(cycle_graph(3), ("1/3",) * 3), (Fraction(1),))
     with pytest.raises(InputError):
         allocate_with_quotas(mk(path_graph(2), ("1/2", "1/2")), (Fraction(0), Fraction(0)))
+
+
+def test_allocate_rejects_float_quotas():
+    inst = mk(path_graph(2), ("1/2", "1/2"), ("1/2", "1/2"))
+    with pytest.raises(InputError):
+        allocate_with_quotas(inst, (0.5, 0.25))
+
+
+def test_allocate_reads_string_quotas_as_rationals():
+    inst = mk(path_graph(3), ("1/3", "1/3", "1/3"), ("1/3", "1/3", "1/3"))
+    alloc, trace = allocate_with_quotas(inst, ("1/3", "1/3"))
+    assert (alloc, trace) == allocate_with_quotas(inst, (Fraction(1, 3),) * 2)
+    assert trace.quotas == (Fraction(1, 3),) * 2
+
+
+def test_allocate_rejects_quotas_that_are_no_sequence():
+    inst = mk(path_graph(2), ("1/2", "1/2"), ("1/2", "1/2"))
+    with pytest.raises(InputError):
+        allocate_with_quotas(inst, None)
+
+
+def test_mms_value_rejects_an_agent_index_that_is_no_int():
+    inst = mk(path_graph(2), ("1/2", "1/2"), ("1/2", "1/2"))
+    with pytest.raises(InputError):
+        mms_value_tree(inst, 1.0)
 
 
 def test_zero_quotas_never_fail():
@@ -385,3 +410,108 @@ def test_peel_matches_fraction_reference():
             want = DiminisherTrace(tuple(quotas), tuple(rounds))
             assert trace.to_dict(inst.graph.labels) == want.to_dict(inst.graph.labels)
     assert checked == 450 and 0 < failed < checked
+
+
+def peel_by_rounds(inst, quotas):
+    """The round-based peel that the one-sweep peel replaced.
+
+    Every round checks the round-start rule, then walks the residual postorder
+    from its first vertex, each claimant summing subtrees as differences of
+    her prefix sums, and cuts the awarded run out of the list.
+    """
+    view = root_tree(inst.graph, 0)
+    n = inst.agent_count
+    scales, rows = inst.grid
+    need = [at_least(q, scale) for q, scale in zip(quotas, scales)]
+    left = [sum(row) for row in rows]
+    post = list(view.postorder)
+    bundles = [frozenset()] * n
+    remaining = list(range(n))
+    rounds = []
+    while remaining:
+        if any(left[j] < need[j] for j in remaining):
+            return None
+        residual = frozenset(post)
+        if len(remaining) == 1:
+            i = remaining.pop()
+            rounds.append(DiminisherRound(i, None, residual, residual))
+            bundles[i] = residual
+            continue
+        i = remaining[0]
+        if need[i] <= 0:
+            remaining.pop(0)
+            rounds.append(DiminisherRound(i, None, frozenset(), residual))
+            continue
+        claimants = [(j, rows[j], need[j], [0]) for j in remaining if need[j] > 0]
+        size = [0] * inst.item_count
+        winner = -1
+        for pos, v in enumerate(post):
+            size[v] = 1 + sum(size[c] for c in view.children[v])
+            start = pos + 1 - size[v]
+            for j, row, q, prefix in claimants:
+                prefix.append(prefix[-1] + row[v])
+                if prefix[-1] - prefix[start] >= q:
+                    winner = j
+                    break
+            if winner >= 0:
+                break
+        awarded = post[start : pos + 1]
+        del post[start : pos + 1]
+        for j in remaining:
+            left[j] -= sum(rows[j][u] for u in awarded)
+        bundles[winner] = frozenset(awarded)
+        rounds.append(DiminisherRound(winner, v, bundles[winner], residual))
+        remaining.remove(winner)
+    return bundles, DiminisherTrace(tuple(quotas), tuple(rounds))
+
+
+def assert_same_peel(inst, quotas):
+    """The sweep's bundles and trace equal the round-based peel's; True on None."""
+    expected = peel_by_rounds(inst, quotas)
+    out = allocate_with_quotas(inst, quotas)
+    if expected is None:
+        assert out is None, (inst, quotas)
+        return True
+    bundles, want = expected
+    alloc, trace = out
+    assert alloc.bundles == tuple(bundles), (inst, quotas)
+    labels = inst.graph.labels
+    assert trace.to_dict(labels) == want.to_dict(labels), (inst, quotas)
+    return False
+
+
+def test_sweep_matches_round_based_peel():
+    """One sweep awards what a round-by-round rescan of the residual awards.
+
+    Type caps of 1 and 2 give claimants equal rows, so ties between them
+    are decided by agent order in both peels.
+    """
+    rng = random.Random(1919)
+    checked = failed = tied = 0
+    for trial in range(2100):
+        cls = ("tree", "path", "star")[trial % 3]
+        m = rng.randint(1, 30)
+        n = rng.randint(1, min(6, m))
+        inst = gen_random(seed=trial + 19000, cls=cls, m=m, n=n,
+                          denom_bound=rng.choice((2, 3, 10, 30)),
+                          types=(None, 1, 2)[trial // 3 % 3])
+        tied += len(set(inst.grid[1])) < n
+        shares = mms_values_tree(inst)
+        for quotas in (
+            shares,
+            tuple(Fraction(0) if i % 2 else q for i, q in enumerate(shares)),
+            tuple(q + Fraction(1, 50) for q in shares),
+            (Fraction(0),) * n,
+        ):
+            failed += assert_same_peel(inst, quotas)
+            checked += 1
+    assert checked == 8400 and 0 < failed < checked
+    assert tied >= 900
+
+
+def test_sweep_matches_round_based_peel_on_a_large_tree():
+    inst = gen_random(seed=19, cls="tree", m=3000, n=60, types=3)
+    shares = mms_values_tree(inst)
+    assert not assert_same_peel(inst, shares)
+    assert not assert_same_peel(inst, tuple(Fraction(0) if i % 2 else q
+                                            for i, q in enumerate(shares)))

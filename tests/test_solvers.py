@@ -18,6 +18,7 @@ import graphfair
 from graphfair import (
     BudgetExceeded,
     InputError,
+    OracleBudget,
     bundle_value,
     dispatch,
     ef_path_typed,
@@ -405,6 +406,14 @@ def test_tree_fpt_star_with_one_usable_root_partition():
     assert rep.decision
     assert is_valid(inst, rep.witness)
     assert is_proportional(inst, rep.witness)
+
+
+def test_tree_fpt_spends_the_work_budget():
+    inst = gen_random(seed=4, cls="tree", m=10, n=6)
+    assert select_method(inst, "prop").name == "tree-fpt"
+    assert dispatch(inst, "prop").method == "tree-fpt"
+    with pytest.raises(BudgetExceeded):
+        dispatch(inst, "prop", budget=OracleBudget(max_enumerated=100))
 
 
 def test_tree_fpt_leaves_no_reference_cycles():
