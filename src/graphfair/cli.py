@@ -42,7 +42,7 @@ from .model import (
     is_proportional,
     is_valid,
 )
-from .oracle import DEFAULT_BUDGET, OracleBudget, oracle_mms_values
+from .oracle import OracleBudget, oracle_mms_values
 from .serialize import (
     allocation_from_dict,
     allocation_to_dict,
@@ -87,6 +87,8 @@ def build_parser() -> argparse.ArgumentParser:
                        help="oracle refuses instances with more items")
         p.add_argument("--max-agents", type=int, default=None,
                        help="oracle refuses instances with more agents")
+        p.add_argument("--max-enumerated", type=int, default=None,
+                       help="work units the oracle and the tree DP may spend")
 
     p_solve = sub.add_parser("solve", help="decide a fairness problem")
     add_io(p_solve)
@@ -161,12 +163,12 @@ def _read_json(path: str, parse: Callable[[str], T]) -> T:
 
 
 def _budget(args: argparse.Namespace) -> Optional[OracleBudget]:
-    if args.max_items is None and args.max_agents is None:
-        return None
-    return OracleBudget(
-        max_items=args.max_items if args.max_items is not None else DEFAULT_BUDGET.max_items,
-        max_agents=args.max_agents if args.max_agents is not None else DEFAULT_BUDGET.max_agents,
-    )
+    given = {
+        name: getattr(args, name)
+        for name in ("max_items", "max_agents", "max_enumerated")
+        if getattr(args, name) is not None
+    }
+    return OracleBudget(**given) if given else None
 
 
 def _emit(doc: dict, output: Optional[str]) -> None:

@@ -10,22 +10,30 @@ All scans run on ``Instance.grid``, one integer grid per agent, with each
 threshold put on its agent's grid by ``model.at_least``.  A bundle search
 grows connected sets once per agent type, carrying each set's value down
 the growth, and stops growing a set as soon as it meets the threshold, since
-its supersets hold no other minimal bundle; a partition scan keeps a
-part-value table, so each part's value for every row is summed once, the
-first time the part appears, and a partition costs only lookups and int
-comparisons.  Partitions arrive as tuples of part bitmasks, and the
-part-value table is keyed by mask; masks become frozensets only in a witness.
+its supersets hold no other minimal bundle; one DFS then packs pairwise
+disjoint bundles, one per agent.
+
+Maximin shares need no partition scan: on a connected graph, an agent's
+share is at least x exactly when n disjoint connected bundles each worth at
+least x to her exist, so a bisection over her connected-set values asks the
+same DFS, with n agents of her type.  The envy-free decision alone scans
+partitions; it keeps a part-value table, so each part's value for every row
+is summed once, the first time the part appears, and a partition costs only
+lookups and int comparisons.  Partitions arrive as tuples of part bitmasks,
+and the part-value table is keyed by mask; masks become frozensets only in a
+witness.
 """
 
 from __future__ import annotations
 
+from bisect import bisect_right
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable, Optional, Sequence
 
 from .graphs import _mask_bits, connected_set_masks, mask_is_connected
 # ``classify`` stays bound here because bench/tracer.py wraps ``oracle.classify``;
-# ``oracle_mms_values`` tests connectivity with ``mask_is_connected``.
+# ``mms_values_raw`` tests connectivity with ``mask_is_connected``.
 from .graphs import classify  # noqa: F401
 # bench/tracer.py wraps this name for its graphs.partitions span.
 from .graphs import connected_partition_masks as enumerate_connected_partitions
@@ -98,6 +106,7 @@ def _minimal_candidates(
     weights: Sequence[int],
     threshold: int,
     counter: _NodeCounter,
+    below: Optional[set[int]] = None,
 ) -> list[int]:
     """Minimal connected bundles meeting the threshold, as bitmasks.
 
@@ -109,6 +118,9 @@ def _minimal_candidates(
     connected-preserving removal still qualifies; with nonnegative utilities
     that test is equivalent to having no qualifying connected proper subset
     at all.  Every set the growth reaches spends one unit of ``counter``.
+    Given a set ``below``, the growth instead adds to it the value of every
+    connected set worth less than the threshold, since it reaches them all,
+    and returns no bundles.
     """
     if threshold <= 0:
         return [0]
@@ -130,14 +142,22 @@ def _minimal_candidates(
             v = w.bit_length() - 1
             bundle, value = s | w, total + weights[v]
             if value < threshold:
+                if below is not None:
+                    below.add(value)
                 grow(bundle, value, (frontier | nbr[v]) & avail, avail)
-                continue
-            for u in _mask_bits(bundle):
-                smaller = bundle & ~(1 << u)
-                if value - weights[u] >= threshold and mask_is_connected(g, smaller):
-                    break
-            else:
-                out.append(bundle)
+            elif below is None:
+                # dropping v leaves s, below the threshold; drop only the rest
+                slack = value - threshold
+                rest = s
+                while rest:
+                    u = rest & -rest
+                    rest &= rest - 1
+                    if weights[u.bit_length() - 1] <= slack and mask_is_connected(
+                        g, bundle & ~u
+                    ):
+                        break
+                else:
+                    out.append(bundle)
 
     full = (1 << g.vertex_count) - 1
     for root in range(g.vertex_count):
@@ -189,26 +209,44 @@ def _search_thresholds(
     # spends once per set it reaches.
     firsts = [members[0] for members in types.members]
     per_type = [_minimal_candidates(g, weights[a], scaled[a], counter) for a in firsts]
-    candidates = [per_type[t] for t in types.type_of_agent]
+    return _pack(per_type, types.type_of_agent, counter)
+
+
+def _pack(
+    candidates: Sequence[list[int]],
+    type_of_agent: Sequence[int],
+    counter: _NodeCounter,
+) -> Optional[list[int]]:
+    """First pick of pairwise disjoint bundles, one per agent, in DFS order.
+
+    Agent i picks from ``candidates[type_of_agent[i]]``.  Same-type agents
+    are interchangeable, so their nonempty picks run strictly up their
+    type's list.  Every pick spends one unit of ``counter``; after it, each
+    distinct list of the later agents must still hold a bundle disjoint from
+    the picks so far (forward checking).
+    """
+    n = len(type_of_agent)
+    later = [
+        [candidates[t] for t in dict.fromkeys(type_of_agent[i + 1 :])]
+        for i in range(n)
+    ]
 
     def rec(i: int, used: int, floors: tuple[int, ...]) -> Optional[list[int]]:
-        # Same-type agents are interchangeable, so their nonempty picks run
-        # strictly up each type's candidate list: ``floors[t]`` is the first
-        # index type t may still take.  A list holding the empty bundle holds
-        # nothing else, so its floor stays 0 and the empty bundle is shared.
+        # ``floors[t]`` is the first index type t may still take.  A list
+        # holding the empty bundle holds nothing else, so its floor stays 0
+        # and the empty bundle is shared.
         if i == n:
             return []
-        t = types.type_of_agent[i]
-        cand = candidates[i]
+        t = type_of_agent[i]
+        cand = candidates[t]
         for idx in range(floors[t], len(cand)):
             mask = cand[idx]
             if mask & used:
                 continue
             counter.spend()
             taken = used | mask
-            # forward check: every later agent still needs a disjoint candidate
-            for j in range(i + 1, n):
-                if all(c & taken for c in candidates[j]):
+            for rest in later[i]:
+                if all(c & taken for c in rest):
                     break
             else:
                 below = floors[:t] + (idx + 1,) + floors[t + 1 :] if mask else floors
@@ -217,7 +255,7 @@ def _search_thresholds(
                     return [mask, *found]
         return None
 
-    return rec(0, 0, (0,) * types.type_count)
+    return rec(0, 0, (0,) * len(candidates))
 
 
 def _mask_value(weights: Sequence[int], mask: int) -> int:
@@ -254,10 +292,8 @@ def oracle_prop(
 def oracle_mms_values(
     inst: Instance, budget: Optional[OracleBudget] = None
 ) -> tuple[Fraction, ...]:
-    """Each agent's maximin share over connected n-partitions, by enumeration."""
+    """Each agent's maximin share over connected n-partitions, by packing search."""
     b = _guard(inst, budget)
-    if not mask_is_connected(inst.graph, (1 << inst.item_count) - 1):
-        raise InputError("maximin shares are defined on connected item graphs only")
     if inst.item_count < inst.agent_count:
         raise InputError("maximin shares need at least as many items as agents")
     values = mms_values_raw(
@@ -274,36 +310,66 @@ def mms_values_raw(
     parts: int,
     node_limit: int = DEFAULT_BUDGET.max_enumerated,
 ) -> tuple[Fraction, ...]:
-    """Max-over-partitions min-part value for arbitrary nonnegative rows.
+    """Max-over-partitions min-part value for nonnegative rows on a connected graph.
 
     Shared by the oracle proper and by trace replays on residual subtrees,
     where utility rows no longer sum to 1.  Each row is scaled once to its
-    own integer grid; each part's values go into a part-value table the
-    first time the part appears, so a partition costs one lookup per part
-    and the running best per row stays an int until the end.  Every
-    partition spends one unit of ``node_limit``.
+    own integer grid, and each distinct grid row is searched once.
+
+    On a connected graph a row's share is at least x exactly when ``parts``
+    pairwise disjoint connected bundles each worth at least x exist: the
+    items left over form components, each touches some bundle, and merging
+    it into that bundle lowers no value.  So the share is 0 or the value of
+    a connected set in (0, L // parts], L being the row's total.  One growth
+    collects those values, and a bisection over them packs ``parts`` minimal
+    bundles at each probed value with the bundle search's DFS; a probe that
+    succeeds moves the bisection past the smallest value it picked.  Every
+    set a growth reaches and every pick spends one unit of ``node_limit``.
 
     >>> from graphfair.graphs import ItemGraph
     >>> path = ItemGraph(("a", "b", "c"), ((0, 1), (1, 2)))
     >>> mms_values_raw(path, [(Fraction(1, 2), Fraction(1, 4), Fraction(1, 4))], 2)
     (Fraction(1, 2),)
     """
-    counter = _NodeCounter(node_limit)
-    scales, grid = integer_grid(weight_rows)
-    table: dict[int, tuple[int, ...]] = {}
-    best: Optional[list[int]] = None
-    for partition in enumerate_connected_partitions(g, parts):
-        counter.spend()
-        values = [_part_values(table, grid, part) for part in partition]
-        worst = map(min, zip(*values))
-        best = list(worst) if best is None else list(map(max, best, worst))
-    if best is None:
+    if parts < 1:
+        raise InputError("part count must be at least 1")
+    if not mask_is_connected(g, (1 << g.vertex_count) - 1):
+        raise InputError("maximin shares are defined on connected item graphs only")
+    if parts > g.vertex_count:
         if weight_rows:
             raise InputError(
                 f"the graph admits no partition into {parts} connected parts"
             )
         return ()
-    return tuple(Fraction(v, scale) for v, scale in zip(best, scales))
+    counter = _NodeCounter(node_limit)
+    scales, grid = integer_grid(weight_rows)
+    shares: dict[tuple[int, ...], int] = {}
+    for row in grid:
+        if row not in shares:
+            shares[row] = _share(g, row, parts, counter)
+    return tuple(Fraction(shares[row], scale) for row, scale in zip(grid, scales))
+
+
+def _share(
+    g: ItemGraph, weights: Sequence[int], parts: int, counter: _NodeCounter
+) -> int:
+    """One grid row's maximin share, by bisection over its connected-set values."""
+    reached: set[int] = set()
+    _minimal_candidates(g, weights, sum(weights) // parts + 1, counter, reached)
+    values = sorted(reached - {0})
+    one_type = (0,) * parts
+    best = 0
+    lo, hi = 0, len(values) - 1
+    while lo <= hi:
+        mid = (lo + hi) // 2
+        bundles = _minimal_candidates(g, weights, values[mid], counter)
+        picked = _pack([bundles], one_type, counter)
+        if picked is None:
+            hi = mid - 1
+        else:
+            best = min(_mask_value(weights, mask) for mask in picked)
+            lo = bisect_right(values, best)
+    return best
 
 
 def _part_values(

@@ -80,6 +80,15 @@ def test_solve_budget_exceeded_and_override(capsys, tmp_path):
     assert json.loads(out)["decision"] == "no"
 
 
+def test_solve_max_enumerated(capsys, cycle8_file):
+    code, _, err = run(
+        capsys, ["solve", "--problem", "mms", "--max-enumerated", "1", cycle8_file]
+    )
+    assert code == 3 and "budget" in err
+    code, out, _ = run(capsys, ["solve", "--problem", "mms", cycle8_file])
+    assert code == 1 and json.loads(out)["decision"] == "no"
+
+
 def test_solve_input_quirks(capsys, tmp_path):
     f = write_instance(tmp_path, mk(path_graph(2), ("1/2", "1/2")))
     code, _, err = run(capsys, ["solve", "--problem", "prop", f, "--input", f])

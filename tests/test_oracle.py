@@ -38,11 +38,12 @@ from graphfair.generators import (
 from graphfair.graphs import (
     _mask_bits,
     classify,
+    connected_partition_masks,
     connected_set_masks,
     enumerate_connected_partitions,
     mask_is_connected,
 )
-from graphfair.model import at_least
+from graphfair.model import at_least, integer_grid
 from graphfair.oracle import _mask_value, _minimal_candidates, _NodeCounter
 
 from conftest import DIFFERENTIAL, mk, path_graph, star_graph, types_by_equality
@@ -165,11 +166,127 @@ def test_mms_values_raw_matches_fraction_reference():
             mms_values_raw(inst.graph, rows, m + 1)
 
 
+def mms_values_scan(g, rows, parts):
+    """The partition scan the packing search replaced, kept as the reference.
+
+    Every connected ``parts``-partition's min-part value per grid row, with
+    each part's values summed once into a table keyed by mask; ``parts`` is
+    at most the vertex count.
+    """
+    scales, grid = integer_grid(rows)
+    table = {}
+    best = None
+    for partition in connected_partition_masks(g, parts):
+        values = []
+        for part in partition:
+            if part not in table:
+                table[part] = tuple(_mask_value(row, part) for row in grid)
+            values.append(table[part])
+        worst = map(min, zip(*values))
+        best = list(worst) if best is None else list(map(max, best, worst))
+    return tuple(Fraction(v, scale) for v, scale in zip(best, scales))
+
+
+def test_share_search_matches_partition_scan(monkeypatch):
+    """The packing search gives the scan's shares and never probes a decided value.
+
+    Each probe is recorded with its outcome.  A probe must lie above the
+    best share known so far for its grid row (the smallest value picked by
+    the row's last probe that succeeded), below every value that failed, and
+    at most L // parts; so a row searched twice fails the test too.
+    """
+    probes = []
+    grow, pack = oracle._minimal_candidates, oracle._pack
+
+    def recorded_growth(g, weights, threshold, counter, below=None):
+        if below is None:
+            probes.append([weights, threshold, None])
+        return grow(g, weights, threshold, counter, below)
+
+    def recorded_pack(candidates, type_of_agent, counter):
+        picked = pack(candidates, type_of_agent, counter)
+        probes[-1][2] = picked
+        return picked
+
+    monkeypatch.setattr(oracle, "_minimal_candidates", recorded_growth)
+    monkeypatch.setattr(oracle, "_pack", recorded_pack)
+    rng = random.Random(202020)
+    seen = set()
+    for trial in range(2000):
+        cls = RANDOM_CLASSES[trial % len(RANDOM_CLASSES)]
+        m = rng.randint(3 if cls == "cycle" else 1, 9)
+        parts = rng.randint(1, min(m, 5))
+        inst = gen_random(seed=trial + 11000, cls=cls, m=m, n=2,
+                          denom_bound=rng.choice((2, 3, 10)))
+        seen.add((cls, m, parts))
+        rows = (
+            inst.utilities[0],
+            # residual-style rows: scaled, so they no longer sum to 1
+            tuple(x * rng.randint(1, 5) / 7 for x in inst.utilities[1]),
+            tuple(rng.randint(0, 9) for _ in range(m)),  # plain ints
+            (0,) * m,
+            inst.utilities[0],
+        )
+        probes.clear()
+        values = mms_values_raw(inst.graph, rows, parts)
+        assert values == mms_values_scan(inst.graph, rows, parts), (trial, inst)
+        scales, grid = integer_grid(rows)
+        known = {}  # grid row -> [best share so far, least failed value]
+        for weights, x, picked in probes:
+            best, failed = known.setdefault(weights, [0, None])
+            assert best < x <= sum(weights) // parts, (trial, weights, x)
+            assert failed is None or x < failed, (trial, weights, x)
+            if picked is None:
+                known[weights][1] = x
+            else:
+                assert len(picked) == parts
+                known[weights][0] = min(_mask_value(weights, mask) for mask in picked)
+        for row, scale, value in zip(grid, scales, values):
+            assert known.get(row, [0])[0] == value * scale
+    assert {c for c, _, _ in seen} == set(RANDOM_CLASSES)
+    assert {m for _, m, _ in seen} == set(range(1, 10))
+    assert {p for _, _, p in seen} == {1, 2, 3, 4, 5}
+
+
+@st.composite
+def connected_weighted_graphs(draw, max_items):
+    """Any connected graph on up to ``max_items`` vertices, int rows 0-9 and a part count.
+
+    A spanning tree comes from a parent for each vertex after the first;
+    any other pair may be an edge too.
+    """
+    m = draw(st.integers(1, max_items))
+    tree = {(draw(st.integers(0, v - 1)), v) for v in range(1, m)}
+    pairs = [(a, b) for a in range(m) for b in range(a + 1, m) if (a, b) not in tree]
+    edges = tuple(sorted(tree)) + tuple(e for e in pairs if draw(st.booleans()))
+    graph = ItemGraph(tuple(f"v{i + 1}" for i in range(m)), edges)
+    row = st.lists(st.integers(0, 9), min_size=m, max_size=m).map(tuple)
+    rows = draw(st.lists(row, min_size=1, max_size=3))
+    return graph, rows, draw(st.integers(1, m))
+
+
+@settings(DIFFERENTIAL, max_examples=300)
+@given(connected_weighted_graphs(max_items=9))
+def test_share_search_matches_partition_scan_on_any_connected_graph(case):
+    g, rows, parts = case
+    assert mms_values_raw(g, rows, parts) == mms_values_scan(g, rows, parts)
+
+
+def test_mms_values_twelve_items_four_agents():
+    # the partition scan gives these values too, in about a second
+    inst = gen_random(seed=0, cls="connected", m=12, n=4)
+    assert not classify(inst.graph).is_tree
+    values = oracle_mms_values(inst, OracleBudget(max_items=12))
+    assert values == (
+        Fraction(474, 1973), Fraction(34, 189), Fraction(1575, 7687), Fraction(95, 403)
+    )
+
+
 # Smallest enumeration budgets that let each search finish; a change to the
 # search order or to what it counts moves them.
 @pytest.mark.parametrize("make, prop_least, mms_least, decision", [
-    (fixture_cycle8, 59, 70, False),
-    (lambda: gen_random(seed=1, cls="connected", m=8, n=3), 280, 438, True),
+    (fixture_cycle8, 59, 161, False),
+    (lambda: gen_random(seed=1, cls="connected", m=8, n=3), 280, 1542, True),
 ], ids=["cycle8", "connected-seed1"])
 def test_oracle_budget_spend_is_pinned(make, prop_least, mms_least, decision):
     inst = make()
@@ -516,13 +633,14 @@ def test_mms_values_never_exceed_share():
 
 
 def test_scans_go_through_the_traced_name(monkeypatch):
-    """Both partition scans read ``oracle.enumerate_connected_partitions``.
+    """The ef partition scan reads ``oracle.enumerate_connected_partitions``.
 
     That binding is the one bench/tracer.py wraps for its partition span, so
     a scan that called the stream under another name would drop the span.
     Each instance below has no envy-free complete allocation, so the ef scan
     reads the whole stream; the cycle takes the generic route, the tree the
-    tree route.
+    tree route.  Maximin shares come from the packing search and scan no
+    partitions at all.
     """
     calls = []
     stream = oracle.enumerate_connected_partitions
@@ -541,7 +659,7 @@ def test_scans_go_through_the_traced_name(monkeypatch):
         for name, inst in (("cycle", cycle), ("tree", tree))
     }
     oracle_mms_values(cycle)
-    assert calls == [count["cycle"]]
+    assert calls == []
     for name, inst in (("cycle", cycle), ("tree", tree)):
         calls.clear()
         assert not oracle_ef_complete(inst).decision
