@@ -171,11 +171,12 @@ def _search_thresholds(
     thresholds: Sequence[Fraction],
     budget: OracleBudget,
     prune: bool,
+    counter: Optional[_NodeCounter] = None,
 ) -> Optional[list[int]]:
     """First assignment (in deterministic DFS order) meeting all thresholds."""
     g = inst.graph
     n = inst.agent_count
-    counter = _NodeCounter(budget.max_enumerated)
+    counter = counter or _NodeCounter(budget.max_enumerated)
     scales, weights = inst.grid
     scaled = [at_least(t, scale) for t, scale in zip(thresholds, scales)]
 
@@ -290,14 +291,16 @@ def oracle_prop(
 
 
 def oracle_mms_values(
-    inst: Instance, budget: Optional[OracleBudget] = None
+    inst: Instance,
+    budget: Optional[OracleBudget] = None,
+    counter: Optional[_NodeCounter] = None,
 ) -> tuple[Fraction, ...]:
     """Each agent's maximin share over connected n-partitions, by packing search."""
     b = _guard(inst, budget)
     if inst.item_count < inst.agent_count:
         raise InputError("maximin shares need at least as many items as agents")
     values = mms_values_raw(
-        inst.graph, inst.utilities, inst.agent_count, b.max_enumerated
+        inst.graph, inst.utilities, inst.agent_count, b.max_enumerated, counter
     )
     share = Fraction(1, inst.agent_count)
     assert all(v <= share for v in values), "maximin share above 1/n is impossible"
@@ -309,6 +312,7 @@ def mms_values_raw(
     weight_rows: Sequence[Sequence[Fraction]],
     parts: int,
     node_limit: int = DEFAULT_BUDGET.max_enumerated,
+    counter: Optional[_NodeCounter] = None,
 ) -> tuple[Fraction, ...]:
     """Max-over-partitions min-part value for nonnegative rows on a connected graph.
 
@@ -324,7 +328,8 @@ def mms_values_raw(
     collects those values, and a bisection over them packs ``parts`` minimal
     bundles at each probed value with the bundle search's DFS; a probe that
     succeeds moves the bisection past the smallest value it picked.  Every
-    set a growth reaches and every pick spends one unit of ``node_limit``.
+    set a growth reaches and every pick spends one unit of ``counter``
+    (a caller's, which meters more than this search), else of ``node_limit``.
 
     >>> from graphfair.graphs import ItemGraph
     >>> path = ItemGraph(("a", "b", "c"), ((0, 1), (1, 2)))
@@ -341,7 +346,7 @@ def mms_values_raw(
                 f"the graph admits no partition into {parts} connected parts"
             )
         return ()
-    counter = _NodeCounter(node_limit)
+    counter = counter or _NodeCounter(node_limit)
     scales, grid = integer_grid(weight_rows)
     shares: dict[tuple[int, ...], int] = {}
     for row in grid:
@@ -389,8 +394,9 @@ def oracle_mms_exists(
 ) -> SolveReport:
     """Exhaustive decision: does an allocation meeting every maximin share exist?"""
     b = _guard(inst, budget)
-    values = oracle_mms_values(inst, b)
-    masks = _search_thresholds(inst, list(values), b, prune)
+    counter = _NodeCounter(b.max_enumerated)  # one bound for shares and bundles
+    values = oracle_mms_values(inst, b, counter)
+    masks = _search_thresholds(inst, list(values), b, prune, counter)
     witness = None if masks is None else _masks_to_allocation(masks)
     return make_report(inst, "oracle", witness, quotas=values)
 

@@ -2,14 +2,16 @@
 
 Each solver exploits one graph class: a matching formulation on stars, and
 on trees a subtree dynamic program that folds in one child at a time over
-subsets of agents, so it is exponential only in the number of agents and
-spends the oracle's work budget; its witness walks back through the fold's
-own tables.  On paths with few agent types, proportionality is an
-earliest-end dynamic program over per-type piece counts (with identical
-agents, the greedy left-to-right sweep), and complete envy-freeness is one
-left-to-right pass that fixes each type's piece value at its first piece;
-its witness walks back through the pass's own states.  Every solver
-compares values on ``Instance.grid``, one integer grid per agent.
+subsets of agents, reading the child's entries from a list indexed by agent
+set and its owner from one table per vertex; it is exponential only in the
+number of agents, spends the oracle's work budget, and its witness walks
+back through the fold's own tables.  On paths with few agent types,
+proportionality is an earliest-end dynamic program over per-type piece
+counts (with identical agents, the greedy left-to-right sweep), and
+complete envy-freeness is one left-to-right pass that fixes each type's
+piece value at its first piece; its witness walks back through the pass's
+own states.  Every solver compares values on ``Instance.grid``, one
+integer grid per agent.
 ``METHODS`` is the one routing table: ``dispatch`` runs the first entry that
 fits the instance, and the exhaustive oracle closes every problem's list.
 """
@@ -21,10 +23,10 @@ from bisect import bisect_left
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import accumulate
-from typing import Callable, Iterator, Optional
+from typing import Callable, Optional
 
 from . import mms_tree
-from .graphs import GraphClass, _mask_bits, classify, root_tree
+from .graphs import GraphClass, classify, root_tree
 from .matching import solve_matching
 from .model import (
     Allocation,
@@ -244,15 +246,6 @@ def _earliest_end_tiling(inst, types) -> Optional[Allocation]:
 # trees
 
 
-def _submasks(mask: int) -> Iterator[int]:
-    """Every submask of ``mask``, from ``mask`` itself down to 0."""
-    sub = mask
-    while sub:
-        yield sub
-        sub = (sub - 1) & mask
-    yield 0
-
-
 def _tree_dp_run(inst: Instance, budget: Optional[OracleBudget] = None):
     """The subtree DP on the instance's integer grid; returns its tables.
 
@@ -261,17 +254,19 @@ def _tree_dp_run(inst: Instance, budget: Optional[OracleBudget] = None):
     bitmask S (which never holds i) gets a connected bundle there worth at
     least 1/n to her; None when no such split exists.  Entries are ints on
     agent i's grid from ``Instance.grid``: her utilities times her scale L,
-    where 1/n is ``share[i] = at_least(1/n, L)``.
+    where 1/n is ``share[i] = at_least(1/n, L)``.  ``owner[v][T]`` is the
+    lowest j in T who can own v's subtree while serving the rest of T, or
+    None; no asking agent changes it, so it is filled once per vertex.
 
-    ``cell(z, i, T)`` is ``(kept, owner)`` for a child z whose subtree serves
-    the agents in T: i extends into z and keeps ``folds[z][i][-1][T]`` (all of
-    z's subtree when T is empty) if that entry exists; otherwise the lowest
-    j in T who can own z's subtree while serving the rest of T takes it and
-    i keeps 0; None when neither works.  The children are folded in one at
-    a time: from ``f[0]``, i's value for v alone, each child z turns
-    ``f[S]`` into the best ``f[S - T] + kept`` over T ⊆ S, keeping the first
-    best in the order S - T descending.  That is O(m·n·3^(n-1)) steps, with
-    no set partition and no matching.  ``folds[v][i]`` lists i's table at v
+    A child z whose subtree serves the agents in T leaves i ``kept[T]``:
+    ``folds[z][i][-1][T]`` if that entry exists (all of z's subtree when T is
+    empty), else 0 when ``owner[z][T]`` takes z, else nothing.  ``kept`` is a
+    list indexed by T, built in one pass, and ``cell(z, i, T)`` reads it back
+    as ``(kept, owner)``, or None.  The children are folded in one at a
+    time: from ``f[0]``, i's value for v alone, each child z turns ``f[S]``
+    into the best ``f[S - T] + kept[T]`` over T ⊆ S, keeping the first best
+    in the order S - T descending.  That is O(m·n·3^(n-1)) steps, with no
+    set partition and no matching.  ``folds[v][i]`` lists i's table at v
     before the first child and after each child.  ``root_tree`` rejects a
     graph that is not a tree.
 
@@ -281,89 +276,88 @@ def _tree_dp_run(inst: Instance, budget: Optional[OracleBudget] = None):
     tries for each A whose entry exists before trying them.  Running out
     raises ``BudgetExceeded``.
     """
-    g = inst.graph
-    n = inst.agent_count
+    m, n = inst.item_count, inst.agent_count
     full = (1 << n) - 1
-    view = root_tree(g, 0)
+    view = root_tree(inst.graph, 0)
     scales, grid = inst.grid
     share = [at_least(Fraction(1, n), scale) for scale in scales]
-    folds: list[list] = [[None] * n for _ in range(g.vertex_count)]
+    folds: list[list] = [[None] * n for _ in range(m)]
+    owner: list = [None] * m
     counter = _NodeCounter((budget or DEFAULT_BUDGET).max_enumerated)
 
     def cell(z: int, i: int, T: int) -> Optional[tuple[int, int]]:
-        if folds[z][i][-1][T] is not None:
-            return folds[z][i][-1][T], i
-        for j in _mask_bits(T):
-            sub = folds[z][j][-1][T & ~(1 << j)]
-            if sub is not None and sub >= share[j]:
-                return 0, j
-        return None
+        if (kept := folds[z][i][-1][T]) is not None:
+            return kept, i
+        return None if owner[z][T] is None else (0, owner[z][T])
 
     for v in view.postorder:
         for i in range(n):
             others = full & ~(1 << i)
-            f: list[Optional[int]] = [None] * (full + 1)
-            f[0] = grid[i][v]
+            f: list[Optional[int]] = [grid[i][v]] + [None] * full
             folds[v][i] = [f]
             for z in view.children[v]:
                 counter.spend(1 << (n - 1))  # the kept table's entries
-                kept = {
-                    T: c[0] for T in _submasks(others) if (c := cell(z, i, T)) is not None
-                }
+                kept = [k if k is not None or j is None else 0
+                        for k, j in zip(folds[z][i][-1], owner[z])]
                 folded: list[Optional[int]] = [None] * (full + 1)
-                for A in _submasks(others):
-                    if f[A] is None:
-                        continue
-                    rest = others & ~A
-                    counter.spend(1 << rest.bit_count())  # the sets T tried
-                    for T in _submasks(rest):
-                        if T in kept and (
-                            folded[A | T] is None or f[A] + kept[T] > folded[A | T]
-                        ):
-                            folded[A | T] = f[A] + kept[T]
+                A = others  # each submask walk steps down to 0, then stops at -1
+                while A >= 0:
+                    if (base := f[A]) is not None:
+                        T = rest = others & ~A
+                        counter.spend(1 << rest.bit_count())  # the sets T tried
+                        while T >= 0:
+                            k = kept[T]
+                            if k is not None:
+                                if (best := folded[A | T]) is None or base + k > best:
+                                    folded[A | T] = base + k
+                            T = (T - 1) & rest if T else -1
+                    A = (A - 1) & others if A else -1
                 f = folded
                 folds[v][i].append(f)
-    return view, folds, share, cell
+        owner[v] = row = [None] * (full + 1)
+        for j in range(n):  # j's table holds no set with j in it
+            for U, sub in enumerate(folds[v][j][-1]):
+                if sub is not None and sub >= share[j] and row[U | 1 << j] is None:
+                    row[U | 1 << j] = j
+    return view, folds, owner, cell
 
 
 def prop_tree_fpt(inst: Instance, budget: Optional[OracleBudget] = None) -> SolveReport:
     """Proportionality on trees, exponential only in the number of agents.
 
     Runs ``_tree_dp_run`` on each agent's grid; the instance is a yes when
-    some agent, tried in index order, can own the root while all others are
-    served.  The bundles are then built top-down by walking the fold back:
-    at a vertex v that i owns while serving S, the children go from last
-    to first, and child z takes the agents T = S - A of the first A in
-    ``_submasks(S)`` whose table entry before z plus ``cell(z, i, T)``'s
-    kept value equals the entry for S after z, which is the pair the
-    fold kept.  ``cell`` names z's owner, and S shrinks to A.  The DP's work
-    is bounded by ``budget`` as ``_tree_dp_run`` says.
+    some agent can own the root while all others are served, and the lowest
+    one, ``owner[root][full]``, takes it.  The bundles are then built
+    top-down by walking the fold back: at a vertex v that i owns while
+    serving S, the children go from last to first, and child z takes the
+    agents T = S - A of the first A, down S's submasks, whose entry before z
+    plus ``cell(z, i, T)``'s kept value equals the entry for S after z: the
+    pair the fold kept.  ``cell`` names z's owner, and S shrinks to A.  The
+    DP's work is bounded by ``budget`` as ``_tree_dp_run`` says.
     """
-    view, folds, share, cell = _tree_dp_run(inst, budget)
-    n = inst.agent_count
-    full = (1 << n) - 1
-    kept = [folds[view.root][i][-1][full & ~(1 << i)] for i in range(n)]
-    owner = next((i for i, k in enumerate(kept) if k is not None and k >= share[i]), None)
-    if owner is None:
+    view, folds, owner, cell = _tree_dp_run(inst, budget)
+    full = (1 << inst.agent_count) - 1
+    first = owner[view.root][full]
+    if first is None:
         return make_report(inst, "tree-fpt", None)
 
-    bundles: list[set[int]] = [set() for _ in range(n)]
-    stack = [(view.root, owner, full & ~(1 << owner))]
+    bundles: list[set[int]] = [set() for _ in range(inst.agent_count)]
+    stack = [(view.root, first, full & ~(1 << first))]
     while stack:
         v, i, S = stack.pop()
         bundles[i].add(v)
         kids, tables = view.children[v], folds[v][i]
         for k in reversed(range(len(kids))):
             z, before, after = kids[k], tables[k], tables[k + 1]
-            for A in _submasks(S):
-                c = cell(z, i, S & ~A) if before[A] is not None else None
-                if c is not None and before[A] + c[0] == after[S]:
-                    break
+            A = S  # the fold reached after[S] from some A, so the walk stops
+            while before[A] is None or (c := cell(z, i, S & ~A)) is None or (
+                before[A] + c[0] != after[S]
+            ):
+                A = (A - 1) & S
             stack.append((z, c[1], S & ~A & ~(1 << c[1])))
             S = A
-    return make_report(
-        inst, "tree-fpt", Allocation(tuple(frozenset(b) for b in bundles))
-    )
+    witness = Allocation(tuple(frozenset(b) for b in bundles))
+    return make_report(inst, "tree-fpt", witness)
 
 
 # ---------------------------------------------------------------------------

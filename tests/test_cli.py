@@ -8,7 +8,8 @@ import pytest
 
 from graphfair.cli import build_parser, main
 from graphfair.generators import X3cInstance, fixture_cycle8, gen_random, gen_x3c_prop_path
-from graphfair.serialize import instance_from_json, instance_to_json
+from graphfair.model import is_proportional, is_valid
+from graphfair.serialize import allocation_from_dict, instance_from_json, instance_to_json
 from graphfair.solvers import METHODS
 
 from conftest import mk, path_graph
@@ -87,6 +88,22 @@ def test_solve_max_enumerated(capsys, cycle8_file):
     assert code == 3 and "budget" in err
     code, out, _ = run(capsys, ["solve", "--problem", "mms", cycle8_file])
     assert code == 1 and json.loads(out)["decision"] == "no"
+
+
+def test_solve_thirteen_agent_tree(capsys, tmp_path):
+    # The tree DP runs out of the default budget on 13 distinct agents, and
+    # a raised one lets it find a proportional allocation.
+    inst = gen_random(seed=1, cls="tree", m=13, n=13)
+    f = write_instance(tmp_path, inst)
+    code, _, err = run(capsys, ["solve", "--problem", "prop", f])
+    assert code == 3 and "budget" in err
+    code, out, _ = run(
+        capsys, ["solve", "--problem", "prop", "--max-enumerated", "10000000", f]
+    )
+    doc = json.loads(out)
+    assert code == 0 and doc["method"] == "tree-fpt"
+    witness = allocation_from_dict(inst, doc["allocation"])
+    assert is_valid(inst, witness) and is_proportional(inst, witness)
 
 
 def test_solve_input_quirks(capsys, tmp_path):

@@ -36,7 +36,7 @@ from graphfair import (
 )
 from graphfair.cli import build_parser
 from graphfair.generators import RANDOM_CLASSES, fixture_cycle8, gen_random
-from graphfair.graphs import classify
+from graphfair.graphs import _mask_bits, classify, root_tree
 from graphfair.model import (
     Allocation,
     Instance,
@@ -387,6 +387,106 @@ def test_tree_fpt_witness_realizes_the_dp():
     assert yes >= 100
 
 
+def _submasks_reference(mask):
+    """Every submask of ``mask``, from ``mask`` itself down to 0."""
+    sub = mask
+    while sub:
+        yield sub
+        sub = (sub - 1) & mask
+    yield 0
+
+
+def tree_dp_reference(inst):
+    """The subtree DP with a per-agent owner scan and a dict ``kept`` table.
+
+    Returns ``folds``, ``cell`` and the witness (None for a no) of the fold
+    that builds ``kept`` through ``cell`` for every T and walks submask
+    generators, testing ``T in kept`` on each step; ``cell`` scans T for the
+    lowest j who can own z's subtree, once per asking agent i.
+    """
+    g, n = inst.graph, inst.agent_count
+    full = (1 << n) - 1
+    view = root_tree(g, 0)
+    scales, grid = inst.grid
+    share = [at_least(Fraction(1, n), scale) for scale in scales]
+    folds = [[None] * n for _ in range(g.vertex_count)]
+
+    def cell(z, i, T):
+        if folds[z][i][-1][T] is not None:
+            return folds[z][i][-1][T], i
+        for j in _mask_bits(T):
+            sub = folds[z][j][-1][T & ~(1 << j)]
+            if sub is not None and sub >= share[j]:
+                return 0, j
+        return None
+
+    for v in view.postorder:
+        for i in range(n):
+            others = full & ~(1 << i)
+            f = [None] * (full + 1)
+            f[0] = grid[i][v]
+            folds[v][i] = [f]
+            for z in view.children[v]:
+                kept = {
+                    T: c[0]
+                    for T in _submasks_reference(others)
+                    if (c := cell(z, i, T)) is not None
+                }
+                folded = [None] * (full + 1)
+                for A in _submasks_reference(others):
+                    if f[A] is None:
+                        continue
+                    for T in _submasks_reference(others & ~A):
+                        if T in kept and (
+                            folded[A | T] is None or f[A] + kept[T] > folded[A | T]
+                        ):
+                            folded[A | T] = f[A] + kept[T]
+                f = folded
+                folds[v][i].append(f)
+
+    kept = [folds[view.root][i][-1][full & ~(1 << i)] for i in range(n)]
+    owner = next((i for i, k in enumerate(kept) if k is not None and k >= share[i]), None)
+    if owner is None:
+        return folds, cell, None
+    bundles = [set() for _ in range(n)]
+    stack = [(view.root, owner, full & ~(1 << owner))]
+    while stack:
+        v, i, S = stack.pop()
+        bundles[i].add(v)
+        kids, tables = view.children[v], folds[v][i]
+        for k in reversed(range(len(kids))):
+            z, before, after = kids[k], tables[k], tables[k + 1]
+            for A in _submasks_reference(S):
+                c = cell(z, i, S & ~A) if before[A] is not None else None
+                if c is not None and before[A] + c[0] == after[S]:
+                    break
+            stack.append((z, c[1], S & ~A & ~(1 << c[1])))
+            S = A
+    return folds, cell, Allocation(tuple(frozenset(b) for b in bundles))
+
+
+def test_tree_dp_matches_owner_scan_reference():
+    # Denominators 2-3 and capped types make ties common, so the fold's
+    # first-best rule and the walk back's first match decide the witness.
+    rng = random.Random(212121)
+    yes = 0
+    for trial in range(1500):
+        n = rng.randint(1, 6)
+        inst = gen_random(seed=trial + 21000, cls=("tree", "star", "path")[trial % 3],
+                          m=rng.randint(1, 12), n=n, denom_bound=rng.randint(2, 3),
+                          types=rng.choice((None, 1, 2, 3)))
+        folds, cell, witness = tree_dp_reference(inst)
+        _, got, _, got_cell = _tree_dp_run(inst)
+        assert got == folds, trial
+        for z in range(inst.item_count):
+            for i in range(n):
+                for T in range(1 << n):
+                    assert got_cell(z, i, T) == cell(z, i, T), (trial, z, i, T)
+        assert prop_tree_fpt(inst).witness == witness, trial
+        yes += witness is not None
+    assert 300 < yes < 1300  # both answers are well represented
+
+
 def test_tree_fpt_twelve_items_eight_agents():
     inst = gen_random(seed=0, cls="tree", m=12, n=8)
     rep = prop_tree_fpt(inst)
@@ -414,6 +514,21 @@ def test_tree_fpt_spends_the_work_budget():
     assert dispatch(inst, "prop").method == "tree-fpt"
     with pytest.raises(BudgetExceeded):
         dispatch(inst, "prop", budget=OracleBudget(max_enumerated=100))
+
+
+# Smallest work budgets that let the tree DP decide; a change to what a fold
+# spends, or to when, moves them.  The 13-agent tree needs more than the
+# default budget of 5,000,000.
+@pytest.mark.parametrize("seed, m, n, least", [
+    (4, 10, 6, 5_296),
+    (0, 12, 8, 34_528),
+    (1, 13, 13, 7_862_528),
+])
+def test_tree_fpt_budget_spend_is_pinned(seed, m, n, least):
+    inst = gen_random(seed=seed, cls="tree", m=m, n=n)
+    assert prop_tree_fpt(inst, OracleBudget(max_enumerated=least)).decision
+    with pytest.raises(BudgetExceeded):
+        prop_tree_fpt(inst, OracleBudget(max_enumerated=least - 1))
 
 
 def test_tree_fpt_leaves_no_reference_cycles():
