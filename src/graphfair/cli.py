@@ -174,7 +174,10 @@ def _budget(args: argparse.Namespace) -> Optional[OracleBudget]:
 def _emit(doc: dict, output: Optional[str]) -> None:
     text = dumps(doc)
     if output:
-        Path(output).write_text(text, encoding="utf-8")
+        try:
+            Path(output).write_text(text, encoding="utf-8")
+        except OSError as exc:
+            raise InputError(f"cannot write {output}: {exc.strerror or exc}") from exc
     else:
         sys.stdout.write(text)
 
@@ -210,6 +213,7 @@ def cmd_solve(args: argparse.Namespace) -> int:
 
 
 def cmd_verify(args: argparse.Namespace) -> int:
+    budget = _budget(args)  # rejects a bad flag even without --mms, its only user
     inst = _read_json(args.instance, instance_from_json)
     alloc = allocation_from_dict(inst, _read_json(args.allocation, json.loads))
 
@@ -222,7 +226,7 @@ def cmd_verify(args: argparse.Namespace) -> int:
         "mms_ok": None,
     }
     if args.mms:
-        values = _mms_values(inst, _budget(args))[1]
+        values = _mms_values(inst, budget)[1]
         doc["mms_ok"] = is_mms_allocation(inst, alloc, values)
     _emit(doc, args.output)
     return EXIT_YES if valid else EXIT_NO

@@ -158,6 +158,8 @@ class Instance:
             raise InputError("agent names and utility rows must be sequences") from None
         if len(names) < 1:
             raise InputError("an instance needs at least one agent")
+        if not all(isinstance(name, str) for name in names):
+            raise InputError("agent names must be strings")
         if len(set(names)) != len(names):
             raise InputError("agent names must be distinct")
         m = self.graph.vertex_count

@@ -4,7 +4,9 @@ Everything here trades speed for trustworthiness: decisions come from full
 enumeration over connected bundles or connected partitions, guarded by an
 explicit budget.  Pruning (value thresholds, minimal candidate bundles,
 symmetric-agent canonicalization, forward checking) may only skip branches
-that provably contain no witness, so pruned and unpruned runs decide alike.
+that provably contain no witness, so the pruned search decides as an
+unpruned one would; ``test_pruned_matches_unpruned`` in
+``tests/test_oracle.py`` checks this against an unpruned search of its own.
 
 All scans run on ``Instance.grid``, one integer grid per agent, with each
 threshold put on its agent's grid by ``model.at_least``.  A bundle search
@@ -27,14 +29,14 @@ witness.
 from __future__ import annotations
 
 from bisect import bisect_right
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from fractions import Fraction
 from typing import Iterable, Optional, Sequence
 
-from .graphs import _mask_bits, connected_set_masks, mask_is_connected
-# ``classify`` stays bound here because bench/tracer.py wraps ``oracle.classify``;
-# ``mms_values_raw`` tests connectivity with ``mask_is_connected``.
-from .graphs import classify  # noqa: F401
+from .graphs import _mask_bits, mask_is_connected
+# The oracle calls neither of these; they stay bound here because
+# bench/tracer.py wraps ``oracle.classify`` and ``oracle.connected_set_masks``.
+from .graphs import classify, connected_set_masks  # noqa: F401
 # bench/tracer.py wraps this name for its graphs.partitions span.
 from .graphs import connected_partition_masks as enumerate_connected_partitions
 from .model import (
@@ -68,6 +70,12 @@ class OracleBudget:
     max_items: int = 10
     max_agents: int = 5
     max_enumerated: int = 5_000_000
+
+    def __post_init__(self):
+        for field in fields(self):
+            value = getattr(self, field.name)
+            if not isinstance(value, int) or value < 0:
+                raise InputError(f"{field.name} must be an int >= 0, got {value!r}")
 
 
 DEFAULT_BUDGET = OracleBudget()
@@ -167,44 +175,12 @@ def _minimal_candidates(
 
 
 def _search_thresholds(
-    inst: Instance,
-    thresholds: Sequence[Fraction],
-    budget: OracleBudget,
-    prune: bool,
-    counter: Optional[_NodeCounter] = None,
+    inst: Instance, thresholds: Sequence[Fraction], counter: _NodeCounter
 ) -> Optional[list[int]]:
     """First assignment (in deterministic DFS order) meeting all thresholds."""
     g = inst.graph
-    n = inst.agent_count
-    counter = counter or _NodeCounter(budget.max_enumerated)
     scales, weights = inst.grid
     scaled = [at_least(t, scale) for t, scale in zip(thresholds, scales)]
-
-    if not prune:
-        # Reference mode: every agent may take any connected bundle or nothing,
-        # thresholds checked only at the leaves.  Tiny inputs only.
-        all_sets = [0] + list(connected_set_masks(g))
-        chosen: list[int] = []
-
-        def rec_plain(i: int, used: int) -> Optional[list[int]]:
-            if i == n:
-                ok = all(
-                    _mask_value(weights[a], chosen[a]) >= scaled[a] for a in range(n)
-                )
-                return list(chosen) if ok else None
-            for mask in all_sets:
-                if mask & used:
-                    continue
-                counter.spend()
-                chosen.append(mask)
-                found = rec_plain(i + 1, used | mask)
-                if found is not None:
-                    return found
-                chosen.pop()
-            return None
-
-        return rec_plain(0, 0)
-
     types = compute_type_partition(inst)
     # One growth per agent type, at the threshold of its first member; each
     # spends once per set it reaches.
@@ -275,9 +251,7 @@ def _masks_to_allocation(masks: Iterable[int]) -> Allocation:
 
 
 def oracle_prop(
-    inst: Instance,
-    budget: Optional[OracleBudget] = None,
-    prune: bool = True,
+    inst: Instance, budget: Optional[OracleBudget] = None
 ) -> SolveReport:
     """Exhaustive decision: does a proportional valid allocation exist?
 
@@ -285,7 +259,8 @@ def oracle_prop(
     """
     b = _guard(inst, budget)
     share = Fraction(1, inst.agent_count)
-    masks = _search_thresholds(inst, [share] * inst.agent_count, b, prune)
+    counter = _NodeCounter(b.max_enumerated)
+    masks = _search_thresholds(inst, [share] * inst.agent_count, counter)
     witness = None if masks is None else _masks_to_allocation(masks)
     return make_report(inst, "oracle", witness)
 
@@ -390,13 +365,13 @@ def _part_values(
 
 
 def oracle_mms_exists(
-    inst: Instance, budget: Optional[OracleBudget] = None, prune: bool = True
+    inst: Instance, budget: Optional[OracleBudget] = None
 ) -> SolveReport:
     """Exhaustive decision: does an allocation meeting every maximin share exist?"""
     b = _guard(inst, budget)
     counter = _NodeCounter(b.max_enumerated)  # one bound for shares and bundles
     values = oracle_mms_values(inst, b, counter)
-    masks = _search_thresholds(inst, list(values), b, prune, counter)
+    masks = _search_thresholds(inst, list(values), counter)
     witness = None if masks is None else _masks_to_allocation(masks)
     return make_report(inst, "oracle", witness, quotas=values)
 

@@ -90,6 +90,20 @@ def test_solve_max_enumerated(capsys, cycle8_file):
     assert code == 1 and json.loads(out)["decision"] == "no"
 
 
+@pytest.mark.parametrize("command", ["solve", "verify"])
+@pytest.mark.parametrize("flag", ["--max-items", "--max-agents", "--max-enumerated"])
+def test_negative_budget_exits_2(capsys, tmp_path, cycle8_file, command, flag):
+    if command == "solve":
+        argv = ["solve", "--problem", "prop", cycle8_file]
+    else:
+        alloc = tmp_path / "empty.json"
+        alloc.write_text('{"bundles": {}}', encoding="utf-8")
+        argv = ["verify", cycle8_file, str(alloc)]  # no --mms: the budget is unused
+    code, out, err = run(capsys, [*argv, flag, "-1"])
+    assert code == 2
+    assert out == "" and err.startswith("error:") and "must be an int >= 0" in err
+
+
 def test_solve_thirteen_agent_tree(capsys, tmp_path):
     # The tree DP runs out of the default budget on 13 distinct agents, and
     # a raised one lets it find a proportional allocation.
@@ -348,6 +362,19 @@ def test_output_flag_writes_file(capsys, tmp_path, cycle8_file):
     assert out == ""
     doc = json.loads(target.read_text(encoding="utf-8"))
     assert doc["decision"] == "no"
+
+
+@pytest.mark.parametrize("command", ["solve", "generate"])
+@pytest.mark.parametrize("where", ["missing-dir", "a-dir"])
+def test_unwritable_output_exits_2(capsys, tmp_path, cycle8_file, command, where):
+    target = tmp_path / "missing" / "x.json" if where == "missing-dir" else tmp_path
+    if command == "solve":
+        argv = ["solve", "--problem", "prop", cycle8_file]
+    else:
+        argv = ["generate", "--kind", "cycle8"]
+    code, out, err = run(capsys, [*argv, "--output", str(target)])
+    assert code == 2
+    assert out == "" and err.startswith("error:") and "Traceback" not in err
 
 
 # ---------------------------------------------------------------------------

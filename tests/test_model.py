@@ -57,6 +57,9 @@ def test_instance_validation():
     g = path_graph(2)
     with pytest.raises(InputError):
         Instance(g, ("a", "a"), ((Fraction(1), Fraction(0)),) * 2)  # dup names
+    for names in ((1, None), ("a", ("b",))):
+        with pytest.raises(InputError, match="agent names must be strings"):
+            Instance(g, names, ((Fraction(1), Fraction(0)),) * 2)
     with pytest.raises(InputError):
         Instance(g, ("a",), ((Fraction(1, 2),),))  # wrong row length
     with pytest.raises(InputError):

@@ -441,7 +441,9 @@ def test_type_floors_match_saved_dict_rule(monkeypatch):
             for _ in range(max(type_of) + 1)
         ]
         thresholds = [per_type[t] for t in type_of]
-        got = oracle._search_thresholds(inst, thresholds, budget, prune=True)
+        got = oracle._search_thresholds(
+            inst, thresholds, Recorded(budget.max_enumerated)
+        )
         want = search_thresholds_reference(inst, thresholds, budget)
         assert got == want, (trial, thresholds)
         new, ref = counters[-2:]
@@ -534,6 +536,34 @@ def test_budget_guards():
     with pytest.raises(BudgetExceeded):
         oracle_mms_values(fixture_cycle8(), starved)
 
+    # A budget field must be an int >= 0; zero is a valid, if useless, budget.
+    for bad in ({"max_agents": -1}, {"max_items": -1}, {"max_enumerated": -5},
+                {"max_items": 2.0}, {"max_enumerated": "10"}, {"max_agents": None}):
+        with pytest.raises(InputError, match="must be an int >= 0"):
+            OracleBudget(**bad)
+    with pytest.raises(BudgetExceeded):
+        oracle_prop(fixture_cycle8(), OracleBudget(max_enumerated=0))
+
+
+def exists_unpruned(inst, thresholds):
+    """Reference bundle search with no pruning at all.
+
+    Every agent may take any connected set or nothing, disjoint from the
+    earlier picks, and the thresholds are checked only at the leaves.
+    """
+    n = inst.agent_count
+    sets = [0, *connected_set_masks(inst.graph)]
+    value = [
+        {s: bundle_value(inst, a, _mask_bits(s)) for s in sets} for a in range(n)
+    ]
+
+    def rec(i, used, chosen):
+        if i == n:
+            return all(value[a][s] >= thresholds[a] for a, s in enumerate(chosen))
+        return any(rec(i + 1, used | s, chosen + [s]) for s in sets if not s & used)
+
+    return rec(0, 0, [])
+
 
 def test_pruned_matches_unpruned():
     rng = random.Random(424242)
@@ -541,13 +571,12 @@ def test_pruned_matches_unpruned():
         cls = rng.choice(("path", "star", "tree", "cycle", "connected"))
         m = rng.randint(3 if cls == "cycle" else 2, 6)
         inst = gen_random(seed=trial + 1000, cls=cls, m=m, n=rng.randint(1, 3))
-        fast = oracle_prop(inst, prune=True)
-        slow = oracle_prop(inst, prune=False)
-        assert fast.decision == slow.decision, inst
-        if inst.item_count >= inst.agent_count:
-            f2 = oracle_mms_exists(inst, prune=True)
-            s2 = oracle_mms_exists(inst, prune=False)
-            assert f2.decision == s2.decision, inst
+        n = inst.agent_count
+        slow = exists_unpruned(inst, [Fraction(1, n)] * n)
+        assert oracle_prop(inst).decision == slow, inst
+        if inst.item_count >= n:
+            slow = exists_unpruned(inst, oracle_mms_values(inst))
+            assert oracle_mms_exists(inst).decision == slow, inst
 
 
 def test_ef_complete_matches_naive():
