@@ -88,7 +88,8 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--max-agents", type=int, default=None,
                        help="oracle refuses instances with more agents")
         p.add_argument("--max-enumerated", type=int, default=None,
-                       help="work units the oracle and the tree DP may spend")
+                       help="work units the oracle, the tree DP and the path "
+                            "solvers may spend")
 
     p_solve = sub.add_parser("solve", help="decide a fairness problem")
     add_io(p_solve)

@@ -1,10 +1,17 @@
 """Graph services: connectivity tests, class flags, rooted views, enumerations.
 
+Facts about the whole graph come from the one walk that already runs over
+its adjacency lists: ``classify``'s colouring DFS counts the components, and
+``root_tree``'s DFS decides whether a graph with m - 1 edges is a tree (the
+path solvers take their order from it).  So a path, star or tree solve never
+builds ``ItemGraph.neighbor_masks``.
+
 Enumeration functions are generators, so every call hands back a fresh,
 restartable stream with a deterministic order.  Inside the package vertex
 sets and partitions travel as int bitmasks (bit v set for vertex v), and one
-flood fill, ``_component``, answers every connectivity question on them; at
-the public boundary they become ``frozenset`` values.
+flood fill, ``_component``, answers every connectivity question on them (the
+oracle's set searches, the partitions and ``is_valid``); at the public
+boundary they become ``frozenset`` values.
 """
 
 from __future__ import annotations
@@ -72,7 +79,7 @@ class GraphClass:
 
 
 def classify(g: ItemGraph) -> GraphClass:
-    """Compute all class flags.
+    """Compute all class flags; one colouring DFS counts the components.
 
     A single vertex counts as path, star, and tree at once; a two-vertex path
     is both path and star.  Cycles need all degrees equal to 2 and as many
@@ -81,20 +88,15 @@ def classify(g: ItemGraph) -> GraphClass:
     m = g.vertex_count
     degrees = [g.degree(v) for v in range(m)]
     edge_count = len(g.edges)
-    connected = mask_is_connected(g, (1 << m) - 1)
-    tree = connected and edge_count == m - 1
-    path = tree and all(d <= 2 for d in degrees)
-    star = tree and sum(1 for d in degrees if d >= 2) <= 1
-    cycle = connected and edge_count == m and all(d == 2 for d in degrees)
-
     color: list[Optional[int]] = [None] * m
-    bipartite = True
+    components, bipartite = 0, True
     for s in range(m):
         if color[s] is not None:
             continue
+        components += 1
         color[s] = 0
         stack = [s]
-        while stack and bipartite:
+        while stack:
             v = stack.pop()
             for w in g.neighbors(v):
                 if color[w] is None:
@@ -102,7 +104,11 @@ def classify(g: ItemGraph) -> GraphClass:
                     stack.append(w)
                 elif color[w] == color[v]:
                     bipartite = False
-                    break
+    connected = components == 1
+    tree = connected and edge_count == m - 1
+    path = tree and all(d <= 2 for d in degrees)
+    star = tree and sum(1 for d in degrees if d >= 2) <= 1
+    cycle = connected and edge_count == m and all(d == 2 for d in degrees)
     return GraphClass(
         is_connected=connected,
         is_tree=tree,
@@ -130,26 +136,33 @@ class RootedTreeView:
 
 
 def root_tree(g: ItemGraph, root: int) -> RootedTreeView:
-    """Root the tree ``g`` at ``root``; raises ``InputError`` if ``g`` is no tree."""
+    """Root the tree ``g`` at ``root``; raises ``InputError`` if ``g`` is no tree.
+
+    With m - 1 edges, ``g`` is a tree exactly when the walk reaches all m
+    vertices.  A child is a neighbor not reached before, so no vertex repeats.
+    """
     m = g.vertex_count
     if not 0 <= root < m:
         raise InputError(f"root {root} outside 0..{m - 1}")
-    if len(g.edges) != m - 1 or not mask_is_connected(g, (1 << m) - 1):
+    if len(g.edges) != m - 1:
         raise InputError("the item graph is not a tree")
 
     # A parent, then its children's subtrees from the highest child down:
     # reversed, that is the postorder with children in ascending order.
     children: list[tuple[int, ...]] = [()] * m
-    parent = [-1] * m
+    parent: list[Optional[int]] = [None] * m  # None: not reached yet
+    parent[root] = -1
     order: list[int] = []
     stack = [root]
     while stack:
         v = stack.pop()
         order.append(v)
-        children[v] = tuple(w for w in g.neighbors(v) if w != parent[v])
+        children[v] = tuple(w for w in g.neighbors(v) if parent[w] is None)
         for w in children[v]:
             parent[w] = v
         stack.extend(children[v])
+    if len(order) != m:
+        raise InputError("the item graph is not a tree")
     return RootedTreeView(
         root, tuple(children), tuple(reversed(order)), tuple(parent)
     )

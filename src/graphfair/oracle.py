@@ -46,6 +46,7 @@ from .model import (
     Instance,
     ItemGraph,
     SolveReport,
+    _as_fraction,
     at_least,
     compute_type_partition,
     integer_grid,
@@ -270,10 +271,14 @@ def oracle_mms_values(
     budget: Optional[OracleBudget] = None,
     counter: Optional[_NodeCounter] = None,
 ) -> tuple[Fraction, ...]:
-    """Each agent's maximin share over connected n-partitions, by packing search."""
-    b = _guard(inst, budget)
+    """Each agent's maximin share over connected n-partitions, by packing search.
+
+    Too few items is an input error at any size, so it is tested before the
+    budget's size limits.
+    """
     if inst.item_count < inst.agent_count:
         raise InputError("maximin shares need at least as many items as agents")
+    b = _guard(inst, budget)
     values = mms_values_raw(
         inst.graph, inst.utilities, inst.agent_count, b.max_enumerated, counter
     )
@@ -305,6 +310,8 @@ def mms_values_raw(
     succeeds moves the bisection past the smallest value it picked.  Every
     set a growth reaches and every pick spends one unit of ``counter``
     (a caller's, which meters more than this search), else of ``node_limit``.
+    Entries go through ``_as_fraction``, as ``Instance`` rows do; a row of
+    the wrong length or with a negative entry is an ``InputError``.
 
     >>> from graphfair.graphs import ItemGraph
     >>> path = ItemGraph(("a", "b", "c"), ((0, 1), (1, 2)))
@@ -313,16 +320,21 @@ def mms_values_raw(
     """
     if parts < 1:
         raise InputError("part count must be at least 1")
+    m = g.vertex_count
+    rows = [tuple(map(_as_fraction, row)) for row in weight_rows]
     if not mask_is_connected(g, (1 << g.vertex_count) - 1):
         raise InputError("maximin shares are defined on connected item graphs only")
-    if parts > g.vertex_count:
-        if weight_rows:
+    if parts > m:
+        if rows:
             raise InputError(
                 f"the graph admits no partition into {parts} connected parts"
             )
         return ()
     counter = counter or _NodeCounter(node_limit)
-    scales, grid = integer_grid(weight_rows)
+    scales, grid = integer_grid(rows)
+    # checked on the grid, where ints compare far faster than Fractions
+    if any(len(row) != m or min(row) < 0 for row in grid):
+        raise InputError(f"each weight row needs {m} nonnegative entries")
     shares: dict[tuple[int, ...], int] = {}
     for row in grid:
         if row not in shares:
@@ -368,9 +380,9 @@ def oracle_mms_exists(
     inst: Instance, budget: Optional[OracleBudget] = None
 ) -> SolveReport:
     """Exhaustive decision: does an allocation meeting every maximin share exist?"""
-    b = _guard(inst, budget)
-    counter = _NodeCounter(b.max_enumerated)  # one bound for shares and bundles
-    values = oracle_mms_values(inst, b, counter)
+    # one bound for shares and bundles; oracle_mms_values runs the guard
+    counter = _NodeCounter((budget or DEFAULT_BUDGET).max_enumerated)
+    values = oracle_mms_values(inst, budget, counter)
     masks = _search_thresholds(inst, list(values), counter)
     witness = None if masks is None else _masks_to_allocation(masks)
     return make_report(inst, "oracle", witness, quotas=values)

@@ -64,26 +64,19 @@ logger = logging.getLogger(__name__)
 def path_order(inst: Instance) -> list[int]:
     """Vertices of a path graph from one end to the other.
 
-    The walk starts at the lowest vertex of degree at most 1, which fixes the
-    meaning of "left" for every path solver, and moves only through vertices
-    of degree at most 2, so it never comes back to a vertex.  The graph is a
-    path exactly when the walk covers all m vertices: every vertex it passed
-    through then has its two walk edges only, and the start its one, so the
-    last vertex has no edge but the one it was reached by.
+    ``root_tree`` roots the graph at its lowest vertex of degree at most 1,
+    which fixes the meaning of "left" for every path solver; the graph is a
+    path exactly when that succeeds and no vertex has two children.
     """
     g = inst.graph
-    m = g.vertex_count
-    order = [v for v in range(m) if g.degree(v) <= 1][:1]
-    prev = -1
-    while order and g.degree(order[-1]) <= 2:
-        step = [w for w in g.neighbors(order[-1]) if w != prev]
-        if not step:
-            break
-        prev = order[-1]
-        order.append(step[0])
-    if len(order) != m:
+    end = next((v for v in range(g.vertex_count) if g.degree(v) <= 1), -1)
+    try:
+        view = root_tree(g, end)
+    except InputError:
+        view = None
+    if view is None or any(len(kids) > 1 for kids in view.children):
         raise InputError("the item graph is not a path")
-    return order
+    return list(reversed(view.postorder))
 
 
 # ---------------------------------------------------------------------------
@@ -164,7 +157,9 @@ def _tiling_allocation(inst, order, types, pieces) -> Allocation:
     return Allocation(tuple(bundles))
 
 
-def prop_path_greedy(inst: Instance) -> SolveReport:
+def prop_path_greedy(
+    inst: Instance, budget: Optional[OracleBudget] = None
+) -> SolveReport:
     """Identical agents on a path: ``prop_path_typed`` with one type.
 
     ``earliest[k]`` is where a left-to-right sweep closes its k-th piece,
@@ -173,10 +168,12 @@ def prop_path_greedy(inst: Instance) -> SolveReport:
     types = compute_type_partition(inst)
     if types.type_count != 1:
         raise InputError("the greedy path solver needs all agents identical")
-    return make_report(inst, "greedy", _earliest_end_tiling(inst, types))
+    return make_report(inst, "greedy", _earliest_end_tiling(inst, types, budget))
 
 
-def prop_path_typed(inst: Instance) -> SolveReport:
+def prop_path_typed(
+    inst: Instance, budget: Optional[OracleBudget] = None
+) -> SolveReport:
     """Proportionality on paths, exponential only in the number of types.
 
     A piece may go to type t when t values it at 1/n or more; any item may
@@ -194,12 +191,17 @@ def prop_path_typed(inst: Instance) -> SolveReport:
     leaves item e-1 loose.  That is the first piece in the order s
     ascending, t ascending, loose item last, by which a prefix table of
     reachable vectors would have first reached (e, vec).
+
+    The table has one entry per count vector, and each entry tries every
+    type: before allocating it, the DP spends that many units of the
+    budget's ``max_enumerated`` (``DEFAULT_BUDGET``'s when None), so too
+    many distinct agents raise ``BudgetExceeded``.
     """
     types = compute_type_partition(inst)
-    return make_report(inst, "path-dp", _earliest_end_tiling(inst, types))
+    return make_report(inst, "path-dp", _earliest_end_tiling(inst, types, budget))
 
 
-def _earliest_end_tiling(inst, types) -> Optional[Allocation]:
+def _earliest_end_tiling(inst, types, budget) -> Optional[Allocation]:
     """The witness of ``prop_path_typed`` for these types, or None for a no."""
     order, scales, prefix = _typed_path_setup(inst, types)
     share = Fraction(1, inst.agent_count)
@@ -212,7 +214,9 @@ def _earliest_end_tiling(inst, types) -> Optional[Allocation]:
     stride = [1] * p
     for t in range(p - 2, -1, -1):
         stride[t] = stride[t + 1] * radix[t + 1]
-    earliest = [0] * (stride[0] * radix[0])
+    size = stride[0] * radix[0]
+    _NodeCounter((budget or DEFAULT_BUDGET).max_enumerated).spend(size * p)
+    earliest = [0] * size
     for idx in range(1, len(earliest)):
         best = m + 1  # past the end: not reachable
         for t in range(p):
@@ -364,7 +368,9 @@ def prop_tree_fpt(inst: Instance, budget: Optional[OracleBudget] = None) -> Solv
 # envy-freeness on paths
 
 
-def ef_path_typed(inst: Instance) -> SolveReport:
+def ef_path_typed(
+    inst: Instance, budget: Optional[OracleBudget] = None
+) -> SolveReport:
     """Complete envy-freeness on paths by fixing each type's guess as it goes.
 
     A complete envy-free tiling has exactly n nonempty pieces, one per agent,
@@ -388,6 +394,11 @@ def ef_path_typed(inst: Instance) -> SolveReport:
     at s as they were reached.  The witness walks these back-pointers from
     the finished state to position 0, so each piece, from the right, is the
     one with the smallest start, ties going to the lower type.
+
+    At each position s the pass first spends p·(m - s) units of the
+    budget's ``max_enumerated`` (``DEFAULT_BUDGET``'s when None) per state
+    there, the pieces that state may try; running out raises
+    ``BudgetExceeded``.
     """
     types = compute_type_partition(inst)
     order, scales, prefix = _typed_path_setup(inst, types)
@@ -400,7 +411,9 @@ def ef_path_typed(inst: Instance) -> SolveReport:
     # 3.12 hash(None) differs per process, so a set of guesses would not.
     states: list[dict[tuple, Optional[tuple]]] = [{} for _ in range(m + 1)]
     states[0][(0,) * p, (None,) * p, (0,) * p] = None
+    counter = _NodeCounter((budget or DEFAULT_BUDGET).max_enumerated)
     for s in range(m):
+        counter.spend(len(states[s]) * p * (m - s))
         # The piece s..e's value to each type, shared by every t and state.
         pieces = {
             e: [prefix[o][e] - prefix[o][s] for o in range(p)] for e in range(s + 1, m + 1)
@@ -481,11 +494,11 @@ METHODS = (
     Method("greedy", "prop",
            lambda cls, inst: cls.is_path
            and len(set(inst.grid[1])) == 1,
-           lambda inst, budget: prop_path_greedy(inst),
+           lambda inst, budget: prop_path_greedy(inst, budget),
            "greedy needs a path and identical agents"),
     Method("path-dp", "prop",
            lambda cls, inst: cls.is_path,
-           lambda inst, budget: prop_path_typed(inst),
+           lambda inst, budget: prop_path_typed(inst, budget),
            "the path solver needs a path graph"),
     Method("star", "prop",
            lambda cls, inst: cls.is_star,
@@ -499,7 +512,7 @@ METHODS = (
            lambda inst, budget: oracle_prop(inst, budget)),
     Method("ef-path", "ef-complete",
            lambda cls, inst: cls.is_path,
-           lambda inst, budget: ef_path_typed(inst),
+           lambda inst, budget: ef_path_typed(inst, budget),
            "the envy-free path solver needs a path graph"),
     Method("oracle", "ef-complete", lambda cls, inst: True,
            lambda inst, budget: oracle_ef_complete(inst, budget)),

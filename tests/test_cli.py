@@ -3,6 +3,7 @@
 import hashlib
 import json
 import random
+import time
 
 import pytest
 
@@ -118,6 +119,33 @@ def test_solve_thirteen_agent_tree(capsys, tmp_path):
     assert code == 0 and doc["method"] == "tree-fpt"
     witness = allocation_from_dict(inst, doc["allocation"])
     assert is_valid(inst, witness) and is_proportional(inst, witness)
+
+
+def test_path_routes_stop_at_the_work_budget(capsys, tmp_path):
+    # 24 distinct agents would give the path DP a table of 2^24 entries; it
+    # is refused before it is built.  16 agents still decide.
+    wide = write_instance(tmp_path, gen_random(1, "path", 60, 24), "wide.json")
+    start = time.perf_counter()
+    code, out, err = run(capsys, ["solve", "--problem", "prop", wide])
+    assert time.perf_counter() - start < 1.0
+    assert code == 3 and out == "" and "budget" in err
+    sixteen = write_instance(tmp_path, gen_random(1, "path", 60, 16), "sixteen.json")
+    code, out, _ = run(capsys, ["solve", "--problem", "prop", sixteen])
+    assert code in (0, 1) and json.loads(out)["method"] == "path-dp"
+    # ef-path's states grow past the budget here; it ran for minutes unbounded
+    ef = write_instance(tmp_path, gen_random(2, "path", 60, 12, 30), "ef.json")
+    code, out, err = run(capsys, ["solve", "--problem", "ef-complete", ef])
+    assert code == 3 and out == "" and "budget" in err
+
+
+@pytest.mark.parametrize("command", [["solve", "--problem", "mms"], ["mms-values"]])
+@pytest.mark.parametrize("m", [3, 12])
+def test_mms_with_fewer_items_than_agents_exits_2(capsys, tmp_path, command, m):
+    # An input error at every size: the oracle's size limits come second.
+    f = write_instance(tmp_path, gen_random(0, "tree", m, m + 1))
+    code, out, err = run(capsys, [*command, f])
+    assert code == 2 and out == ""
+    assert err == "error: maximin shares need at least as many items as agents\n"
 
 
 def test_solve_input_quirks(capsys, tmp_path):

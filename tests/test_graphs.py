@@ -161,6 +161,59 @@ def test_root_tree_errors():
         root_tree(forest, 0)
     with pytest.raises(InputError):
         root_tree(forest, 3)
+    # More graphs with m - 1 edges that are no trees.  The walk meets a
+    # cycle's vertices again, so it must stop by itself and then raise.
+    for graph in (
+        ItemGraph(("a", "b", "c", "d"), ((1, 2), (2, 3), (1, 3))),  # isolated vertex first
+        ItemGraph(tuple("abcdef"), ((0, 1), (1, 2), (2, 3), (0, 3), (4, 5))),  # 4-cycle, 2-path
+    ):
+        for root in range(graph.vertex_count):
+            with pytest.raises(InputError, match="not a tree"):
+                root_tree(graph, root)
+
+
+def classify_reference(g):
+    """The flags as the flood fill plus the colouring DFS decided them."""
+    m = g.vertex_count
+    degrees = [g.degree(v) for v in range(m)]
+    edge_count = len(g.edges)
+    connected = mask_is_connected(g, (1 << m) - 1)
+    tree = connected and edge_count == m - 1
+    return (
+        connected,
+        tree,
+        tree and all(d <= 2 for d in degrees),
+        tree and sum(1 for d in degrees if d >= 2) <= 1,
+        connected and edge_count == m and all(d == 2 for d in degrees),
+        _bipartite_brute(g),
+    )
+
+
+def test_classify_matches_flood_reference():
+    rng = random.Random(2323)
+    graphs = []
+    for trial in range(400):
+        cls = RANDOM_CLASSES[trial % len(RANDOM_CLASSES)]
+        m = rng.randint(3 if cls == "cycle" else 1, 14)
+        g = gen_random(seed=trial + 2300, cls=cls, m=m, n=1).graph
+        graphs.append(g)
+        if g.edges:  # one edge deleted: a forest, or one edge fewer
+            drop = rng.randrange(len(g.edges))
+            graphs.append(ItemGraph(g.labels, g.edges[:drop] + g.edges[drop + 1 :]))
+        pairs = [(a, b) for a in range(m) for b in range(a + 1, m)]
+        keep = rng.random()
+        graphs.append(ItemGraph(g.labels, [e for e in pairs if rng.random() < keep]))
+    assert len(graphs) >= 1000
+    seen = set()
+    for g in graphs:
+        flags = classify(g)
+        got = (flags.is_connected, flags.is_tree, flags.is_path, flags.is_star,
+               flags.is_cycle, flags.is_bipartite)
+        assert got == classify_reference(g), g
+        seen.add(got)
+    # connected or not, tree, path, star, cycle, bipartite or not all occur
+    for k in range(6):
+        assert {flags[k] for flags in seen} == {False, True}
 
 
 def test_enumerate_connected_sets_counts():

@@ -135,6 +135,24 @@ def test_mms_values_raw_partition_shortage():
         mms_values_raw(g, ((Fraction(1), Fraction(0)),), 1)
 
 
+def test_mms_values_raw_checks_its_rows():
+    path = path_graph(3)
+    # a negative entry used to give 0; over connected 2-partitions it is -3
+    for rows in (
+        [(2, -5, 2)],
+        [(0.5, 0.25, 0.25)],  # floats are not exact rationals
+        [(Fraction(1, 2), Fraction(1, 2))],  # too short
+        [(1, 1, 1, 1)],  # too long
+        [(1, 1, 1), (1, 1)],
+    ):
+        with pytest.raises(InputError):
+            mms_values_raw(path, rows, 2)
+    # entries are read as Instance rows are: ints, rational strings, Fractions
+    half = (Fraction(1, 2), Fraction(1, 4), Fraction(1, 4))
+    assert mms_values_raw(path, [("1/2", "1/4", "1/4")], 2) == mms_values_raw(path, [half], 2)
+    assert mms_values_raw(path, [(2, 1, 1)], 2) == (Fraction(2),)
+
+
 def mms_reference(g, rows, parts):
     """Reference maximin values: Fraction sums over every connected partition."""
     partitions = list(enumerate_connected_partitions(g, parts))

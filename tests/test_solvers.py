@@ -237,6 +237,52 @@ def test_path_dp_rejects_cycle():
         prop_path_typed(inst)
 
 
+def test_path_order_rejects_non_paths():
+    spider = ItemGraph(tuple("abcdefg"), ((0, 1), (1, 2), (0, 3), (3, 4), (0, 5), (5, 6)))
+    path_and_vertex = ItemGraph(tuple("abcde"), ((1, 2), (2, 3), (3, 4)))
+    for graph in (spider, cycle_graph(5), path_and_vertex):
+        row = (Fraction(1, graph.vertex_count),) * graph.vertex_count
+        with pytest.raises(InputError, match="not a path"):
+            path_order(mk(graph, row))
+    single = mk(ItemGraph(("v",), ()), ("1",))
+    assert path_order(single) == [0]
+    # the walk starts at the lower end, whatever the labels' order
+    bent = ItemGraph(tuple("abcd"), ((0, 2), (1, 3), (2, 3)))
+    assert path_order(mk(bent, ("1/4",) * 4)) == [0, 2, 3, 1]
+
+
+# Smallest work budgets that let the path solvers decide.  The path DP pays
+# for its whole table, one unit per count vector and type, before it fills
+# it; ef-path pays, at each position, for the pieces of every state there.
+@pytest.mark.parametrize("solver, args, least", [
+    (prop_path_typed, (1, "path", 60, 16), 2**16 * 16),
+    (prop_path_typed, (0, "path", 1000, 10, 10, 3), 225),
+    (prop_path_greedy, (0, "path", 20, 5, 10, 1), 6),
+    (ef_path_typed, (0, "path", 40, 4, 10, 2), 2_170),
+    (ef_path_typed, (2, "path", 20, 6, 10), 36_564),
+])
+def test_path_budget_spend_is_pinned(solver, args, least):
+    inst = gen_random(*args)
+    solver(inst, OracleBudget(max_enumerated=least))
+    with pytest.raises(BudgetExceeded):
+        solver(inst, OracleBudget(max_enumerated=least - 1))
+
+
+def test_path_solvers_spend_the_work_budget():
+    # Each path route takes its budget from dispatch.
+    uniform = mk(path_graph(4), *(("1/4",) * 4,) * 2)
+    typed = gen_random(0, "path", 40, 4, 10, types=2)
+    tiny = OracleBudget(max_enumerated=2)
+    for inst, problem, method in (
+        (uniform, "prop", "greedy"),
+        (typed, "prop", "path-dp"),
+        (typed, "ef-complete", "ef-path"),
+    ):
+        assert dispatch(inst, problem).method == method
+        with pytest.raises(BudgetExceeded):
+            dispatch(inst, problem, budget=tiny)
+
+
 @settings(DIFFERENTIAL, max_examples=300)
 @given(path_instances(max_items=9, max_types=3))
 def test_path_solvers_match_oracle(inst):
@@ -934,6 +980,31 @@ def test_one_classify_per_dispatch(monkeypatch):
             calls.clear()
             assert dispatch(inst, entry.problem, method).method == entry.name
             assert len(calls) == 1, (entry.problem, entry.name, method)
+
+
+def test_tree_routes_build_no_neighbor_masks():
+    # Path, star and tree solves read adjacency lists only; the bitmask
+    # adjacency serves the oracle's set searches.
+    rng = random.Random(2424)
+    routes = set()
+    for trial in range(90):
+        cls = ("path", "star", "tree")[trial % 3]
+        m = rng.randint(2, 12)
+        drawn = gen_random(seed=trial + 2400, cls=cls, m=m, n=rng.randint(1, min(m, 4)),
+                           types=rng.randint(1, 3))
+        for problem in ("prop", "ef-complete", "mms"):
+            graph = ItemGraph(drawn.graph.labels, drawn.graph.edges)
+            inst = Instance(graph, drawn.agent_names, drawn.utilities)
+            name = select_method(inst, problem).name
+            if name == "oracle":  # ef-complete off paths
+                continue
+            assert dispatch(inst, problem).method == name
+            assert "neighbor_masks" not in graph.__dict__, (problem, name, graph)
+            routes.add(name)
+    assert routes == {e.name for e in METHODS} - {"oracle"}
+    cycle = mk(cycle_graph(5), ("1/5",) * 5, ("1/5",) * 5)
+    assert dispatch(cycle, "prop").method == "oracle"
+    assert "neighbor_masks" in cycle.graph.__dict__
 
 
 def test_dispatch_forwards_budget():
