@@ -18,12 +18,16 @@ disjoint bundles, one per agent.
 Maximin shares need no partition scan: on a connected graph, an agent's
 share is at least x exactly when n disjoint connected bundles each worth at
 least x to her exist, so a bisection over her connected-set values asks the
-same DFS, with n agents of her type.  The envy-free decision alone scans
-partitions; it keeps a part-value table, so each part's value for every row
-is summed once, the first time the part appears, and a partition costs only
-lookups and int comparisons.  Partitions arrive as tuples of part bitmasks,
-and the part-value table is keyed by mask; masks become frozensets only in a
-witness.
+same DFS, with n agents of her type.  A solve grows once per distinct grid
+row and records every set the growth reaches; each bisection probe, and the
+mms bundle search at the shares, filters those records instead of growing
+again, and spends what its own growth would have.
+
+The envy-free decision alone scans partitions; it keeps a part-value table,
+so each part's value for every row is summed once, the first time the part
+appears, and a partition costs only lookups and int comparisons.
+Partitions arrive as tuples of part bitmasks, and the part-value table is
+keyed by mask; masks become frozensets only in a witness.
 """
 
 from __future__ import annotations
@@ -111,11 +115,7 @@ class _NodeCounter:
 
 
 def _minimal_candidates(
-    g: ItemGraph,
-    weights: Sequence[int],
-    threshold: int,
-    counter: _NodeCounter,
-    below: Optional[set[int]] = None,
+    g: ItemGraph, weights: Sequence[int], threshold: int, counter: _NodeCounter
 ) -> list[int]:
     """Minimal connected bundles meeting the threshold, as bitmasks.
 
@@ -127,9 +127,6 @@ def _minimal_candidates(
     connected-preserving removal still qualifies; with nonnegative utilities
     that test is equivalent to having no qualifying connected proper subset
     at all.  Every set the growth reaches spends one unit of ``counter``.
-    Given a set ``below``, the growth instead adds to it the value of every
-    connected set worth less than the threshold, since it reaches them all,
-    and returns no bundles.
     """
     if threshold <= 0:
         return [0]
@@ -151,10 +148,8 @@ def _minimal_candidates(
             v = w.bit_length() - 1
             bundle, value = s | w, total + weights[v]
             if value < threshold:
-                if below is not None:
-                    below.add(value)
                 grow(bundle, value, (frontier | nbr[v]) & avail, avail)
-            elif below is None:
+            else:
                 # dropping v leaves s, below the threshold; drop only the rest
                 slack = value - threshold
                 rest = s
@@ -172,6 +167,111 @@ def _minimal_candidates(
     for root in range(g.vertex_count):
         grow(0, 0, 1 << root, full >> root << root)
     counter.left = left
+    return out
+
+
+# One set a growth reached: (its parent's value, its value, its bitmask).
+_Record = tuple[int, int, int]
+
+
+class _ShareCounter(_NodeCounter):
+    """One mms solve's counter, which also keeps the share search's records.
+
+    ``_shares`` leaves each distinct grid row's recorded growth in
+    ``records`` and its connectivity answers in ``connected``, so the bundle
+    search that follows, metered by the same counter, filters them instead
+    of growing again; they live as long as the counter, one solve.
+    """
+
+    __slots__ = ("records", "connected")
+    records: dict[tuple[int, ...], list[_Record]]
+    connected: dict[int, bool]
+
+
+def _record_growth(
+    g: ItemGraph, weights: Sequence[int], threshold: int, counter: _NodeCounter
+) -> list[_Record]:
+    """Every set ``_minimal_candidates`` at ``threshold`` reaches, in its order.
+
+    Each set is kept as ``(parent value, value, mask)``, the parent being the
+    set it grew from (worth 0 for a root), and spends one unit of
+    ``counter``; the sets that meet the threshold, where the growth stops,
+    are kept too.  Values only rise down the growth, so a growth at any
+    x <= ``threshold`` reaches exactly the records whose parent value is
+    below x, in the same order, and stops at those with
+    ``parent < x <= value``: ``_filter_candidates`` answers it from them.
+    """
+    nbr = g.neighbor_masks
+    records: list[_Record] = []
+    record = records.append
+    left = counter.left
+
+    def grow(s: int, total: int, frontier: int, avail: int) -> None:
+        nonlocal left
+        while frontier:
+            left -= 1
+            if left < 0:
+                raise BudgetExceeded(_EXHAUSTED)
+            w = frontier & -frontier
+            frontier &= ~w
+            avail &= ~w
+            v = w.bit_length() - 1
+            bundle, value = s | w, total + weights[v]
+            record((total, value, bundle))
+            if value < threshold:
+                grow(bundle, value, (frontier | nbr[v]) & avail, avail)
+
+    full = (1 << g.vertex_count) - 1
+    for root in range(g.vertex_count):
+        grow(0, 0, 1 << root, full >> root << root)
+    counter.left = left
+    return records
+
+
+def _filter_candidates(
+    g: ItemGraph,
+    weights: Sequence[int],
+    records: Sequence[_Record],
+    threshold: int,
+    counter: _NodeCounter,
+    connected: dict[int, bool],
+) -> list[int]:
+    """``_minimal_candidates(g, weights, threshold, counter)`` from recorded sets.
+
+    ``records`` come from ``_record_growth`` on the same graph and row, at a
+    threshold of at least this one.  The growth's stop nodes are kept in
+    record order if they pass the same single-removal minimality test, so
+    the list is the growth's own; the last vertex added to a stop node never
+    passes the test's value check, so every vertex of it may be tried.  Each
+    connectivity answer goes into ``connected``, keyed by mask, and holds for
+    any row on the graph.  One bulk spend of ``counter``, at the end, pays
+    for every set the growth would have reached.
+    """
+    if threshold <= 0:
+        return [0]
+    reached = 0
+    out: list[int] = []
+    for parent, value, mask in records:
+        if parent >= threshold:
+            continue
+        reached += 1
+        if value < threshold:
+            continue
+        slack = value - threshold
+        rest = mask
+        while rest:
+            u = rest & -rest
+            rest &= rest - 1
+            if weights[u.bit_length() - 1] <= slack:
+                shrunk = mask & ~u
+                joined = connected.get(shrunk)
+                if joined is None:
+                    joined = connected[shrunk] = mask_is_connected(g, shrunk)
+                if joined:
+                    break
+        else:
+            out.append(mask)
+    counter.spend(reached)
     return out
 
 
@@ -274,17 +374,26 @@ def oracle_mms_values(
     """Each agent's maximin share over connected n-partitions, by packing search.
 
     Too few items is an input error at any size, so it is tested before the
-    budget's size limits.
+    budget's size limits.  The shares come from ``_shares`` on
+    ``Instance.grid``, whose rows are already scaled and checked.
     """
     if inst.item_count < inst.agent_count:
         raise InputError("maximin shares need at least as many items as agents")
     b = _guard(inst, budget)
-    values = mms_values_raw(
-        inst.graph, inst.utilities, inst.agent_count, b.max_enumerated, counter
+    _require_connected(inst.graph)
+    scales, grid = inst.grid
+    shares = _shares(
+        inst.graph, grid, inst.agent_count, counter or _NodeCounter(b.max_enumerated)
     )
+    values = tuple(Fraction(shares[row], scale) for row, scale in zip(grid, scales))
     share = Fraction(1, inst.agent_count)
     assert all(v <= share for v in values), "maximin share above 1/n is impossible"
     return values
+
+
+def _require_connected(g: ItemGraph) -> None:
+    if not mask_is_connected(g, (1 << g.vertex_count) - 1):
+        raise InputError("maximin shares are defined on connected item graphs only")
 
 
 def mms_values_raw(
@@ -296,22 +405,17 @@ def mms_values_raw(
 ) -> tuple[Fraction, ...]:
     """Max-over-partitions min-part value for nonnegative rows on a connected graph.
 
-    Shared by the oracle proper and by trace replays on residual subtrees,
-    where utility rows no longer sum to 1.  Each row is scaled once to its
-    own integer grid, and each distinct grid row is searched once.
-
-    On a connected graph a row's share is at least x exactly when ``parts``
-    pairwise disjoint connected bundles each worth at least x exist: the
-    items left over form components, each touches some bundle, and merging
-    it into that bundle lowers no value.  So the share is 0 or the value of
-    a connected set in (0, L // parts], L being the row's total.  One growth
-    collects those values, and a bisection over them packs ``parts`` minimal
-    bundles at each probed value with the bundle search's DFS; a probe that
-    succeeds moves the bisection past the smallest value it picked.  Every
-    set a growth reaches and every pick spends one unit of ``counter``
-    (a caller's, which meters more than this search), else of ``node_limit``.
-    Entries go through ``_as_fraction``, as ``Instance`` rows do; a row of
-    the wrong length or with a negative entry is an ``InputError``.
+    The oracle's share search for rows that need not come from an
+    ``Instance``, such as trace replays on residual subtrees, where utility
+    rows no longer sum to 1.  Each row is scaled once to its own integer
+    grid, and ``_shares`` searches each distinct grid row once: one growth
+    per row, whose recorded sets every probe of the row's bisection filters.
+    Every set the growth reaches, every set a probe's own growth would have
+    reached, and every pick spends one unit of ``counter`` (a caller's,
+    which meters more than this search), else of ``node_limit``.  Entries
+    go through ``_as_fraction``, as ``Instance`` rows do; a row that is not
+    a sequence, has the wrong length or has a negative entry is an
+    ``InputError``.
 
     >>> from graphfair.graphs import ItemGraph
     >>> path = ItemGraph(("a", "b", "c"), ((0, 1), (1, 2)))
@@ -321,47 +425,75 @@ def mms_values_raw(
     if parts < 1:
         raise InputError("part count must be at least 1")
     m = g.vertex_count
-    rows = [tuple(map(_as_fraction, row)) for row in weight_rows]
-    if not mask_is_connected(g, (1 << g.vertex_count) - 1):
-        raise InputError("maximin shares are defined on connected item graphs only")
+    try:
+        rows = [tuple(map(_as_fraction, row)) for row in weight_rows]
+    except TypeError:  # the rows, or one of them, are not iterable
+        raise InputError("weight rows must be sequences of rationals") from None
+    _require_connected(g)
     if parts > m:
         if rows:
             raise InputError(
                 f"the graph admits no partition into {parts} connected parts"
             )
         return ()
-    counter = counter or _NodeCounter(node_limit)
     scales, grid = integer_grid(rows)
     # checked on the grid, where ints compare far faster than Fractions
     if any(len(row) != m or min(row) < 0 for row in grid):
         raise InputError(f"each weight row needs {m} nonnegative entries")
-    shares: dict[tuple[int, ...], int] = {}
-    for row in grid:
-        if row not in shares:
-            shares[row] = _share(g, row, parts, counter)
+    shares = _shares(g, grid, parts, counter or _NodeCounter(node_limit))
     return tuple(Fraction(shares[row], scale) for row, scale in zip(grid, scales))
 
 
-def _share(
-    g: ItemGraph, weights: Sequence[int], parts: int, counter: _NodeCounter
-) -> int:
-    """One grid row's maximin share, by bisection over its connected-set values."""
-    reached: set[int] = set()
-    _minimal_candidates(g, weights, sum(weights) // parts + 1, counter, reached)
-    values = sorted(reached - {0})
+def _shares(
+    g: ItemGraph,
+    grid: Sequence[tuple[int, ...]],
+    parts: int,
+    counter: _NodeCounter,
+) -> dict[tuple[int, ...], int]:
+    """Each distinct grid row's maximin share, keyed by row.
+
+    On a connected graph a row's share is at least x exactly when ``parts``
+    pairwise disjoint connected bundles each worth at least x exist: the
+    items left over form components, each touches some bundle, and merging
+    it into that bundle lowers no value.  So the share is 0 or the value of
+    a connected set in (0, L // parts], L being the row's total.  One growth
+    per distinct row, at L // parts + 1, records every set it reaches; its
+    values below that threshold are the candidate shares.  A bisection over
+    them packs ``parts`` minimal bundles at each probed value with the bundle
+    search's DFS, taking the bundles from ``_filter_candidates`` on the
+    records, and a probe that succeeds moves the bisection past the smallest
+    value it picked.  One connectivity memo serves every row and probe.
+
+    A ``_ShareCounter`` keeps the records and the memo, which answer
+    ``_filter_candidates`` for any x <= L // parts + 1, the shares included;
+    else they go with the call.  There are at most as many records as units
+    of ``counter`` spent.
+    """
+    records: dict[tuple[int, ...], list[_Record]] = {}
+    connected: dict[int, bool] = {}
+    if isinstance(counter, _ShareCounter):
+        counter.records, counter.connected = records, connected
     one_type = (0,) * parts
-    best = 0
-    lo, hi = 0, len(values) - 1
-    while lo <= hi:
-        mid = (lo + hi) // 2
-        bundles = _minimal_candidates(g, weights, values[mid], counter)
-        picked = _pack([bundles], one_type, counter)
-        if picked is None:
-            hi = mid - 1
-        else:
-            best = min(_mask_value(weights, mask) for mask in picked)
-            lo = bisect_right(values, best)
-    return best
+    shares: dict[tuple[int, ...], int] = {}
+    for row in grid:
+        if row in shares:
+            continue
+        cap = sum(row) // parts + 1
+        grown = records[row] = _record_growth(g, row, cap, counter)
+        values = sorted({value for _, value, _ in grown if 0 < value < cap})
+        best = 0
+        lo, hi = 0, len(values) - 1
+        while lo <= hi:
+            mid = (lo + hi) // 2
+            bundles = _filter_candidates(g, row, grown, values[mid], counter, connected)
+            picked = _pack([bundles], one_type, counter)
+            if picked is None:
+                hi = mid - 1
+            else:
+                best = min(_mask_value(row, mask) for mask in picked)
+                lo = bisect_right(values, best)
+        shares[row] = best
+    return shares
 
 
 def _part_values(
@@ -379,11 +511,30 @@ def _part_values(
 def oracle_mms_exists(
     inst: Instance, budget: Optional[OracleBudget] = None
 ) -> SolveReport:
-    """Exhaustive decision: does an allocation meeting every maximin share exist?"""
+    """Exhaustive decision: does an allocation meeting every maximin share exist?
+
+    The bundle search takes each agent type's minimal bundles at its share
+    from the share search's recorded growth, where ``_search_thresholds``
+    would grow them, and spends the same.
+    """
     # one bound for shares and bundles; oracle_mms_values runs the guard
-    counter = _NodeCounter((budget or DEFAULT_BUDGET).max_enumerated)
+    counter = _ShareCounter((budget or DEFAULT_BUDGET).max_enumerated)
     values = oracle_mms_values(inst, budget, counter)
-    masks = _search_thresholds(inst, list(values), counter)
+    scales, grid = inst.grid
+    types = compute_type_partition(inst)
+    firsts = [members[0] for members in types.members]
+    per_type = [
+        _filter_candidates(
+            inst.graph,
+            grid[a],
+            counter.records[grid[a]],
+            at_least(values[a], scales[a]),
+            counter,
+            counter.connected,
+        )
+        for a in firsts
+    ]
+    masks = _pack(per_type, types.type_of_agent, counter)
     witness = None if masks is None else _masks_to_allocation(masks)
     return make_report(inst, "oracle", witness, quotas=values)
 

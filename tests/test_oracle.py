@@ -153,6 +153,14 @@ def test_mms_values_raw_checks_its_rows():
     assert mms_values_raw(path, [(2, 1, 1)], 2) == (Fraction(2),)
 
 
+def test_mms_values_raw_rows_must_be_sequences():
+    # Instance maps the same input to InputError; a bare TypeError escaped here
+    path = path_graph(3)
+    for rows in ([5], 5, None, [(1, 1, 1), None]):
+        with pytest.raises(InputError, match="sequences"):
+            mms_values_raw(path, rows, 2)
+
+
 def mms_reference(g, rows, parts):
     """Reference maximin values: Fraction sums over every connected partition."""
     partitions = list(enumerate_connected_partitions(g, parts))
@@ -208,25 +216,25 @@ def mms_values_scan(g, rows, parts):
 def test_share_search_matches_partition_scan(monkeypatch):
     """The packing search gives the scan's shares and never probes a decided value.
 
-    Each probe is recorded with its outcome.  A probe must lie above the
-    best share known so far for its grid row (the smallest value picked by
-    the row's last probe that succeeded), below every value that failed, and
-    at most L // parts; so a row searched twice fails the test too.
+    Each probe, a filter of its row's recorded growth, is recorded with its
+    outcome.  A probe must lie above the best share known so far for its
+    grid row (the smallest value picked by the row's last probe that
+    succeeded), below every value that failed, and at most L // parts; so a
+    row searched twice fails the test too.
     """
     probes = []
-    grow, pack = oracle._minimal_candidates, oracle._pack
+    filter_candidates, pack = oracle._filter_candidates, oracle._pack
 
-    def recorded_growth(g, weights, threshold, counter, below=None):
-        if below is None:
-            probes.append([weights, threshold, None])
-        return grow(g, weights, threshold, counter, below)
+    def recorded_probe(g, weights, records, threshold, counter, connected):
+        probes.append([weights, threshold, None])
+        return filter_candidates(g, weights, records, threshold, counter, connected)
 
     def recorded_pack(candidates, type_of_agent, counter):
         picked = pack(candidates, type_of_agent, counter)
         probes[-1][2] = picked
         return picked
 
-    monkeypatch.setattr(oracle, "_minimal_candidates", recorded_growth)
+    monkeypatch.setattr(oracle, "_filter_candidates", recorded_probe)
     monkeypatch.setattr(oracle, "_pack", recorded_pack)
     rng = random.Random(202020)
     seen = set()
@@ -377,6 +385,100 @@ def test_minimal_candidates_match_list_then_filter():
     assert {c for c, _, _ in seen} == set(RANDOM_CLASSES)
     assert max(m for _, m, _ in seen) == 12
     assert {n for _, _, n in seen} == {1, 2, 3, 4, 5}
+
+
+def test_filtered_records_match_the_growth():
+    """Filtering a row's recorded growth gives ``_minimal_candidates`` and its spend.
+
+    Each distinct row's growth is recorded at L // parts + 1 for one part
+    (which reaches every connected set) and for n parts, and filtered at every
+    threshold up to that cap among the row's connected-set values, 0, -1 and
+    L + 1.  One connectivity memo serves every row of a graph.
+    """
+    rng = random.Random(242424)
+    seen = set()
+    for trial in range(500):
+        cls = ("cycle", "connected")[trial % 2]
+        m = rng.randint(3, 10)
+        n = rng.randint(1, 5)
+        denom = rng.choice((2, 3, 10) if m <= 6 else (2, 3) if m <= 8 else (1, 2))
+        inst = gen_random(seed=trial + 24000, cls=cls, m=m, n=n, denom_bound=denom,
+                          types=rng.randint(1, 3))
+        seen.add((cls, m, n))
+        g = inst.graph
+        sets = list(connected_set_masks(g))
+        connected = {}
+        for row in dict.fromkeys(inst.grid[1]):
+            total = sum(row)
+            thresholds = sorted({_mask_value(row, mask) for mask in sets} | {0, -1, total + 1})
+            for parts in {1, n}:
+                cap = total // parts + 1
+                recorded, grown = _NodeCounter(10**9), _NodeCounter(10**9)
+                records = oracle._record_growth(g, row, cap, recorded)
+                _minimal_candidates(g, row, cap, grown)
+                assert recorded.left == grown.left, (trial, row, parts)
+                for t in thresholds:
+                    if t > cap:
+                        break
+                    want_counter, got_counter = _NodeCounter(10**9), _NodeCounter(10**9)
+                    want = _minimal_candidates(g, row, t, want_counter)
+                    got = oracle._filter_candidates(g, row, records, t, got_counter, connected)
+                    assert got == want, (trial, row, parts, t)
+                    assert got_counter.left == want_counter.left, (trial, row, parts, t)
+    assert {c for c, _, _ in seen} == {"cycle", "connected"}
+    assert {m for _, m, _ in seen} == set(range(3, 11))
+    assert {n for _, _, n in seen} == {1, 2, 3, 4, 5}
+
+
+def test_mms_solve_grows_once_per_distinct_row(monkeypatch):
+    """An mms solve records one growth per distinct grid row and grows nothing else."""
+    grown = []
+    record_growth = oracle._record_growth
+
+    def counted(g, weights, threshold, counter):
+        grown.append(weights)
+        return record_growth(g, weights, threshold, counter)
+
+    def forbidden(*args):
+        raise AssertionError("an mms solve grew candidates instead of filtering")
+
+    monkeypatch.setattr(oracle, "_record_growth", counted)
+    monkeypatch.setattr(oracle, "_minimal_candidates", forbidden)
+    for trial in range(40):
+        cls = ("cycle", "connected")[trial % 2]
+        inst = gen_random(seed=trial + 25000, cls=cls, m=6 + trial % 4, n=2 + trial % 3,
+                          types=1 + trial % 3)
+        grown.clear()
+        oracle_mms_exists(inst)
+        assert grown == list(dict.fromkeys(inst.grid[1])), trial
+
+
+def test_share_search_keeps_nothing_between_graphs():
+    """Solves on different graphs, alternated, each match their own references.
+
+    The graphs share a vertex count, so the same bitmask names different
+    sets, connected on one graph and not on another: a record or a
+    connectivity answer that outlived its solve would be read for the wrong
+    graph.
+    """
+    rng = random.Random(262626)
+    insts = [
+        gen_random(seed=seed + 26000, cls=cls, m=6, n=n, denom_bound=rng.choice((3, 10)))
+        for seed, (cls, n) in enumerate([("cycle", 2), ("connected", 3), ("cycle", 3),
+                                         ("connected", 2), ("path", 2), ("star", 3)] * 2)
+    ]
+    rows = [tuple(rng.randint(0, 9) for _ in range(6)) for _ in range(2)]
+    for _ in range(2):
+        for inst in insts:
+            g, n = inst.graph, inst.agent_count
+            for parts in (2, 3, 4):
+                assert mms_values_raw(g, rows, parts) == mms_values_scan(g, rows, parts)
+            quotas = mms_values_scan(g, inst.utilities, n)
+            rep = oracle_mms_exists(inst)
+            assert rep.quotas == quotas
+            assert rep.decision == exists_unpruned(inst, quotas), inst
+            if rep.decision:
+                assert is_mms_allocation(inst, rep.witness, quotas)
 
 
 def search_thresholds_reference(inst, thresholds, budget):
