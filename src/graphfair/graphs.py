@@ -60,8 +60,8 @@ def is_connected_set(g: ItemGraph, vertices: Iterable[int]) -> bool:
     mask = 0
     m = g.vertex_count
     for v in vertices:
-        if not (0 <= v < m):
-            raise InputError(f"vertex {v} outside 0..{m - 1}")
+        if not (isinstance(v, int) and 0 <= v < m):
+            raise InputError(f"vertex {v!r} outside 0..{m - 1}")
         mask |= 1 << v
     return mask_is_connected(g, mask)
 
@@ -142,8 +142,8 @@ def root_tree(g: ItemGraph, root: int) -> RootedTreeView:
     vertices.  A child is a neighbor not reached before, so no vertex repeats.
     """
     m = g.vertex_count
-    if not 0 <= root < m:
-        raise InputError(f"root {root} outside 0..{m - 1}")
+    if not (isinstance(root, int) and 0 <= root < m):
+        raise InputError(f"root {root!r} outside 0..{m - 1}")
     if len(g.edges) != m - 1:
         raise InputError("the item graph is not a tree")
 
@@ -227,8 +227,8 @@ def enumerate_connected_partitions(
 
 def connected_partition_masks(g: ItemGraph, k: int) -> Iterator[tuple[int, ...]]:
     """``enumerate_connected_partitions`` with every part as a bitmask."""
-    if k < 1:
-        raise InputError("part count must be at least 1")
+    if not (isinstance(k, int) and k >= 1):
+        raise InputError(f"part count must be an int >= 1, got {k!r}")
     m = g.vertex_count
     if k > m:
         return
@@ -290,11 +290,12 @@ def induced_subgraph(
     g: ItemGraph, vertices: Iterable[int]
 ) -> tuple[ItemGraph, tuple[int, ...]]:
     """Induced subgraph plus the new-index -> old-index map (ascending)."""
-    keep = sorted(set(vertices))
-    if not keep:
+    chosen = set(vertices)
+    if not chosen:
         raise InputError("induced subgraph needs at least one vertex")
-    if not all(0 <= v < g.vertex_count for v in keep):
+    if not all(isinstance(v, int) and 0 <= v < g.vertex_count for v in chosen):
         raise InputError("vertex outside the graph")
+    keep = sorted(chosen)
     back = {old: new for new, old in enumerate(keep)}
     labels = tuple(g.labels[v] for v in keep)
     edges = tuple(

@@ -321,8 +321,8 @@ def _check_alloc_shape(inst: Instance, alloc: Allocation) -> None:
     m = inst.item_count
     for b in alloc.bundles:
         for v in b:
-            if not (0 <= v < m):
-                raise InputError(f"bundle vertex {v} outside 0..{m - 1}")
+            if not (isinstance(v, int) and 0 <= v < m):
+                raise InputError(f"bundle vertex {v!r} outside 0..{m - 1}")
 
 
 def is_valid(inst: Instance, alloc: Allocation) -> bool:

@@ -9,18 +9,18 @@ unpruned one would; ``test_pruned_matches_unpruned`` in
 ``tests/test_oracle.py`` checks this against an unpruned search of its own.
 
 All scans run on ``Instance.grid``, one integer grid per agent, with each
-threshold put on its agent's grid by ``model.at_least``.  A bundle search
-grows connected sets once per agent type, carrying each set's value down
-the growth, and stops growing a set as soon as it meets the threshold, since
-its supersets hold no other minimal bundle; one DFS then packs pairwise
-disjoint bundles, one per agent.
+threshold put on its agent's grid by ``model.at_least``.  The one bundle
+search, ``_search_thresholds``, grows connected sets once per agent type and
+stops a set once it meets the threshold, since its supersets hold no other
+minimal bundle; one test, ``_is_minimal``, with one connectivity memo per
+solve, keeps the minimal ones, and one DFS packs disjoint bundles, one per agent.
 
 Maximin shares need no partition scan: on a connected graph, an agent's
 share is at least x exactly when n disjoint connected bundles each worth at
 least x to her exist, so a bisection over her connected-set values asks the
 same DFS, with n agents of her type.  A solve grows once per distinct grid
 row and records every set the growth reaches; each bisection probe, and the
-mms bundle search at the shares, filters those records instead of growing
+bundle search at the shares, filters those records instead of growing
 again, and spends what its own growth would have.
 
 The envy-free decision alone scans partitions; it keeps a part-value table,
@@ -114,19 +114,49 @@ class _NodeCounter:
             raise BudgetExceeded(_EXHAUSTED)
 
 
+def _is_minimal(
+    g: ItemGraph,
+    weights: Sequence[int],
+    mask: int,
+    slack: int,
+    connected: dict[int, bool],
+) -> bool:
+    """Whether no single removal keeps the connected set ``mask`` qualifying.
+
+    ``mask`` is worth ``slack`` above the threshold; with nonnegative utilities
+    that makes it a minimal bundle.  A growth's last vertex is worth more than
+    ``slack``, so it is never removed.  ``connected`` memoizes connectivity by
+    mask, which holds for every row and threshold of a solve.
+    """
+    rest = mask
+    while rest:
+        u = rest & -rest
+        rest &= rest - 1
+        if weights[u.bit_length() - 1] <= slack:
+            shrunk = mask & ~u
+            joined = connected.get(shrunk)
+            if joined is None:
+                joined = connected[shrunk] = mask_is_connected(g, shrunk)
+            if joined:
+                return False
+    return True
+
+
 def _minimal_candidates(
-    g: ItemGraph, weights: Sequence[int], threshold: int, counter: _NodeCounter
+    g: ItemGraph,
+    weights: Sequence[int],
+    threshold: int,
+    counter: _NodeCounter,
+    connected: dict[int, bool],
 ) -> list[int]:
     """Minimal connected bundles meeting the threshold, as bitmasks.
 
     The growth branches like ``connected_set_masks`` (lowest root first, then
     include-first on the lowest frontier vertex), so the result keeps that
     stream's order.  Every set below a node is a superset of the node's set,
-    so once a set meets the threshold it is the only possible minimal bundle
-    there and the growth stops.  A qualifying set is minimal iff no single
-    connected-preserving removal still qualifies; with nonnegative utilities
-    that test is equivalent to having no qualifying connected proper subset
-    at all.  Every set the growth reaches spends one unit of ``counter``.
+    so once a set meets the threshold the growth stops there, keeping the set
+    if ``_is_minimal`` holds with the memo ``connected``.  Every set the
+    growth reaches spends one unit of ``counter``.
     """
     if threshold <= 0:
         return [0]
@@ -149,19 +179,8 @@ def _minimal_candidates(
             bundle, value = s | w, total + weights[v]
             if value < threshold:
                 grow(bundle, value, (frontier | nbr[v]) & avail, avail)
-            else:
-                # dropping v leaves s, below the threshold; drop only the rest
-                slack = value - threshold
-                rest = s
-                while rest:
-                    u = rest & -rest
-                    rest &= rest - 1
-                    if weights[u.bit_length() - 1] <= slack and mask_is_connected(
-                        g, bundle & ~u
-                    ):
-                        break
-                else:
-                    out.append(bundle)
+            elif _is_minimal(g, weights, bundle, value - threshold, connected):
+                out.append(bundle)
 
     full = (1 << g.vertex_count) - 1
     for root in range(g.vertex_count):
@@ -178,8 +197,8 @@ class _ShareCounter(_NodeCounter):
     """One mms solve's counter, which also keeps the share search's records.
 
     ``_shares`` leaves each distinct grid row's recorded growth in
-    ``records`` and its connectivity answers in ``connected``, so the bundle
-    search that follows, metered by the same counter, filters them instead
+    ``records`` and its connectivity answers in ``connected``, so
+    ``_search_thresholds``, metered by the same counter, filters them instead
     of growing again; they live as long as the counter, one solve.
     """
 
@@ -236,16 +255,13 @@ def _filter_candidates(
     counter: _NodeCounter,
     connected: dict[int, bool],
 ) -> list[int]:
-    """``_minimal_candidates(g, weights, threshold, counter)`` from recorded sets.
+    """``_minimal_candidates`` at ``threshold`` from recorded sets.
 
     ``records`` come from ``_record_growth`` on the same graph and row, at a
     threshold of at least this one.  The growth's stop nodes are kept in
-    record order if they pass the same single-removal minimality test, so
-    the list is the growth's own; the last vertex added to a stop node never
-    passes the test's value check, so every vertex of it may be tried.  Each
-    connectivity answer goes into ``connected``, keyed by mask, and holds for
-    any row on the graph.  One bulk spend of ``counter``, at the end, pays
-    for every set the growth would have reached.
+    record order if ``_is_minimal`` holds, with ``connected`` as its memo, so
+    the list is the growth's own.  One bulk spend of ``counter``, at the
+    end, pays for every set the growth would have reached.
     """
     if threshold <= 0:
         return [0]
@@ -255,21 +271,9 @@ def _filter_candidates(
         if parent >= threshold:
             continue
         reached += 1
-        if value < threshold:
-            continue
-        slack = value - threshold
-        rest = mask
-        while rest:
-            u = rest & -rest
-            rest &= rest - 1
-            if weights[u.bit_length() - 1] <= slack:
-                shrunk = mask & ~u
-                joined = connected.get(shrunk)
-                if joined is None:
-                    joined = connected[shrunk] = mask_is_connected(g, shrunk)
-                if joined:
-                    break
-        else:
+        if value >= threshold and _is_minimal(
+            g, weights, mask, value - threshold, connected
+        ):
             out.append(mask)
     counter.spend(reached)
     return out
@@ -278,15 +282,27 @@ def _filter_candidates(
 def _search_thresholds(
     inst: Instance, thresholds: Sequence[Fraction], counter: _NodeCounter
 ) -> Optional[list[int]]:
-    """First assignment (in deterministic DFS order) meeting all thresholds."""
+    """First assignment (in deterministic DFS order) meeting all thresholds.
+
+    Each agent type grows its minimal bundles at its first member's threshold,
+    or filters its row's growth if a ``_ShareCounter`` recorded one; the
+    types share one connectivity memo, the counter's if it has one.
+    """
     g = inst.graph
     scales, weights = inst.grid
-    scaled = [at_least(t, scale) for t, scale in zip(thresholds, scales)]
+    if isinstance(counter, _ShareCounter):
+        records, connected = counter.records, counter.connected
+    else:
+        records, connected = {}, {}
     types = compute_type_partition(inst)
-    # One growth per agent type, at the threshold of its first member; each
-    # spends once per set it reaches.
-    firsts = [members[0] for members in types.members]
-    per_type = [_minimal_candidates(g, weights[a], scaled[a], counter) for a in firsts]
+    per_type = []
+    for a in (members[0] for members in types.members):
+        row, x = weights[a], at_least(thresholds[a], scales[a])
+        grown = records.get(row)
+        if grown is None:
+            per_type.append(_minimal_candidates(g, row, x, counter, connected))
+        else:
+            per_type.append(_filter_candidates(g, row, grown, x, counter, connected))
     return _pack(per_type, types.type_of_agent, counter)
 
 
@@ -401,7 +417,6 @@ def mms_values_raw(
     weight_rows: Sequence[Sequence[Fraction]],
     parts: int,
     node_limit: int = DEFAULT_BUDGET.max_enumerated,
-    counter: Optional[_NodeCounter] = None,
 ) -> tuple[Fraction, ...]:
     """Max-over-partitions min-part value for nonnegative rows on a connected graph.
 
@@ -411,19 +426,18 @@ def mms_values_raw(
     grid, and ``_shares`` searches each distinct grid row once: one growth
     per row, whose recorded sets every probe of the row's bisection filters.
     Every set the growth reaches, every set a probe's own growth would have
-    reached, and every pick spends one unit of ``counter`` (a caller's,
-    which meters more than this search), else of ``node_limit``.  Entries
-    go through ``_as_fraction``, as ``Instance`` rows do; a row that is not
-    a sequence, has the wrong length or has a negative entry is an
-    ``InputError``.
+    reached, and every pick spends one unit of ``node_limit``.  Entries go
+    through ``_as_fraction``, as ``Instance`` rows do; a part count that is
+    not an int of at least 1, or a row that is not a sequence, has the wrong
+    length or has a negative entry, is an ``InputError``.
 
     >>> from graphfair.graphs import ItemGraph
     >>> path = ItemGraph(("a", "b", "c"), ((0, 1), (1, 2)))
     >>> mms_values_raw(path, [(Fraction(1, 2), Fraction(1, 4), Fraction(1, 4))], 2)
     (Fraction(1, 2),)
     """
-    if parts < 1:
-        raise InputError("part count must be at least 1")
+    if not (isinstance(parts, int) and parts >= 1):
+        raise InputError(f"part count must be an int >= 1, got {parts!r}")
     m = g.vertex_count
     try:
         rows = [tuple(map(_as_fraction, row)) for row in weight_rows]
@@ -440,7 +454,7 @@ def mms_values_raw(
     # checked on the grid, where ints compare far faster than Fractions
     if any(len(row) != m or min(row) < 0 for row in grid):
         raise InputError(f"each weight row needs {m} nonnegative entries")
-    shares = _shares(g, grid, parts, counter or _NodeCounter(node_limit))
+    shares = _shares(g, grid, parts, _NodeCounter(node_limit))
     return tuple(Fraction(shares[row], scale) for row, scale in zip(grid, scales))
 
 
@@ -513,28 +527,13 @@ def oracle_mms_exists(
 ) -> SolveReport:
     """Exhaustive decision: does an allocation meeting every maximin share exist?
 
-    The bundle search takes each agent type's minimal bundles at its share
-    from the share search's recorded growth, where ``_search_thresholds``
-    would grow them, and spends the same.
+    The bundle search at the shares is ``_search_thresholds``, which filters
+    the share search's recorded growths and spends what growing would.
     """
     # one bound for shares and bundles; oracle_mms_values runs the guard
     counter = _ShareCounter((budget or DEFAULT_BUDGET).max_enumerated)
     values = oracle_mms_values(inst, budget, counter)
-    scales, grid = inst.grid
-    types = compute_type_partition(inst)
-    firsts = [members[0] for members in types.members]
-    per_type = [
-        _filter_candidates(
-            inst.graph,
-            grid[a],
-            counter.records[grid[a]],
-            at_least(values[a], scales[a]),
-            counter,
-            counter.connected,
-        )
-        for a in firsts
-    ]
-    masks = _pack(per_type, types.type_of_agent, counter)
+    masks = _search_thresholds(inst, values, counter)
     witness = None if masks is None else _masks_to_allocation(masks)
     return make_report(inst, "oracle", witness, quotas=values)
 

@@ -10,8 +10,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import DIFFERENTIAL, cycle_graph, path_graph, star_graph, subtree_of
+from conftest import DIFFERENTIAL, cycle_graph, mk, path_graph, star_graph, subtree_of
 from graphfair import (
+    Allocation,
     InputError,
     ItemGraph,
     classify,
@@ -19,7 +20,13 @@ from graphfair import (
     enumerate_connected_sets,
     gen_random,
     induced_subgraph,
+    is_complete,
     is_connected_set,
+    is_envy_free,
+    is_mms_allocation,
+    is_proportional,
+    is_valid,
+    mms_values_raw,
     root_tree,
 )
 from graphfair.generators import RANDOM_CLASSES
@@ -330,6 +337,51 @@ def test_induced_subgraph():
     assert mapping == (0, 1, 3)
     assert sub.labels == ("v1", "v2", "v4")
     assert sub.edges == ((0, 1),)
+
+
+def _one_bundle(v):
+    """One agent of a 3-path holding the bundle {v}: a verifier's arguments."""
+    return mk(path_graph(3), ("1/3", "1/3", "1/3")), Allocation((frozenset({v}),))
+
+
+# Each entry point takes one int argument: a part count, a root, or a vertex
+# (the verifiers' bundle vertices go through ``_check_alloc_shape``).
+INT_ARGUMENT_CALLS = {
+    "partitions": lambda k: list(enumerate_connected_partitions(cycle_graph(3), k)),
+    "partition-masks": lambda k: list(connected_partition_masks(cycle_graph(3), k)),
+    "mms-values-raw": lambda k: mms_values_raw(cycle_graph(3), [(1, 1, 1)], k),
+    "root-tree": lambda root: root_tree(path_graph(3), root),
+    "is-connected-set": lambda v: is_connected_set(cycle_graph(3), [0, v]),
+    "induced-subgraph": lambda v: induced_subgraph(cycle_graph(3), [0, v]),
+    "is-valid": lambda v: is_valid(*_one_bundle(v)),
+    "is-proportional": lambda v: is_proportional(*_one_bundle(v)),
+    "is-envy-free": lambda v: is_envy_free(*_one_bundle(v)),
+    "is-complete": lambda v: is_complete(*_one_bundle(v)),
+    "is-mms-allocation": lambda v: is_mms_allocation(*_one_bundle(v), (0,)),
+}
+_VERTEX_ENTRIES = ("is-connected-set", "induced-subgraph", "is-valid", "is-proportional",
+                   "is-envy-free", "is-complete", "is-mms-allocation")
+
+
+@pytest.mark.parametrize("entry, value", [
+    *((entry, k) for entry in ("partitions", "partition-masks", "mms-values-raw")
+      for k in (2.0, "2", None)),
+    ("root-tree", 0.0), ("root-tree", "0"),
+    *((entry, v) for entry in _VERTEX_ENTRIES for v in ("a", 1.0)),
+])
+def test_non_int_arguments_are_input_errors(entry, value):
+    """A non-int count, root or vertex is an ``InputError``, never a ``TypeError``.
+
+    A float that equals an int is refused too, rather than read as that int.
+    """
+    with pytest.raises(InputError):
+        INT_ARGUMENT_CALLS[entry](value)
+
+
+def test_bool_arguments_count_as_ints():
+    assert len(list(connected_partition_masks(cycle_graph(3), True))) == 1
+    assert root_tree(path_graph(3), False).root == 0
+    assert is_connected_set(cycle_graph(3), [0, True])
 
 
 # The partition and connected-set streams as they were before they moved to

@@ -43,7 +43,7 @@ from graphfair.graphs import (
     enumerate_connected_partitions,
     mask_is_connected,
 )
-from graphfair.model import at_least, integer_grid
+from graphfair.model import at_least, compute_type_partition, integer_grid
 from graphfair.oracle import _mask_value, _minimal_candidates, _NodeCounter
 
 from conftest import DIFFERENTIAL, mk, path_graph, star_graph, types_by_equality
@@ -374,7 +374,7 @@ def test_minimal_candidates_match_list_then_filter():
             share = at_least(Fraction(1, n), scale)
             for t in sorted({share, 0, -1, scale + 1} | values):
                 counter = _NodeCounter(10**9)
-                got = _minimal_candidates(g, row, t, counter)
+                got = _minimal_candidates(g, row, t, counter, {})
                 assert got == minimal_candidates_reference(g, sets, row, t), (inst, t)
                 if t <= 0:
                     assert got == [0]
@@ -415,13 +415,13 @@ def test_filtered_records_match_the_growth():
                 cap = total // parts + 1
                 recorded, grown = _NodeCounter(10**9), _NodeCounter(10**9)
                 records = oracle._record_growth(g, row, cap, recorded)
-                _minimal_candidates(g, row, cap, grown)
+                _minimal_candidates(g, row, cap, grown, {})
                 assert recorded.left == grown.left, (trial, row, parts)
                 for t in thresholds:
                     if t > cap:
                         break
                     want_counter, got_counter = _NodeCounter(10**9), _NodeCounter(10**9)
-                    want = _minimal_candidates(g, row, t, want_counter)
+                    want = _minimal_candidates(g, row, t, want_counter, {})
                     got = oracle._filter_candidates(g, row, records, t, got_counter, connected)
                     assert got == want, (trial, row, parts, t)
                     assert got_counter.left == want_counter.left, (trial, row, parts, t)
@@ -451,6 +451,71 @@ def test_mms_solve_grows_once_per_distinct_row(monkeypatch):
         grown.clear()
         oracle_mms_exists(inst)
         assert grown == list(dict.fromkeys(inst.grid[1])), trial
+
+
+def test_prop_solve_floods_each_mask_once(monkeypatch):
+    """One connectivity memo serves every agent type of a prop solve.
+
+    The minimality test meets the same shrunk set again, under another stop
+    node or another type's row; the memo answers it after the first flood.
+    """
+    flooded = []
+
+    def counted(g, mask):
+        flooded.append(mask)
+        return mask_is_connected(g, mask)
+
+    monkeypatch.setattr(oracle, "mask_is_connected", counted)
+    rng = random.Random(252525)
+    tested = 0
+    for trial in range(200):
+        cls = ("cycle", "connected")[trial % 2]
+        inst = gen_random(seed=trial + 25500, cls=cls, m=rng.randint(6, 10),
+                          n=rng.randint(2, 5), types=rng.randint(1, 3))
+        flooded.clear()
+        oracle_prop(inst)
+        assert len(flooded) == len(set(flooded)), trial
+        tested += len(flooded) > 0
+    assert tested > 150
+
+
+def test_bundle_searches_pack_through_search_thresholds(monkeypatch):
+    """prop and mms-exists pick their bundles in ``_search_thresholds``.
+
+    Every pack of a prop solve runs inside it.  An mms solve packs its
+    share probes outside it, one type at a time, and then packs its bundles
+    once inside it, for the instance's own types.
+    """
+    search, pack = oracle._search_thresholds, oracle._pack
+    depth = [0]
+    packs = []
+
+    def searched(inst, thresholds, counter):
+        depth[0] += 1
+        try:
+            return search(inst, thresholds, counter)
+        finally:
+            depth[0] -= 1
+
+    def packed(candidates, type_of_agent, counter):
+        packs.append((depth[0], tuple(type_of_agent)))
+        return pack(candidates, type_of_agent, counter)
+
+    monkeypatch.setattr(oracle, "_search_thresholds", searched)
+    monkeypatch.setattr(oracle, "_pack", packed)
+    for trial in range(20):
+        cls = ("cycle", "connected")[trial % 2]
+        inst = gen_random(seed=trial + 25800, cls=cls, m=6 + trial % 4, n=2 + trial % 3,
+                          types=1 + trial % 3)
+        types = compute_type_partition(inst).type_of_agent
+        packs.clear()
+        oracle_prop(inst)
+        assert packs == [(1, types)], trial
+        packs.clear()
+        oracle_mms_exists(inst)
+        *probes, last = packs
+        assert last == (1, types), trial
+        assert probes and all(d == 0 and set(t) == {0} for d, t in probes), trial
 
 
 def test_share_search_keeps_nothing_between_graphs():
@@ -499,7 +564,9 @@ def search_thresholds_reference(inst, thresholds, budget):
     for a in range(n):
         t = type_of[a]
         if t not in per_type_cache:
-            per_type_cache[t] = _minimal_candidates(g, weights[a], scaled[a], counter)
+            per_type_cache[t] = _minimal_candidates(
+                g, weights[a], scaled[a], counter, {}
+            )
         candidates.append(per_type_cache[t])
     last_pick_of_type = {}
     chosen = []
@@ -592,7 +659,7 @@ def weighted_graphs(draw, max_items):
 @given(weighted_graphs(max_items=9))
 def test_minimal_candidates_are_minimal_and_cover(case):
     g, weights, threshold = case
-    cands = _minimal_candidates(g, weights, threshold, _NodeCounter(10**9))
+    cands = _minimal_candidates(g, weights, threshold, _NodeCounter(10**9), {})
     assert len(set(cands)) == len(cands)
     for c in cands:
         assert mask_is_connected(g, c) and _mask_value(weights, c) >= threshold
