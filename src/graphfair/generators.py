@@ -11,13 +11,14 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from math import lcm
 from typing import Optional
 
 import heapq
 import random
 import sys
 
-from .graphs import ItemGraph, mask_is_connected
+from .graphs import ItemGraph, _component
 from .model import InputError, Instance
 
 __all__ = [
@@ -271,20 +272,30 @@ def gen_random(
 ) -> Instance:
     """Seeded random instance with graph drawn from the named class.
 
-    Utilities are random small-denominator rationals normalized to exact unit
-    sum; ``types`` caps the number of distinct utility rows (agents beyond it
-    reuse earlier rows, drawn uniformly).
+    The graph is drawn first, then the utility rows.  Per item, a row draws
+    the numerator, ``randint(0, denom_bound)``, and then the denominator,
+    ``randint(1, denom_bound)``; a row whose numerators are all zero is drawn
+    again.  The row is normalized to exact unit sum on the integer grid: with
+    L the lcm of its denominators, the draw a/b scales to the int a * (L // b),
+    and each entry is that int over the row's scaled total, so equal draws
+    share one ``Fraction``.  ``types`` caps the number of distinct utility rows
+    (agents beyond it reuse earlier rows, drawn uniformly).  Equal arguments
+    give byte-equal instances on every run.
+
+    ``m``, ``n``, ``denom_bound`` and ``types`` (when given) must be ints of at
+    least 1 (a bool counts as an int), and a cycle needs ``m >= 3``; anything
+    else raises ``InputError`` before any draw.
     """
     if cls not in RANDOM_CLASSES:
         raise InputError(f"unknown graph class {cls!r}")
-    if m < 1 or n < 1:
-        raise InputError("need at least one item and one agent")
+    sizes = {"item count": m, "agent count": n, "denominator bound": denom_bound}
+    if types is not None:
+        sizes["type cap"] = types
+    for name, value in sizes.items():
+        if not (isinstance(value, int) and value >= 1):
+            raise InputError(f"{name} must be an int >= 1, got {value!r}")
     if cls == "cycle" and m < 3:
         raise InputError("a cycle needs at least 3 vertices")
-    if denom_bound < 1:
-        raise InputError("denominator bound must be positive")
-    if types is not None and types < 1:
-        raise InputError("the type cap must be positive")
     rng = random.Random(seed)
     # Interned labels are shared by every instance that is alive at once.
     labels = tuple(sys.intern(f"v{i + 1}") for i in range(m))
@@ -319,16 +330,21 @@ def gen_random(
 
 
 def _random_row(rng: random.Random, m: int, denom_bound: int) -> tuple[Fraction, ...]:
+    draw = rng.randrange
+    top = denom_bound + 1
     while True:
-        raw = [
-            Fraction(rng.randint(0, denom_bound), rng.randint(1, denom_bound))
-            for _ in range(m)
-        ]
-        total = sum(raw)
-        if total > 0:
+        # per item the numerator in 0..denom_bound, then the denominator in
+        # 1..denom_bound: the draws of randint(0, D) and randint(1, D)
+        raw = [(draw(top), draw(1, top)) for _ in range(m)]
+        denominators = {b for _, b in raw}
+        scale = lcm(*denominators)
+        factor = {b: scale // b for b in denominators}
+        scaled = [a * factor[b] for a, b in raw]
+        total = sum(scaled)
+        if total:
             # Equal draws share one normalized Fraction, which keeps long rows small.
-            normalized = {x: x / total for x in set(raw)}
-            return tuple(normalized[x] for x in raw)
+            shared = {x: Fraction(x, total) for x in set(scaled)}
+            return tuple(shared[x] for x in scaled)
 
 
 def _random_tree_edges(rng: random.Random, m: int) -> tuple[tuple[int, int], ...]:
@@ -353,9 +369,17 @@ def _random_tree_edges(rng: random.Random, m: int) -> tuple[tuple[int, int], ...
 
 
 def _random_connected_edges(rng: random.Random, m: int) -> tuple[tuple[int, int], ...]:
-    pairs = [(a, b) for a in range(m) for b in range(a + 1, m)]
+    full = (1 << m) - 1
+    coin = rng.random
     while True:
-        edges = tuple(e for e in pairs if rng.random() < 0.5)
-        probe = ItemGraph(tuple(str(v) for v in range(m)), edges)
-        if mask_is_connected(probe, (1 << m) - 1):
-            return edges
+        # each pair (a, b), a < b, in lexicographic order, kept with chance 1/2
+        nbr = [0] * m
+        edges = []
+        for a in range(m):
+            for b in range(a + 1, m):
+                if coin() < 0.5:
+                    edges.append((a, b))
+                    nbr[a] |= 1 << b
+                    nbr[b] |= 1 << a
+        if _component(nbr, 1, full) == full:
+            return tuple(edges)

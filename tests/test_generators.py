@@ -1,5 +1,7 @@
 """Reduction generators and the random instance factory."""
 
+import hashlib
+import itertools
 import random
 from fractions import Fraction
 
@@ -19,6 +21,7 @@ from graphfair.generators import (
     PartitionInstance,
     RANDOM_CLASSES,
     X3cInstance,
+    _random_row,
     _random_tree_edges,
     fixture_cycle8,
     gen_indepset_ef_star,
@@ -27,6 +30,7 @@ from graphfair.generators import (
     gen_x3c_prop_path,
 )
 from graphfair.model import ItemGraph
+from graphfair.serialize import instance_to_json
 
 from conftest import frac_row
 
@@ -265,3 +269,77 @@ def test_gen_random_validation():
         gen_random(seed=0, cls="path", m=4, n=2, denom_bound=0)
     with pytest.raises(InputError):
         gen_random(seed=0, cls="path", m=4, n=2, types=0)
+
+
+@pytest.mark.parametrize(
+    "kwargs",
+    [
+        {"m": 4.0, "n": 2},
+        {"m": "4", "n": 2},
+        {"m": 4, "n": 2.0},
+        {"m": 4, "n": 2, "denom_bound": 2.5},
+        {"m": 4, "n": 2, "types": 1.5},
+    ],
+    ids=["float-items", "str-items", "float-agents", "float-denom", "float-types"],
+)
+def test_gen_random_non_int_sizes_raise_input_error(kwargs):
+    with pytest.raises(InputError, match="must be an int"):
+        gen_random(seed=0, cls="path", **kwargs)
+
+
+# sha256 over the instance_to_json documents of gen_random_pin_cases, each
+# followed by a newline; taken from the Fraction normalization that the
+# integer one replaced, so the draws and the bytes are the same as before.
+GEN_RANDOM_DIGESTS = {
+    "path": "df940e1f8b32c8d84e2c53d5c39cd0e57a2aecb126b3d3dc8338d4357dfb65e9",
+    "star": "29c7d9e1a3cc3689cfba95a28cd92332d13788ecdefbee842eb40f6f9aa6e888",
+    "tree": "5c5e2aadb5a6a11757b6a72f63949220c79cc5d1379fadaa94bb16681c027c11",
+    "cycle": "584cfb75fa8631a9f79082df40173fec6fd97f517e1fc2cd5d6068abe5fad1d9",
+    "connected": "a46360a233273927cad4bda8d2b4d1f662bb64709f9b1fa5fac57cb1d578d11b",
+}
+
+
+def gen_random_pin_cases(cls):
+    """Every (m, n, denom_bound, types) of the grid, seeds 0-5 in turn.
+
+    With ``denom_bound=1`` and ``m=1`` a row is all zero half the time, so
+    some cases draw a row again.
+    """
+    sizes = [m for m in (1, 2, 9, 60, 150) if cls != "cycle" or m >= 3]
+    grid = itertools.product(sizes, (1, 4), (1, 2, 7, 20, 97), (None, 1, 3))
+    for i, (m, n, denom_bound, types) in enumerate(grid):
+        yield i % 6, m, n, denom_bound, types
+
+
+@pytest.mark.parametrize("cls", RANDOM_CLASSES)
+def test_gen_random_bytes_pinned(cls):
+    h = hashlib.sha256()
+    for seed, m, n, denom_bound, types in gen_random_pin_cases(cls):
+        inst = gen_random(seed, cls, m, n, denom_bound, types)
+        h.update(instance_to_json(inst).encode("utf-8") + b"\n")
+    assert h.hexdigest() == GEN_RANDOM_DIGESTS[cls]
+
+
+def random_row_reference(rng, m, denom_bound):
+    """The Fraction normalization that ``_random_row`` replaced."""
+    while True:
+        raw = [
+            Fraction(rng.randint(0, denom_bound), rng.randint(1, denom_bound))
+            for _ in range(m)
+        ]
+        total = sum(raw)
+        if total > 0:
+            normalized = {x: x / total for x in set(raw)}
+            return tuple(normalized[x] for x in raw)
+
+
+def test_random_row_matches_fraction_reference():
+    for i in range(2100):
+        m = (1, 2, 3, 5, 9, 17, 40)[i % 7]
+        denom_bound = (1, 2, 7, 20, 97)[i % 5]
+        rng, ref = random.Random(i), random.Random(i)
+        row = _random_row(rng, m, denom_bound)
+        assert row == random_row_reference(ref, m, denom_bound)
+        assert rng.random() == ref.random()  # the same draws were consumed
+        # equal entries are one object, as equal draws were in the reference
+        assert len({id(x) for x in row}) == len(set(row))
