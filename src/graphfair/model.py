@@ -204,12 +204,6 @@ class Instance:
     def item_count(self) -> int:
         return self.graph.vertex_count
 
-    def agent_index(self, name: str) -> int:
-        try:
-            return self.agent_names.index(name)
-        except ValueError:
-            raise InputError(f"unknown agent name {name!r}") from None
-
 
 @dataclass(frozen=True)
 class AgentTypePartition:

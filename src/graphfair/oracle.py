@@ -12,8 +12,8 @@ All scans run on ``Instance.grid``, one integer grid per agent, with each
 threshold put on its agent's grid by ``model.at_least``.  The one bundle
 search, ``_search_thresholds``, grows connected sets once per agent type and
 stops a set once it meets the threshold, since its supersets hold no other
-minimal bundle; one test, ``_is_minimal``, with one connectivity memo per
-solve, keeps the minimal ones, and one DFS packs disjoint bundles, one per agent.
+minimal bundle; one test, ``_is_minimal``, keeps the minimal ones, and one
+DFS packs disjoint bundles, one per agent.
 
 Maximin shares need no partition scan: on a connected graph, an agent's
 share is at least x exactly when n disjoint connected bundles each worth at
@@ -22,6 +22,10 @@ same DFS, with n agents of her type.  A solve grows once per distinct grid
 row and records every set the growth reaches; each bisection probe, and the
 bundle search at the shares, filters those records instead of growing
 again, and spends what its own growth would have.
+
+One solve has one work counter, ``_NodeCounter``, which carries the solve's
+whole search state: the budget left, the recorded growths and the
+connectivity memo of ``_is_minimal``.
 
 The envy-free decision alone scans partitions; it keeps a part-value table,
 so each part's value for every row is summed once, the first time the part
@@ -33,9 +37,10 @@ keyed by mask; masks become frozensets only in a witness.
 from __future__ import annotations
 
 from bisect import bisect_right
+from contextlib import contextmanager
 from dataclasses import dataclass, fields
 from fractions import Fraction
-from typing import Iterable, Optional, Sequence
+from typing import Iterable, Iterator, Optional, Sequence
 
 from .graphs import _mask_bits, mask_is_connected
 # The oracle calls neither of these; they stay bound here because
@@ -101,12 +106,40 @@ def _guard(inst: Instance, budget: Optional[OracleBudget]) -> OracleBudget:
 
 _EXHAUSTED = "enumeration budget exhausted"
 
+# One set a growth reached: (its parent's value, its value, its bitmask).
+_Record = tuple[int, int, int]
+
+
+@contextmanager
+def _depth_bounded() -> Iterator[None]:
+    """Turn a search deeper than the recursion limit into ``BudgetExceeded``.
+
+    The growths, the packing DFS and the partition scan recurse once per
+    vertex or agent they add, so above the size cap a search can outgrow
+    Python's stack; that is a spent budget, not an answer.
+    """
+    try:
+        yield
+    except RecursionError:
+        raise BudgetExceeded("search deeper than the recursion limit") from None
+
 
 class _NodeCounter:
-    __slots__ = ("left",)
+    """One solve's work budget and its search state.
+
+    ``left`` is the budget still unspent.  ``records`` maps each distinct
+    grid row that ``_shares`` searched to its recorded growth, which
+    ``_search_thresholds`` filters instead of growing again; ``connected``
+    memoizes connectivity by mask for ``_is_minimal``.  Both start empty and
+    hold for one graph, so a counter serves one solve.
+    """
+
+    __slots__ = ("left", "records", "connected")
 
     def __init__(self, limit: int):
         self.left = limit
+        self.records: dict[tuple[int, ...], list[_Record]] = {}
+        self.connected: dict[int, bool] = {}
 
     def spend(self, amount: int = 1) -> None:
         self.left -= amount
@@ -147,7 +180,6 @@ def _minimal_candidates(
     weights: Sequence[int],
     threshold: int,
     counter: _NodeCounter,
-    connected: dict[int, bool],
 ) -> list[int]:
     """Minimal connected bundles meeting the threshold, as bitmasks.
 
@@ -155,12 +187,13 @@ def _minimal_candidates(
     include-first on the lowest frontier vertex), so the result keeps that
     stream's order.  Every set below a node is a superset of the node's set,
     so once a set meets the threshold the growth stops there, keeping the set
-    if ``_is_minimal`` holds with the memo ``connected``.  Every set the
-    growth reaches spends one unit of ``counter``.
+    if ``_is_minimal`` holds with the counter's memo.  Every set the growth
+    reaches spends one unit of ``counter``.
     """
     if threshold <= 0:
         return [0]
     nbr = g.neighbor_masks
+    connected = counter.connected
     out: list[int] = []
     left = counter.left
 
@@ -187,24 +220,6 @@ def _minimal_candidates(
         grow(0, 0, 1 << root, full >> root << root)
     counter.left = left
     return out
-
-
-# One set a growth reached: (its parent's value, its value, its bitmask).
-_Record = tuple[int, int, int]
-
-
-class _ShareCounter(_NodeCounter):
-    """One mms solve's counter, which also keeps the share search's records.
-
-    ``_shares`` leaves each distinct grid row's recorded growth in
-    ``records`` and its connectivity answers in ``connected``, so
-    ``_search_thresholds``, metered by the same counter, filters them instead
-    of growing again; they live as long as the counter, one solve.
-    """
-
-    __slots__ = ("records", "connected")
-    records: dict[tuple[int, ...], list[_Record]]
-    connected: dict[int, bool]
 
 
 def _record_growth(
@@ -253,18 +268,18 @@ def _filter_candidates(
     records: Sequence[_Record],
     threshold: int,
     counter: _NodeCounter,
-    connected: dict[int, bool],
 ) -> list[int]:
     """``_minimal_candidates`` at ``threshold`` from recorded sets.
 
     ``records`` come from ``_record_growth`` on the same graph and row, at a
     threshold of at least this one.  The growth's stop nodes are kept in
-    record order if ``_is_minimal`` holds, with ``connected`` as its memo, so
-    the list is the growth's own.  One bulk spend of ``counter``, at the
+    record order if ``_is_minimal`` holds, with the counter's memo, so the
+    list is the growth's own.  One bulk spend of ``counter``, at the
     end, pays for every set the growth would have reached.
     """
     if threshold <= 0:
         return [0]
+    connected = counter.connected
     reached = 0
     out: list[int] = []
     for parent, value, mask in records:
@@ -285,24 +300,21 @@ def _search_thresholds(
     """First assignment (in deterministic DFS order) meeting all thresholds.
 
     Each agent type grows its minimal bundles at its first member's threshold,
-    or filters its row's growth if a ``_ShareCounter`` recorded one; the
-    types share one connectivity memo, the counter's if it has one.
+    or filters its row's growth if the counter recorded one, as the share
+    search of an mms solve does; the types share the counter's connectivity
+    memo.
     """
     g = inst.graph
     scales, weights = inst.grid
-    if isinstance(counter, _ShareCounter):
-        records, connected = counter.records, counter.connected
-    else:
-        records, connected = {}, {}
     types = compute_type_partition(inst)
     per_type = []
     for a in (members[0] for members in types.members):
         row, x = weights[a], at_least(thresholds[a], scales[a])
-        grown = records.get(row)
+        grown = counter.records.get(row)
         if grown is None:
-            per_type.append(_minimal_candidates(g, row, x, counter, connected))
+            per_type.append(_minimal_candidates(g, row, x, counter))
         else:
-            per_type.append(_filter_candidates(g, row, grown, x, counter, connected))
+            per_type.append(_filter_candidates(g, row, grown, x, counter))
     return _pack(per_type, types.type_of_agent, counter)
 
 
@@ -377,7 +389,8 @@ def oracle_prop(
     b = _guard(inst, budget)
     share = Fraction(1, inst.agent_count)
     counter = _NodeCounter(b.max_enumerated)
-    masks = _search_thresholds(inst, [share] * inst.agent_count, counter)
+    with _depth_bounded():
+        masks = _search_thresholds(inst, [share] * inst.agent_count, counter)
     witness = None if masks is None else _masks_to_allocation(masks)
     return make_report(inst, "oracle", witness)
 
@@ -389,18 +402,18 @@ def oracle_mms_values(
 ) -> tuple[Fraction, ...]:
     """Each agent's maximin share over connected n-partitions, by packing search.
 
-    Too few items is an input error at any size, so it is tested before the
-    budget's size limits.  The shares come from ``_shares`` on
-    ``Instance.grid``, whose rows are already scaled and checked.
+    Too few items and a disconnected graph are input errors at any size, so
+    they are tested before the budget's size limits.  The shares come from
+    ``_shares`` on ``Instance.grid``, whose rows are already scaled and checked.
     """
     if inst.item_count < inst.agent_count:
         raise InputError("maximin shares need at least as many items as agents")
-    b = _guard(inst, budget)
     _require_connected(inst.graph)
+    b = _guard(inst, budget)
     scales, grid = inst.grid
-    shares = _shares(
-        inst.graph, grid, inst.agent_count, counter or _NodeCounter(b.max_enumerated)
-    )
+    counter = counter or _NodeCounter(b.max_enumerated)
+    with _depth_bounded():
+        shares = _shares(inst.graph, grid, inst.agent_count, counter)
     values = tuple(Fraction(shares[row], scale) for row, scale in zip(grid, scales))
     share = Fraction(1, inst.agent_count)
     assert all(v <= share for v in values), "maximin share above 1/n is impossible"
@@ -454,7 +467,8 @@ def mms_values_raw(
     # checked on the grid, where ints compare far faster than Fractions
     if any(len(row) != m or min(row) < 0 for row in grid):
         raise InputError(f"each weight row needs {m} nonnegative entries")
-    shares = _shares(g, grid, parts, _NodeCounter(node_limit))
+    with _depth_bounded():
+        shares = _shares(g, grid, parts, _NodeCounter(node_limit))
     return tuple(Fraction(shares[row], scale) for row, scale in zip(grid, scales))
 
 
@@ -478,15 +492,12 @@ def _shares(
     records, and a probe that succeeds moves the bisection past the smallest
     value it picked.  One connectivity memo serves every row and probe.
 
-    A ``_ShareCounter`` keeps the records and the memo, which answer
-    ``_filter_candidates`` for any x <= L // parts + 1, the shares included;
-    else they go with the call.  There are at most as many records as units
-    of ``counter`` spent.
+    The records and the memo stay on ``counter`` for the rest of the solve:
+    they answer ``_filter_candidates`` for any x <= L // parts + 1, the
+    shares included.  There are at most as many records as units of
+    ``counter`` spent.
     """
-    records: dict[tuple[int, ...], list[_Record]] = {}
-    connected: dict[int, bool] = {}
-    if isinstance(counter, _ShareCounter):
-        counter.records, counter.connected = records, connected
+    records = counter.records
     one_type = (0,) * parts
     shares: dict[tuple[int, ...], int] = {}
     for row in grid:
@@ -499,7 +510,7 @@ def _shares(
         lo, hi = 0, len(values) - 1
         while lo <= hi:
             mid = (lo + hi) // 2
-            bundles = _filter_candidates(g, row, grown, values[mid], counter, connected)
+            bundles = _filter_candidates(g, row, grown, values[mid], counter)
             picked = _pack([bundles], one_type, counter)
             if picked is None:
                 hi = mid - 1
@@ -531,9 +542,10 @@ def oracle_mms_exists(
     the share search's recorded growths and spends what growing would.
     """
     # one bound for shares and bundles; oracle_mms_values runs the guard
-    counter = _ShareCounter((budget or DEFAULT_BUDGET).max_enumerated)
+    counter = _NodeCounter((budget or DEFAULT_BUDGET).max_enumerated)
     values = oracle_mms_values(inst, budget, counter)
-    masks = _search_thresholds(inst, values, counter)
+    with _depth_bounded():
+        masks = _search_thresholds(inst, values, counter)
     witness = None if masks is None else _masks_to_allocation(masks)
     return make_report(inst, "oracle", witness, quotas=values)
 
@@ -552,25 +564,26 @@ def oracle_ef_complete(
     """
     b = _guard(inst, budget)
     n = inst.agent_count
-    if inst.item_count < n:
-        return make_report(inst, "oracle", None)
     counter = _NodeCounter(b.max_enumerated)
     _, weights = inst.grid
     table: dict[int, tuple[int, ...]] = {}
 
-    for partition in enumerate_connected_partitions(inst.graph, n):
-        counter.spend()
-        value = list(zip(*(_part_values(table, weights, part) for part in partition)))
-        favorite = [max(row) for row in value]
-        adj = [
-            [p for p in range(n) if value[i][p] == favorite[i]] for i in range(n)
-        ]
-        if any(
-            all(value[i][p] != favorite[i] for i in range(n)) for p in range(n)
-        ):
-            continue  # some part is nobody's favorite, so it cannot be owned
-        assignment = _lex_smallest_perfect(adj)
-        if assignment is not None:
-            witness = _masks_to_allocation(partition[p] for p in assignment)
-            return make_report(inst, "oracle", witness)
+    with _depth_bounded():
+        for partition in enumerate_connected_partitions(inst.graph, n):
+            counter.spend()
+            value = list(
+                zip(*(_part_values(table, weights, part) for part in partition))
+            )
+            favorite = [max(row) for row in value]
+            adj = [
+                [p for p in range(n) if value[i][p] == favorite[i]] for i in range(n)
+            ]
+            if any(
+                all(value[i][p] != favorite[i] for i in range(n)) for p in range(n)
+            ):
+                continue  # some part is nobody's favorite, so it cannot be owned
+            assignment = _lex_smallest_perfect(adj)
+            if assignment is not None:
+                witness = _masks_to_allocation(partition[p] for p in assignment)
+                return make_report(inst, "oracle", witness)
     return make_report(inst, "oracle", None)

@@ -8,6 +8,7 @@ import time
 import pytest
 
 from graphfair.cli import build_parser, main
+from graphfair.graphs import ItemGraph
 from graphfair.generators import X3cInstance, fixture_cycle8, gen_random, gen_x3c_prop_path
 from graphfair.model import is_proportional, is_valid
 from graphfair.serialize import allocation_from_dict, instance_from_json, instance_to_json
@@ -146,6 +147,43 @@ def test_mms_with_fewer_items_than_agents_exits_2(capsys, tmp_path, command, m):
     code, out, err = run(capsys, [*command, f])
     assert code == 2 and out == ""
     assert err == "error: maximin shares need at least as many items as agents\n"
+
+
+@pytest.mark.parametrize("command", [
+    ["solve", "--problem", "mms"], ["mms-values"], ["verify", "--mms"],
+])
+def test_mms_on_a_disconnected_graph_exits_2(capsys, tmp_path, command):
+    # An input error at every size: two 6-item paths are past the oracle's
+    # default limit of 10 items, which comes second.
+    halves = ItemGraph(
+        tuple(f"v{i + 1}" for i in range(12)),
+        tuple((i, i + 1) for i in range(11) if i != 5),
+    )
+    f = write_instance(tmp_path, mk(halves, ("1/12",) * 12, ("1/12",) * 12))
+    if command[0] == "verify":
+        alloc = tmp_path / "empty.json"
+        alloc.write_text('{"bundles": {}}', encoding="utf-8")
+        command = ["verify", f, str(alloc), "--mms"]
+    else:
+        command = [*command, f]
+    code, out, err = run(capsys, command)
+    assert code == 2 and out == ""
+    assert err == "error: maximin shares are defined on connected item graphs only\n"
+
+
+@pytest.mark.parametrize("command", [
+    ["solve", "--problem", "prop"],
+    ["solve", "--problem", "mms"],
+    ["solve", "--problem", "ef-complete"],
+    ["mms-values"],
+])
+def test_search_deeper_than_the_recursion_limit_exits_3(capsys, tmp_path, command):
+    # With the size limit raised, the oracle's growths and its partition
+    # scan recurse once per item they add: 1,200 items outgrow the stack.
+    f = write_instance(tmp_path, gen_random(0, "cycle", 1200, 1))
+    code, out, err = run(capsys, [*command, "--max-items", "2000", f])
+    assert code == 3 and out == ""
+    assert err == "budget exceeded: search deeper than the recursion limit\n"
 
 
 def test_solve_input_quirks(capsys, tmp_path):

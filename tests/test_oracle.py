@@ -225,9 +225,9 @@ def test_share_search_matches_partition_scan(monkeypatch):
     probes = []
     filter_candidates, pack = oracle._filter_candidates, oracle._pack
 
-    def recorded_probe(g, weights, records, threshold, counter, connected):
+    def recorded_probe(g, weights, records, threshold, counter):
         probes.append([weights, threshold, None])
-        return filter_candidates(g, weights, records, threshold, counter, connected)
+        return filter_candidates(g, weights, records, threshold, counter)
 
     def recorded_pack(candidates, type_of_agent, counter):
         picked = pack(candidates, type_of_agent, counter)
@@ -374,7 +374,7 @@ def test_minimal_candidates_match_list_then_filter():
             share = at_least(Fraction(1, n), scale)
             for t in sorted({share, 0, -1, scale + 1} | values):
                 counter = _NodeCounter(10**9)
-                got = _minimal_candidates(g, row, t, counter, {})
+                got = _minimal_candidates(g, row, t, counter)
                 assert got == minimal_candidates_reference(g, sets, row, t), (inst, t)
                 if t <= 0:
                     assert got == [0]
@@ -415,14 +415,15 @@ def test_filtered_records_match_the_growth():
                 cap = total // parts + 1
                 recorded, grown = _NodeCounter(10**9), _NodeCounter(10**9)
                 records = oracle._record_growth(g, row, cap, recorded)
-                _minimal_candidates(g, row, cap, grown, {})
+                _minimal_candidates(g, row, cap, grown)
                 assert recorded.left == grown.left, (trial, row, parts)
                 for t in thresholds:
                     if t > cap:
                         break
                     want_counter, got_counter = _NodeCounter(10**9), _NodeCounter(10**9)
-                    want = _minimal_candidates(g, row, t, want_counter, {})
-                    got = oracle._filter_candidates(g, row, records, t, got_counter, connected)
+                    got_counter.connected = connected
+                    want = _minimal_candidates(g, row, t, want_counter)
+                    got = oracle._filter_candidates(g, row, records, t, got_counter)
                     assert got == want, (trial, row, parts, t)
                     assert got_counter.left == want_counter.left, (trial, row, parts, t)
     assert {c for c, _, _ in seen} == {"cycle", "connected"}
@@ -564,9 +565,7 @@ def search_thresholds_reference(inst, thresholds, budget):
     for a in range(n):
         t = type_of[a]
         if t not in per_type_cache:
-            per_type_cache[t] = _minimal_candidates(
-                g, weights[a], scaled[a], counter, {}
-            )
+            per_type_cache[t] = _minimal_candidates(g, weights[a], scaled[a], counter)
         candidates.append(per_type_cache[t])
     last_pick_of_type = {}
     chosen = []
@@ -659,7 +658,7 @@ def weighted_graphs(draw, max_items):
 @given(weighted_graphs(max_items=9))
 def test_minimal_candidates_are_minimal_and_cover(case):
     g, weights, threshold = case
-    cands = _minimal_candidates(g, weights, threshold, _NodeCounter(10**9), {})
+    cands = _minimal_candidates(g, weights, threshold, _NodeCounter(10**9))
     assert len(set(cands)) == len(cands)
     for c in cands:
         assert mask_is_connected(g, c) and _mask_value(weights, c) >= threshold
@@ -730,6 +729,14 @@ def test_budget_guards():
             OracleBudget(**bad)
     with pytest.raises(BudgetExceeded):
         oracle_prop(fixture_cycle8(), OracleBudget(max_enumerated=0))
+
+
+def test_share_search_deeper_than_the_recursion_limit_exceeds_the_budget():
+    # One part: the share search's growth recurses once per item it adds,
+    # up to all 1,200, which is deeper than Python's stack allows.
+    cycle = gen_random(0, "cycle", 1200, 1).graph
+    with pytest.raises(BudgetExceeded, match="recursion limit"):
+        mms_values_raw(cycle, [(1,) * 1200], 1)
 
 
 def exists_unpruned(inst, thresholds):
