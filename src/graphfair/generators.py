@@ -282,10 +282,12 @@ def gen_random(
     (agents beyond it reuse earlier rows, drawn uniformly).  Equal arguments
     give byte-equal instances on every run.
 
-    ``m``, ``n``, ``denom_bound`` and ``types`` (when given) must be ints of at
-    least 1 (a bool counts as an int), and a cycle needs ``m >= 3``; anything
-    else raises ``InputError`` before any draw.
+    ``seed`` must be an int, and ``m``, ``n``, ``denom_bound`` and ``types``
+    (when given) ints of at least 1 (a bool counts as an int); a cycle needs
+    ``m >= 3``.  Anything else raises ``InputError`` before any draw.
     """
+    if not isinstance(seed, int):
+        raise InputError(f"seed must be an int, got {seed!r}")
     if cls not in RANDOM_CLASSES:
         raise InputError(f"unknown graph class {cls!r}")
     sizes = {"item count": m, "agent count": n, "denominator bound": denom_bound}

@@ -25,7 +25,8 @@ again, and spends what its own growth would have.
 
 One solve has one work counter, ``_NodeCounter``, which carries the solve's
 whole search state: the budget left, the recorded growths and the
-connectivity memo of ``_is_minimal``.
+connectivity memo of ``_is_minimal``.  Every route that spends the budget,
+here and in ``solvers``, enters ``_bounded`` once, which builds that counter.
 
 The envy-free decision alone scans partitions; it keeps a part-value table,
 so each part's value for every row is summed once, the first time the part
@@ -91,37 +92,10 @@ class OracleBudget:
 DEFAULT_BUDGET = OracleBudget()
 
 
-def _guard(inst: Instance, budget: Optional[OracleBudget]) -> OracleBudget:
-    b = budget or DEFAULT_BUDGET
-    if inst.item_count > b.max_items:
-        raise BudgetExceeded(
-            f"{inst.item_count} items exceed the oracle budget of {b.max_items}"
-        )
-    if inst.agent_count > b.max_agents:
-        raise BudgetExceeded(
-            f"{inst.agent_count} agents exceed the oracle budget of {b.max_agents}"
-        )
-    return b
-
-
 _EXHAUSTED = "enumeration budget exhausted"
 
 # One set a growth reached: (its parent's value, its value, its bitmask).
 _Record = tuple[int, int, int]
-
-
-@contextmanager
-def _depth_bounded() -> Iterator[None]:
-    """Turn a search deeper than the recursion limit into ``BudgetExceeded``.
-
-    The growths, the packing DFS and the partition scan recurse once per
-    vertex or agent they add, so above the size cap a search can outgrow
-    Python's stack; that is a spent budget, not an answer.
-    """
-    try:
-        yield
-    except RecursionError:
-        raise BudgetExceeded("search deeper than the recursion limit") from None
 
 
 class _NodeCounter:
@@ -145,6 +119,36 @@ class _NodeCounter:
         self.left -= amount
         if self.left < 0:
             raise BudgetExceeded(_EXHAUSTED)
+
+
+@contextmanager
+def _bounded(
+    budget: Optional[OracleBudget], inst: Optional[Instance] = None
+) -> Iterator[_NodeCounter]:
+    """One solve's bound: its size limits, its work counter and its depth.
+
+    Every route that spends the budget enters this once (an mms solve's share
+    search again, for the size limits alone).  ``budget`` is ``DEFAULT_BUDGET``
+    when None and must otherwise be an ``OracleBudget``; ``inst``, when given,
+    must fit ``max_items`` and then ``max_agents``.  The searches recurse once
+    per vertex or agent they add, so one deeper than the recursion limit is a
+    spent budget, not an answer.
+    """
+    if budget is None:
+        budget = DEFAULT_BUDGET
+    elif not isinstance(budget, OracleBudget):
+        raise InputError(f"budget must be an OracleBudget or None, got {budget!r}")
+    if inst is not None:
+        for count, limit, what in (
+            (inst.item_count, budget.max_items, "items"),
+            (inst.agent_count, budget.max_agents, "agents"),
+        ):
+            if count > limit:
+                raise BudgetExceeded(f"{count} {what} exceed the oracle budget of {limit}")
+    try:
+        yield _NodeCounter(budget.max_enumerated)
+    except RecursionError:
+        raise BudgetExceeded("search deeper than the recursion limit") from None
 
 
 def _is_minimal(
@@ -386,10 +390,8 @@ def oracle_prop(
 
     Completeness is not required; bundles may leave items on the table.
     """
-    b = _guard(inst, budget)
     share = Fraction(1, inst.agent_count)
-    counter = _NodeCounter(b.max_enumerated)
-    with _depth_bounded():
+    with _bounded(budget, inst) as counter:
         masks = _search_thresholds(inst, [share] * inst.agent_count, counter)
     witness = None if masks is None else _masks_to_allocation(masks)
     return make_report(inst, "oracle", witness)
@@ -409,11 +411,9 @@ def oracle_mms_values(
     if inst.item_count < inst.agent_count:
         raise InputError("maximin shares need at least as many items as agents")
     _require_connected(inst.graph)
-    b = _guard(inst, budget)
-    scales, grid = inst.grid
-    counter = counter or _NodeCounter(b.max_enumerated)
-    with _depth_bounded():
-        shares = _shares(inst.graph, grid, inst.agent_count, counter)
+    with _bounded(budget, inst) as own:
+        scales, grid = inst.grid
+        shares = _shares(inst.graph, grid, inst.agent_count, counter or own)
     values = tuple(Fraction(shares[row], scale) for row, scale in zip(grid, scales))
     share = Fraction(1, inst.agent_count)
     assert all(v <= share for v in values), "maximin share above 1/n is impossible"
@@ -429,7 +429,6 @@ def mms_values_raw(
     g: ItemGraph,
     weight_rows: Sequence[Sequence[Fraction]],
     parts: int,
-    node_limit: int = DEFAULT_BUDGET.max_enumerated,
 ) -> tuple[Fraction, ...]:
     """Max-over-partitions min-part value for nonnegative rows on a connected graph.
 
@@ -439,7 +438,7 @@ def mms_values_raw(
     grid, and ``_shares`` searches each distinct grid row once: one growth
     per row, whose recorded sets every probe of the row's bisection filters.
     Every set the growth reaches, every set a probe's own growth would have
-    reached, and every pick spends one unit of ``node_limit``.  Entries go
+    reached, and every pick spends one unit of the default budget.  Entries go
     through ``_as_fraction``, as ``Instance`` rows do; a part count that is
     not an int of at least 1, or a row that is not a sequence, has the wrong
     length or has a negative entry, is an ``InputError``.
@@ -467,8 +466,8 @@ def mms_values_raw(
     # checked on the grid, where ints compare far faster than Fractions
     if any(len(row) != m or min(row) < 0 for row in grid):
         raise InputError(f"each weight row needs {m} nonnegative entries")
-    with _depth_bounded():
-        shares = _shares(g, grid, parts, _NodeCounter(node_limit))
+    with _bounded(None) as counter:
+        shares = _shares(g, grid, parts, counter)
     return tuple(Fraction(shares[row], scale) for row, scale in zip(grid, scales))
 
 
@@ -541,10 +540,9 @@ def oracle_mms_exists(
     The bundle search at the shares is ``_search_thresholds``, which filters
     the share search's recorded growths and spends what growing would.
     """
-    # one bound for shares and bundles; oracle_mms_values runs the guard
-    counter = _NodeCounter((budget or DEFAULT_BUDGET).max_enumerated)
-    values = oracle_mms_values(inst, budget, counter)
-    with _depth_bounded():
+    # one counter for shares and bundles; oracle_mms_values applies the limits
+    with _bounded(budget) as counter:
+        values = oracle_mms_values(inst, budget, counter)
         masks = _search_thresholds(inst, values, counter)
     witness = None if masks is None else _masks_to_allocation(masks)
     return make_report(inst, "oracle", witness, quotas=values)
@@ -562,13 +560,10 @@ def oracle_ef_complete(
     least as much as every other part — a perfect-matching condition between
     agents and their maximum-value parts.
     """
-    b = _guard(inst, budget)
     n = inst.agent_count
-    counter = _NodeCounter(b.max_enumerated)
-    _, weights = inst.grid
-    table: dict[int, tuple[int, ...]] = {}
-
-    with _depth_bounded():
+    with _bounded(budget, inst) as counter:
+        _, weights = inst.grid
+        table: dict[int, tuple[int, ...]] = {}
         for partition in enumerate_connected_partitions(inst.graph, n):
             counter.spend()
             value = list(

@@ -38,9 +38,8 @@ from .model import (
     make_report,
 )
 from .oracle import (
-    DEFAULT_BUDGET,
     OracleBudget,
-    _NodeCounter,
+    _bounded,
     oracle_ef_complete,
     oracle_mms_exists,
     oracle_prop,
@@ -194,8 +193,8 @@ def prop_path_typed(
 
     The table has one entry per count vector, and each entry tries every
     type: before allocating it, the DP spends that many units of the
-    budget's ``max_enumerated`` (``DEFAULT_BUDGET``'s when None), so too
-    many distinct agents raise ``BudgetExceeded``.
+    budget's ``max_enumerated``, read by ``_bounded``, so too many distinct
+    agents raise ``BudgetExceeded``.
     """
     types = compute_type_partition(inst)
     return make_report(inst, "path-dp", _earliest_end_tiling(inst, types, budget))
@@ -215,7 +214,8 @@ def _earliest_end_tiling(inst, types, budget) -> Optional[Allocation]:
     for t in range(p - 2, -1, -1):
         stride[t] = stride[t + 1] * radix[t + 1]
     size = stride[0] * radix[0]
-    _NodeCounter((budget or DEFAULT_BUDGET).max_enumerated).spend(size * p)
+    with _bounded(budget) as counter:
+        counter.spend(size * p)
     earliest = [0] * size
     for idx in range(1, len(earliest)):
         best = m + 1  # past the end: not reachable
@@ -274,11 +274,11 @@ def _tree_dp_run(inst: Instance, budget: Optional[OracleBudget] = None):
     before the first child and after each child.  ``root_tree`` rejects a
     graph that is not a tree.
 
-    The DP spends the budget's ``max_enumerated`` (``DEFAULT_BUDGET``'s when
-    None) in bulk: each fold spends the 2^(n-1) entries of the child's
-    ``kept`` table before building it, and the 2^|others - A| sets T it
-    tries for each A whose entry exists before trying them.  Running out
-    raises ``BudgetExceeded``.
+    The DP spends the budget's ``max_enumerated``, read by ``_bounded``, in
+    bulk: each fold spends the 2^(n-1) entries of the child's ``kept`` table
+    before building it, and the 2^|others - A| sets T it tries for each A
+    whose entry exists before trying them.  Running out raises
+    ``BudgetExceeded``.
     """
     m, n = inst.item_count, inst.agent_count
     full = (1 << n) - 1
@@ -287,42 +287,42 @@ def _tree_dp_run(inst: Instance, budget: Optional[OracleBudget] = None):
     share = [at_least(Fraction(1, n), scale) for scale in scales]
     folds: list[list] = [[None] * n for _ in range(m)]
     owner: list = [None] * m
-    counter = _NodeCounter((budget or DEFAULT_BUDGET).max_enumerated)
 
     def cell(z: int, i: int, T: int) -> Optional[tuple[int, int]]:
         if (kept := folds[z][i][-1][T]) is not None:
             return kept, i
         return None if owner[z][T] is None else (0, owner[z][T])
 
-    for v in view.postorder:
-        for i in range(n):
-            others = full & ~(1 << i)
-            f: list[Optional[int]] = [grid[i][v]] + [None] * full
-            folds[v][i] = [f]
-            for z in view.children[v]:
-                counter.spend(1 << (n - 1))  # the kept table's entries
-                kept = [k if k is not None or j is None else 0
-                        for k, j in zip(folds[z][i][-1], owner[z])]
-                folded: list[Optional[int]] = [None] * (full + 1)
-                A = others  # each submask walk steps down to 0, then stops at -1
-                while A >= 0:
-                    if (base := f[A]) is not None:
-                        T = rest = others & ~A
-                        counter.spend(1 << rest.bit_count())  # the sets T tried
-                        while T >= 0:
-                            k = kept[T]
-                            if k is not None:
-                                if (best := folded[A | T]) is None or base + k > best:
-                                    folded[A | T] = base + k
-                            T = (T - 1) & rest if T else -1
-                    A = (A - 1) & others if A else -1
-                f = folded
-                folds[v][i].append(f)
-        owner[v] = row = [None] * (full + 1)
-        for j in range(n):  # j's table holds no set with j in it
-            for U, sub in enumerate(folds[v][j][-1]):
-                if sub is not None and sub >= share[j] and row[U | 1 << j] is None:
-                    row[U | 1 << j] = j
+    with _bounded(budget) as counter:
+        for v in view.postorder:
+            for i in range(n):
+                others = full & ~(1 << i)
+                f: list[Optional[int]] = [grid[i][v]] + [None] * full
+                folds[v][i] = [f]
+                for z in view.children[v]:
+                    counter.spend(1 << (n - 1))  # the kept table's entries
+                    kept = [k if k is not None or j is None else 0
+                            for k, j in zip(folds[z][i][-1], owner[z])]
+                    folded: list[Optional[int]] = [None] * (full + 1)
+                    A = others  # each submask walk steps down to 0, then stops at -1
+                    while A >= 0:
+                        if (base := f[A]) is not None:
+                            T = rest = others & ~A
+                            counter.spend(1 << rest.bit_count())  # the sets T tried
+                            while T >= 0:
+                                k = kept[T]
+                                if k is not None:
+                                    if (best := folded[A | T]) is None or base + k > best:
+                                        folded[A | T] = base + k
+                                T = (T - 1) & rest if T else -1
+                        A = (A - 1) & others if A else -1
+                    f = folded
+                    folds[v][i].append(f)
+            owner[v] = row = [None] * (full + 1)
+            for j in range(n):  # j's table holds no set with j in it
+                for U, sub in enumerate(folds[v][j][-1]):
+                    if sub is not None and sub >= share[j] and row[U | 1 << j] is None:
+                        row[U | 1 << j] = j
     return view, folds, owner, cell
 
 
@@ -396,9 +396,8 @@ def ef_path_typed(
     one with the smallest start, ties going to the lower type.
 
     At each position s the pass first spends p·(m - s) units of the
-    budget's ``max_enumerated`` (``DEFAULT_BUDGET``'s when None) per state
-    there, the pieces that state may try; running out raises
-    ``BudgetExceeded``.
+    budget's ``max_enumerated``, read by ``_bounded``, per state there, the
+    pieces that state may try; running out raises ``BudgetExceeded``.
     """
     types = compute_type_partition(inst)
     order, scales, prefix = _typed_path_setup(inst, types)
@@ -411,45 +410,45 @@ def ef_path_typed(
     # 3.12 hash(None) differs per process, so a set of guesses would not.
     states: list[dict[tuple, Optional[tuple]]] = [{} for _ in range(m + 1)]
     states[0][(0,) * p, (None,) * p, (0,) * p] = None
-    counter = _NodeCounter((budget or DEFAULT_BUDGET).max_enumerated)
-    for s in range(m):
-        counter.spend(len(states[s]) * p * (m - s))
-        # The piece s..e's value to each type, shared by every t and state.
-        pieces = {
-            e: [prefix[o][e] - prefix[o][s] for o in range(p)] for e in range(s + 1, m + 1)
-        }
-        for t in range(p):
-            for state in states[s]:
-                vec, guess, seen = state
-                if vec[t] == full[t]:
-                    continue
-                grown = vec[:t] + (vec[t] + 1,) + vec[t + 1 :]
-                for e in range(s + 1, m + 1):
-                    values = pieces[e]
-                    if any(
-                        values[o] > guess[o]
-                        for o in range(p)
-                        if o != t and guess[o] is not None
-                    ):
-                        break
-                    own = values[t]
-                    if guess[t] is None:
-                        if own * full[t] > scales[t]:
-                            break
-                        if own < seen[t] or own * n < scales[t]:
-                            continue
-                        fixed = guess[:t] + (own,) + guess[t + 1 :]
-                    elif own == guess[t]:
-                        fixed = guess
-                    elif own > guess[t]:
-                        break
-                    else:
+    with _bounded(budget) as counter:
+        for s in range(m):
+            counter.spend(len(states[s]) * p * (m - s))
+            # The piece s..e's value to each type, shared by every t and state.
+            pieces = {
+                e: [prefix[o][e] - prefix[o][s] for o in range(p)] for e in range(s + 1, m + 1)
+            }
+            for t in range(p):
+                for state in states[s]:
+                    vec, guess, seen = state
+                    if vec[t] == full[t]:
                         continue
-                    seen_after = tuple(
-                        0 if fixed[o] is not None else max(seen[o], values[o])
-                        for o in range(p)
-                    )
-                    states[e].setdefault((grown, fixed, seen_after), (s, t, state))
+                    grown = vec[:t] + (vec[t] + 1,) + vec[t + 1 :]
+                    for e in range(s + 1, m + 1):
+                        values = pieces[e]
+                        if any(
+                            values[o] > guess[o]
+                            for o in range(p)
+                            if o != t and guess[o] is not None
+                        ):
+                            break
+                        own = values[t]
+                        if guess[t] is None:
+                            if own * full[t] > scales[t]:
+                                break
+                            if own < seen[t] or own * n < scales[t]:
+                                continue
+                            fixed = guess[:t] + (own,) + guess[t + 1 :]
+                        elif own == guess[t]:
+                            fixed = guess
+                        elif own > guess[t]:
+                            break
+                        else:
+                            continue
+                        seen_after = tuple(
+                            0 if fixed[o] is not None else max(seen[o], values[o])
+                            for o in range(p)
+                        )
+                        states[e].setdefault((grown, fixed, seen_after), (s, t, state))
     finished = [state for state in states[m] if state[0] == full]
     if not finished:
         return make_report(inst, "ef-path", None)
@@ -530,8 +529,10 @@ def select_method(inst: Instance, problem: str, method: str = "auto") -> Method:
 
     ``problem`` is one of prop, ef-complete, mms; ``method`` overrides the
     automatic choice and is checked against the problem before the graph is
-    classified.
+    classified.  A problem that is not a str is an ``InputError``.
     """
+    if not isinstance(problem, str):
+        raise InputError(f"problem must be a str, got {problem!r}")
     problem = problem.replace("_", "-")
     entries = [entry for entry in METHODS if entry.problem == problem]
     if not entries:

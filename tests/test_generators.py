@@ -287,6 +287,14 @@ def test_gen_random_non_int_sizes_raise_input_error(kwargs):
         gen_random(seed=0, cls="path", **kwargs)
 
 
+@pytest.mark.parametrize("seed", [None, "7", 1.5, (1, 2), [1]],
+                         ids=["none", "str", "float", "tuple", "list"])
+def test_gen_random_seed_must_be_an_int(seed):
+    # None would draw from the clock, breaking equal arguments, equal bytes.
+    with pytest.raises(InputError, match="seed must be an int"):
+        gen_random(seed, "tree", 5, 2)
+
+
 # sha256 over the instance_to_json documents of gen_random_pin_cases, each
 # followed by a newline; taken from the Fraction normalization that the
 # integer one replaced, so the draws and the bytes are the same as before.

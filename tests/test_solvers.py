@@ -857,6 +857,25 @@ def test_dispatch_rejects_bad_requests():
         dispatch(mk(path_graph(2), ("1", "0"), ("0", "1")), "prop", method="greedy")
 
 
+@pytest.mark.parametrize("call", [
+    lambda tree, path: dispatch(tree, None),
+    lambda tree, path: dispatch(tree, 5),
+    lambda tree, path: oracle_prop(tree, 5),
+    lambda tree, path: oracle_ef_complete(tree, 0),
+    lambda tree, path: prop_tree_fpt(tree, {"max_enumerated": 3}),
+    lambda tree, path: prop_tree_fpt(tree, {}),
+    lambda tree, path: prop_path_typed(path, "10"),
+    lambda tree, path: dispatch(path, "ef-complete", budget=(10, 5, 3)),
+], ids=["none-problem", "int-problem", "int-budget", "zero-budget", "dict-budget",
+        "empty-dict-budget", "str-budget", "tuple-budget"])
+def test_a_bad_problem_or_budget_is_an_input_error(call):
+    # An empty dict or a zero is no budget either, not the default one.
+    tree = gen_random(0, "tree", 5, 2)
+    path = gen_random(0, "path", 5, 2)
+    with pytest.raises(InputError, match=r"(problem|budget) must be"):
+        call(tree, path)
+
+
 def test_dispatch_follows_method_table():
     uniform4 = ("1/4",) * 4
     cases = (
