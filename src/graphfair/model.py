@@ -145,13 +145,19 @@ class ItemGraph:
 
 @dataclass(frozen=True)
 class Instance:
-    """An item graph plus one exactly-normalized utility row per agent."""
+    """An item graph plus one exactly-normalized utility row per agent.
+
+    ``grid``, the ``(scales, rows)`` of ``integer_grid`` with one scale per
+    agent, is set when the rows are checked on it; it is no dataclass field.
+    """
 
     graph: ItemGraph
     agent_names: tuple[str, ...]
     utilities: tuple[tuple[Fraction, ...], ...]
 
     def __post_init__(self):
+        if not isinstance(self.graph, ItemGraph):
+            raise InputError(f"graph must be an ItemGraph, got {self.graph!r}")
         try:
             names, utilities = tuple(self.agent_names), tuple(self.utilities)
         except TypeError:  # a field is None or another non-iterable
@@ -165,7 +171,7 @@ class Instance:
         m = self.graph.vertex_count
         if len(utilities) != len(names):
             raise InputError("one utility row per agent is required")
-        rows = []
+        rows, scales, grid = [], [], []
         for name, row in zip(names, utilities):
             try:
                 vals = tuple(map(_as_fraction, row))
@@ -184,17 +190,11 @@ class Instance:
                     wrong = "do not sum to exactly 1"
                 raise InputError(f"utilities of agent {name!r} {wrong}")
             rows.append(vals)
+            scales.append(scale)
+            grid.append(scaled)
         object.__setattr__(self, "agent_names", names)
         object.__setattr__(self, "utilities", tuple(rows))
-
-    @cached_property
-    def grid(self) -> tuple[tuple[int, ...], tuple[tuple[int, ...], ...]]:
-        """``(scales, rows)`` of ``integer_grid``, computed on first use.
-
-        Every fairness test compares values under one agent's row, so each
-        agent keeps her own scale.
-        """
-        return integer_grid(self.utilities)
+        object.__setattr__(self, "grid", (tuple(scales), tuple(grid)))
 
     @property
     def agent_count(self) -> int:
@@ -376,7 +376,14 @@ def is_complete(inst: Instance, alloc: Allocation) -> bool:
 def is_mms_allocation(
     inst: Instance, alloc: Allocation, mms: Sequence[Fraction]
 ) -> bool:
-    """True iff the allocation is valid and meets each agent's maximin share."""
+    """True iff the allocation is valid and meets each agent's maximin share.
+
+    The shares are read as exact rationals.
+    """
+    try:
+        mms = tuple(map(_as_fraction, mms))
+    except TypeError:  # None or another non-iterable
+        raise InputError("maximin shares must be a sequence of rationals") from None
     if len(mms) != inst.agent_count:
         raise InputError("one maximin-share value per agent is required")
     if not is_valid(inst, alloc):
@@ -412,8 +419,7 @@ def make_report(
 ) -> SolveReport:
     """Assemble a report, recomputing achieved values from the witness.
 
-    Each value is summed on the agent's row of ``Instance.grid``, which every
-    solver has built by the time it reports.
+    Each value is summed on the agent's row of ``Instance.grid``.
     """
     achieved = None
     if witness is not None:

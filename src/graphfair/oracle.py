@@ -121,6 +121,15 @@ class _NodeCounter:
             raise BudgetExceeded(_EXHAUSTED)
 
 
+def _checked_budget(budget: Optional[OracleBudget]) -> OracleBudget:
+    """``budget``, or ``DEFAULT_BUDGET`` for None; anything else is refused."""
+    if budget is None:
+        return DEFAULT_BUDGET
+    if not isinstance(budget, OracleBudget):
+        raise InputError(f"budget must be an OracleBudget or None, got {budget!r}")
+    return budget
+
+
 @contextmanager
 def _bounded(
     budget: Optional[OracleBudget], inst: Optional[Instance] = None
@@ -128,16 +137,12 @@ def _bounded(
     """One solve's bound: its size limits, its work counter and its depth.
 
     Every route that spends the budget enters this once (an mms solve's share
-    search again, for the size limits alone).  ``budget`` is ``DEFAULT_BUDGET``
-    when None and must otherwise be an ``OracleBudget``; ``inst``, when given,
-    must fit ``max_items`` and then ``max_agents``.  The searches recurse once
-    per vertex or agent they add, so one deeper than the recursion limit is a
-    spent budget, not an answer.
+    search again, for the size limits alone).  ``budget`` is read by
+    ``_checked_budget``; ``inst``, when given, must fit ``max_items`` and then
+    ``max_agents``.  The searches recurse once per vertex or agent they add,
+    so one deeper than the recursion limit is a spent budget, not an answer.
     """
-    if budget is None:
-        budget = DEFAULT_BUDGET
-    elif not isinstance(budget, OracleBudget):
-        raise InputError(f"budget must be an OracleBudget or None, got {budget!r}")
+    budget = _checked_budget(budget)
     if inst is not None:
         for count, limit, what in (
             (inst.item_count, budget.max_items, "items"),

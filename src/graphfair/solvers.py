@@ -40,6 +40,7 @@ from .model import (
 from .oracle import (
     OracleBudget,
     _bounded,
+    _checked_budget,
     oracle_ef_complete,
     oracle_mms_exists,
     oracle_prop,
@@ -162,7 +163,8 @@ def prop_path_greedy(
     """Identical agents on a path: ``prop_path_typed`` with one type.
 
     ``earliest[k]`` is where a left-to-right sweep closes its k-th piece,
-    once it is worth 1/n; the witness gives the last agent the suffix.
+    once it is worth 1/n; the witness tiles the whole path, so the last
+    agent's piece runs to its end.
     """
     types = compute_type_partition(inst)
     if types.type_count != 1:
@@ -186,10 +188,13 @@ def prop_path_typed(
 
     The witness walks back from the full vector at m.  At (e, vec) it cuts
     the piece s..e-1 with the smallest s = ``earliest[vec - e_t]`` that t
-    values at 1/n or more, ties going to the lower type, and otherwise
-    leaves item e-1 loose.  That is the first piece in the order s
-    ascending, t ascending, loose item last, by which a prefix table of
-    reachable vectors would have first reached (e, vec).
+    values at 1/n or more, ties going to the lower type.  That is the first
+    piece in the order s ascending, t ascending by which a prefix table of
+    reachable vectors would have first reached (e, vec).  Such a piece
+    always exists: ``earliest[vec]`` is at most e, and the type that set it
+    values s..e-1 at 1/n or more, as utilities are nonnegative.  The cut
+    moves e to ``earliest[vec - e_t]``, so no item is left loose and the
+    witness tiles the whole path.
 
     The table has one entry per count vector, and each entry tries every
     type: before allocating it, the DP spends that many units of the
@@ -238,11 +243,8 @@ def _earliest_end_tiling(inst, types, budget) -> Optional[Allocation]:
                 s = earliest[idx - stride[t]]
                 if s < start and prefix[t][e] - prefix[t][s] >= threshold[t]:
                     start, pick = s, t
-        if pick is None:
-            e -= 1
-        else:
-            pieces.append((start, e, pick))
-            e, idx = start, idx - stride[pick]
+        pieces.append((start, e, pick))
+        e, idx = start, idx - stride[pick]
     return _tiling_allocation(inst, order, types, pieces)
 
 
@@ -554,7 +556,11 @@ def dispatch(
     method: str = "auto",
     budget: Optional[OracleBudget] = None,
 ) -> SolveReport:
-    """Route an instance through ``select_method`` and return the solver's report."""
+    """Route an instance through ``select_method`` and return the solver's report.
+
+    A bad budget is refused before routing, also on routes that never read it.
+    """
+    _checked_budget(budget)
     entry = select_method(inst, problem, method)
     logger.debug("dispatch: problem=%s method=%s", entry.problem, entry.name)
     return entry.run(inst, budget)

@@ -27,6 +27,7 @@ from graphfair import (
     ItemGraph,
     bundle_value,
     compute_type_partition,
+    dispatch,
     enumerate_connected_partitions,
     fixture_cycle8,
     gen_random,
@@ -120,6 +121,16 @@ def test_instance_rejects_missing_field():
     for names, rows in ((("a",), None), (None, (row,))):
         with pytest.raises(InputError, match="must be sequences"):
             Instance(path_graph(2), names, rows)
+
+
+def test_instance_rejects_a_graph_that_is_not_an_item_graph():
+    row = (Fraction(1, 2), Fraction(1, 2))
+    for graph in (None, "ab"):
+        with pytest.raises(InputError, match="graph must be an ItemGraph"):
+            Instance(graph, ("x",), (row,))
+    # the graph is checked before the other fields
+    with pytest.raises(InputError, match="graph must be an ItemGraph"):
+        Instance(None, None, None)
 
 
 def test_instance_rejects_unparsable_str_entry():
@@ -260,6 +271,17 @@ def test_is_mms_allocation_examples():
     )
 
 
+def test_is_mms_allocation_reads_shares_as_rationals():
+    pair = mk(path_graph(3), frac_row((1, 1, 1), 3), frac_row((1, 1, 1), 3))
+    alloc = Allocation((frozenset({0}), frozenset({1, 2})))
+    assert is_mms_allocation(pair, alloc, ["1/3", "1/3"])
+    assert not is_mms_allocation(pair, alloc, ["1/2", "1/2"])
+    assert is_mms_allocation(pair, alloc, (0, Fraction(2, 3)))
+    for shares in (None, 5, ["half", "1/3"], [0.5, 0.5]):
+        with pytest.raises(InputError):
+            is_mms_allocation(pair, alloc, shares)
+
+
 def test_compute_type_partition():
     types = compute_type_partition(C8)
     assert types.type_count == 2
@@ -373,6 +395,29 @@ def test_integer_grid_is_exact(rows, drawn):
             need = at_least(t, scale)
             for v in range(need - 2, need + 3):
                 assert (Fraction(v, scale) >= t) == (v >= need)
+
+
+def test_integer_grid_runs_once_per_row_at_construction(monkeypatch):
+    """Building an instance scales each row once; no later use scales again."""
+    calls = []
+
+    def counted(rows):
+        calls.append(len(rows))
+        return integer_grid(rows)
+
+    monkeypatch.setattr("graphfair.model.integer_grid", counted)
+    for cls, m, n in (("path", 6, 3), ("tree", 7, 2), ("star", 5, 2), ("cycle", 6, 2)):
+        inst = gen_random(seed=m, cls=cls, m=m, n=n)
+        built = list(calls)
+        assert built == [1] * n
+        grid = inst.grid
+        for problem in ("prop", "ef-complete", "mms"):
+            rep = dispatch(inst, problem)
+            if rep.witness is not None:
+                make_report(inst, rep.method, rep.witness)
+        assert inst.grid is grid
+        assert calls == built, (cls, calls)
+        calls.clear()
 
 
 def test_instance_grid_computed_once_and_invisible():

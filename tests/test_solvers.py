@@ -305,6 +305,27 @@ def test_path_dp_matches_greedy_on_uniform():
     assert is_proportional(inst, rep.witness)
 
 
+def test_path_witnesses_tile_the_whole_path():
+    """Every yes-witness of both path solvers hands out every item."""
+    rng = random.Random(2929)
+    yes = 0
+    for trial in range(300):
+        n = rng.randint(1, 6)
+        types = rng.choice((None, 1, 2, 3))
+        inst = gen_random(seed=trial + 29000, cls="path", m=rng.randint(1, 40), n=n,
+                          types=types)
+        solvers = [prop_path_typed]
+        if compute_type_partition(inst).type_count == 1:
+            solvers.append(prop_path_greedy)
+        for solver in solvers:
+            rep = solver(inst)
+            if rep.decision:
+                yes += 1
+                assert is_proportional(inst, rep.witness), (solver, inst)
+                assert is_complete(inst, rep.witness), (solver, inst)
+    assert yes >= 150
+
+
 # ---------------------------------------------------------------------------
 # trees
 
@@ -866,10 +887,16 @@ def test_dispatch_rejects_bad_requests():
     lambda tree, path: prop_tree_fpt(tree, {}),
     lambda tree, path: prop_path_typed(path, "10"),
     lambda tree, path: dispatch(path, "ef-complete", budget=(10, 5, 3)),
+    lambda tree, path: dispatch(gen_random(0, "star", 6, 2), "prop", budget=5),
+    lambda tree, path: dispatch(gen_random(0, "tree", 6, 2), "mms",
+                                budget={"max_enumerated": 1}),
 ], ids=["none-problem", "int-problem", "int-budget", "zero-budget", "dict-budget",
-        "empty-dict-budget", "str-budget", "tuple-budget"])
+        "empty-dict-budget", "str-budget", "tuple-budget", "star-int-budget",
+        "mms-tree-dict-budget"])
 def test_a_bad_problem_or_budget_is_an_input_error(call):
-    # An empty dict or a zero is no budget either, not the default one.
+    # An empty dict or a zero is no budget either, not the default one.  The
+    # star matching and the tree maximin route never read the budget, yet
+    # ``dispatch`` refuses a bad one there too.
     tree = gen_random(0, "tree", 5, 2)
     path = gen_random(0, "path", 5, 2)
     with pytest.raises(InputError, match=r"(problem|budget) must be"):
