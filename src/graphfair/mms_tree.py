@@ -7,8 +7,10 @@ uncut weight of its children, once that weight reaches q (Perl and Schach,
 connected parts all worth at least q exist iff there are at least n cuts.
 The search runs over [0, L // n] on a grid of scale L, since n parts worth
 at least q each sum to at most L; a sweep stops at its n-th cut and the
-search jumps to the least part of the split that cut completes.  Agents
-of one type share one search.
+search jumps up to the least part of the split that cut completes.  A
+sweep that ends short of n cuts lowers the upper end to the largest total
+it added into a parent's slot: every probe above that total and at most q
+sweeps the same way and fails too.  Agents of one type share one search.
 
 The allocator peels subtrees in one postorder sweep with the probe's idiom:
 each claimant, an agent not yet served whose quota is above 0, copies her
@@ -192,7 +194,12 @@ def mms_value_tree(inst: Instance, agent: int) -> Fraction:
     parent's slot.  It stops at the n-th cut: the first n - 1 cuts and the
     rest of the tree, which holds the root and is worth at least that cut,
     are n connected parts, so the least of them is feasible and at least the
-    probe, and the search raises its lower end to it.
+    probe, and the search raises its lower end to it.  A probe q that ends
+    short of n cuts lowers the upper end to a, the largest total it added
+    into a parent's slot, the root's into the spare slot included.  That is
+    exact: at any q' with a < q' <= q each absorbed total stays below q' and
+    each cut total at or above it, so every vertex takes the same branch, the
+    sweep makes the same cuts and fails too.
 
     >>> path = ItemGraph(("a", "b", "c", "d"), ((0, 1), (1, 2), (2, 3)))
     >>> row = (Fraction(1, 2), Fraction(1, 6), Fraction(1, 6), Fraction(1, 6))
@@ -215,12 +222,14 @@ def mms_value_tree(inst: Instance, agent: int) -> Fraction:
     while lo < hi:
         q = (lo + hi + 1) // 2
         uncut = [*weights, 0]  # the root adds into the spare slot, parent -1
-        cuts = taken = 0
+        cuts = taken = absorbed = 0
         least = scale  # the least cut total so far
         for v in postorder:
             total = uncut[v]
             if total < q:
                 uncut[parent[v]] += total
+                if total > absorbed:
+                    absorbed = total
             elif cuts < n - 1:
                 cuts += 1
                 taken += total
@@ -229,7 +238,7 @@ def mms_value_tree(inst: Instance, agent: int) -> Fraction:
                 lo = min(least, scale - taken)
                 break
         else:
-            hi = q - 1
+            hi = absorbed  # every probe in (absorbed, q] makes these cuts and fails
     return Fraction(lo, scale)
 
 

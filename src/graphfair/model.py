@@ -143,12 +143,36 @@ class ItemGraph:
             raise InputError(f"unknown vertex label {label!r}") from None
 
 
+def _checked_row(name: str, row, m: int) -> tuple[tuple[Fraction, ...], int, tuple[int, ...]]:
+    """One agent's row as ``(vals, scale, scaled)``, or ``InputError`` if it is no
+    nonnegative row of ``m`` rationals that sums to exactly 1."""
+    try:
+        vals = tuple(map(_as_fraction, row))
+    except TypeError:  # the row is not iterable
+        raise InputError(f"utility row for {name!r} is not a sequence") from None
+    if len(vals) != m:
+        raise InputError(f"utility row for {name!r} must have {m} entries")
+    # Both checks run on the row's integer grid, whose scale is positive.
+    (scale,), (scaled,) = integer_grid((vals,))
+    if min(scaled) < 0:
+        raise InputError(f"negative utility for agent {name!r}")
+    if sum(scaled) != scale:
+        try:
+            wrong = f"sum to {sum(vals)}, expected exactly 1"
+        except ValueError:  # the sum has more digits than str() may print
+            wrong = "do not sum to exactly 1"
+        raise InputError(f"utilities of agent {name!r} {wrong}")
+    return vals, scale, scaled
+
+
 @dataclass(frozen=True)
 class Instance:
     """An item graph plus one exactly-normalized utility row per agent.
 
     ``grid``, the ``(scales, rows)`` of ``integer_grid`` with one scale per
     agent, is set when the rows are checked on it; it is no dataclass field.
+    Agents given one row object share one check, one values tuple and one
+    grid row.
     """
 
     graph: ItemGraph
@@ -172,23 +196,12 @@ class Instance:
         if len(utilities) != len(names):
             raise InputError("one utility row per agent is required")
         rows, scales, grid = [], [], []
+        checked = {}  # id of a row object that passed -> its (vals, scale, scaled)
         for name, row in zip(names, utilities):
-            try:
-                vals = tuple(map(_as_fraction, row))
-            except TypeError:  # the row is not iterable
-                raise InputError(f"utility row for {name!r} is not a sequence") from None
-            if len(vals) != m:
-                raise InputError(f"utility row for {name!r} must have {m} entries")
-            # Both checks run on the row's integer grid, whose scale is positive.
-            (scale,), (scaled,) = integer_grid((vals,))
-            if min(scaled) < 0:
-                raise InputError(f"negative utility for agent {name!r}")
-            if sum(scaled) != scale:
-                try:
-                    wrong = f"sum to {sum(vals)}, expected exactly 1"
-                except ValueError:  # the sum has more digits than str() may print
-                    wrong = "do not sum to exactly 1"
-                raise InputError(f"utilities of agent {name!r} {wrong}")
+            known = checked.get(id(row))  # agents of one type may share a row
+            if known is None:
+                known = checked[id(row)] = _checked_row(name, row, m)
+            vals, scale, scaled = known
             rows.append(vals)
             scales.append(scale)
             grid.append(scaled)

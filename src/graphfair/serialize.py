@@ -110,8 +110,12 @@ def instance_from_dict(doc: dict) -> Instance:
         edges.append((index[a], index[b]))
     graph = ItemGraph(tuple(vertices), tuple(edges))
 
-    # Agents of one type repeat whole rows, so each literal is parsed once.
+    # Agents of one type repeat whole rows: a row equal to an earlier one gets
+    # that row's tuple, which ``Instance`` then checks and scales once, and
+    # each literal is parsed once.
     rationals: dict[str, Fraction] = {}
+    docs: list[dict] = []  # each distinct utilities dict so far
+    doc_rows: list[tuple[Fraction, ...]] = []  # and its parsed row
     names = []
     rows = []
     for a in agent_docs:
@@ -123,6 +127,9 @@ def instance_from_dict(doc: dict) -> Instance:
         utilities = a["utilities"]
         if not isinstance(utilities, dict):
             raise InputError("agent utilities must map vertex label -> rational string")
+        if utilities in docs:
+            rows.append(doc_rows[docs.index(utilities)])
+            continue
         row = [Fraction(0)] * len(vertices)
         for label, value in utilities.items():
             if label not in index:
@@ -135,6 +142,8 @@ def instance_from_dict(doc: dict) -> Instance:
                 parsed = rational_from_str(value)  # raises InputError
             row[index[label]] = parsed
         rows.append(tuple(row))
+        docs.append(utilities)
+        doc_rows.append(rows[-1])
     return Instance(graph, tuple(names), tuple(rows))
 
 

@@ -1,5 +1,6 @@
 """Tree maximin machinery: golden traces, exact shares, peeling invariants."""
 
+import dataclasses
 import random
 from fractions import Fraction
 
@@ -251,6 +252,75 @@ def test_shares_match_full_range_bisection():
         seen["zero item"] += any(0 in row for row in inst.grid[1])
         seen["shared row"] += len(set(inst.grid[1])) < n
     assert min(seen.values()) >= 100, seen
+
+
+def mms_probes_upward_jump_only(inst, agent):
+    """Probes of the share search that lowers ``hi`` only to ``q - 1`` on a failure."""
+    view = root_tree(inst.graph, 0)
+    n = inst.agent_count
+    scale, weights = inst.grid[0][agent], inst.grid[1][agent]
+    probes = 0
+    lo, hi = 0, scale // n
+    while lo < hi:
+        q = (lo + hi + 1) // 2
+        probes += 1
+        uncut = [*weights, 0]
+        cuts = taken = 0
+        least = scale
+        for v in view.postorder:
+            total = uncut[v]
+            if total < q:
+                uncut[view.parent[v]] += total
+            elif cuts < n - 1:
+                cuts += 1
+                taken += total
+                least = min(least, total)
+            else:
+                lo = min(least, scale - taken)
+                break
+        else:
+            hi = q - 1
+    return probes
+
+
+def test_a_failed_sweep_caps_the_share(monkeypatch):
+    """On the sweep above, each search bisects at most, and jumps down often.
+
+    A failed probe lowers the search's upper end to the largest total it
+    added into a parent's slot, so the searches take at most 60% of the
+    probes they take with the upward jump alone.  Each probe iterates the
+    rooted view's postorder once, which is what is counted.
+    """
+    sweeps = [0]
+
+    class CountedPostorder(tuple):
+        def __iter__(self):
+            sweeps[0] += 1
+            return super().__iter__()
+
+    rooted = mms_tree._rooted_tree
+
+    def counting_view(graph):
+        view = rooted(graph)
+        return dataclasses.replace(view, postorder=CountedPostorder(view.postorder))
+
+    monkeypatch.setattr(mms_tree, "_rooted_tree", counting_view)
+    rng = random.Random(1515)
+    total = reference = 0
+    for trial in range(1500):
+        cls = ("tree", "path", "star")[trial % 3]
+        m = rng.randint(1, 31)
+        n = rng.choice((1, m, rng.randint(1, min(6, m))))
+        inst = gen_random(seed=trial + 15000, cls=cls, m=m, n=n,
+                          denom_bound=rng.choice((1, 2, 3, 10)),
+                          types=rng.choice((None, 1, 2, 3)))
+        for i in range(n):
+            sweeps[0] = 0
+            mms_value_tree(inst, i)
+            assert sweeps[0] <= (inst.grid[0][i] // n).bit_length(), (inst, i)
+            total += sweeps[0]
+            reference += mms_probes_upward_jump_only(inst, i)
+    assert total <= 0.6 * reference, (total, reference)
 
 
 def test_one_search_per_distinct_row(monkeypatch):

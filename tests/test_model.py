@@ -420,6 +420,29 @@ def test_integer_grid_runs_once_per_row_at_construction(monkeypatch):
         calls.clear()
 
 
+def test_integer_grid_runs_once_per_distinct_row_object(monkeypatch):
+    """Agents that share a row object share its check, values and grid row."""
+    calls = []
+
+    def counted(rows):
+        calls.append(len(rows))
+        return integer_grid(rows)
+
+    monkeypatch.setattr("graphfair.model.integer_grid", counted)
+    inst = gen_random(seed=16000, cls="tree", m=12, n=6, types=2)
+    rows, grid = inst.utilities, inst.grid[1]
+    assert calls == [1, 1]
+    for i in range(6):
+        first = rows.index(rows[i])
+        assert rows[i] is rows[first] and grid[i] is grid[first]
+    calls.clear()
+    row = rows[0]
+    again = Instance(inst.graph, ("a", "b", "c"), (row, list(row), row))
+    assert calls == [1, 1]  # an equal row object of its own is checked again
+    assert again.utilities[0] is again.utilities[2]
+    assert again.utilities[1] is not again.utilities[0]
+
+
 def test_instance_grid_computed_once_and_invisible():
     rng = random.Random(11)
     for seed in range(40):

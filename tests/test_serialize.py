@@ -98,6 +98,41 @@ def test_repeated_literals_parse_to_equal_rows():
     assert inst.utilities == ((Fraction(1, 2),) * 2,) * 2
 
 
+def test_equal_rows_share_one_parsed_and_scaled_row():
+    doc = json.loads(json.dumps(UTILITY_DOC))
+    doc["agents"] += [
+        {"name": "a3", "utilities": {"x": "1/3", "y": "2/3"}},
+        {"name": "a4", "utilities": {"y": "1/2", "x": "1/2"}},  # == a1's, keys reordered
+        {"name": "a5", "utilities": {"x": "1/3", "y": "2/3"}},
+    ]
+    inst = instance_from_dict(doc)
+    rows, grid = inst.utilities, inst.grid[1]
+    assert rows[0] is rows[1] is rows[3] and grid[0] is grid[1] is grid[3]
+    assert rows[2] is rows[4] and grid[2] is grid[4]
+    assert rows[0] is not rows[2] and grid[0] is not grid[2]
+    half, third = (Fraction(1, 2),) * 2, (Fraction(1, 3), Fraction(2, 3))
+    assert rows == (half, half, third, half, third)
+
+
+@pytest.mark.parametrize("bad", ["1/0", "1/2x", "", "9" * 5000])
+def test_a_row_equal_but_for_a_bad_literal_raises_that_literal(bad):
+    doc = json.loads(json.dumps(UTILITY_DOC))
+    doc["agents"][1]["utilities"]["y"] = bad
+    with pytest.raises(InputError) as literal:
+        rational_from_str(bad)
+    with pytest.raises(InputError) as got:
+        instance_from_dict(doc)
+    assert str(got.value) == str(literal.value)
+
+
+def test_a_repeated_row_that_fails_names_its_first_agent():
+    doc = json.loads(json.dumps(UTILITY_DOC))
+    for agent in doc["agents"]:
+        agent["utilities"]["y"] = "1/4"
+    with pytest.raises(InputError, match="^utilities of agent 'a1' sum to 3/4, "):
+        instance_from_dict(doc)
+
+
 def test_dumps_is_canonical():
     doc = {"b": 1, "a": [Fraction(1, 2).__str__()]}
     out = dumps(doc)
