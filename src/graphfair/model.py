@@ -5,6 +5,9 @@ additive utility row per agent; every row is made of exact ``Fraction``
 values and must sum to exactly 1.  Bundles handed to an agent must induce
 a connected subgraph, and an allocation never has to hand out every item
 unless a predicate explicitly asks for completeness.
+
+Bundle values are summed and compared as ints on the agent's row of
+``Instance.grid``, with each threshold put on that grid by ``at_least``.
 """
 
 from __future__ import annotations
@@ -312,12 +315,28 @@ def at_least(t: Fraction, scale: int) -> int:
 
 
 def bundle_value(inst: Instance, agent: int, vertices: Iterable[int]) -> Fraction:
-    """Additive value of a vertex set for one agent (empty set is worth 0)."""
-    row = inst.utilities[agent]
-    total = Fraction(0)
+    """Additive value of a vertex set for one agent (empty set is worth 0).
+
+    The set is summed on her row of ``Instance.grid``; an agent or a vertex
+    outside the instance is an ``InputError``.
+    """
+    n, m = inst.agent_count, inst.item_count
+    if not isinstance(agent, int):
+        raise InputError(f"agent index {agent!r} is not an int")
+    if not 0 <= agent < n:
+        raise InputError(f"agent {agent} outside 0..{n - 1}")
+    row = inst.grid[1][agent]
+    total = 0
     for v in vertices:
+        if not (isinstance(v, int) and 0 <= v < m):
+            raise InputError(f"bundle vertex {v!r} outside 0..{m - 1}")
         total += row[v]
-    return total
+    return Fraction(total, inst.grid[0][agent])
+
+
+def _own_values(inst: Instance, bundles: Iterable[frozenset[int]]) -> list[int]:
+    """Each agent's value for her own bundle, summed on her row of ``Instance.grid``."""
+    return [sum(row[v] for v in b) for row, b in zip(inst.grid[1], bundles)]
 
 
 def _check_alloc_shape(inst: Instance, alloc: Allocation) -> None:
@@ -359,21 +378,17 @@ def is_proportional(inst: Instance, alloc: Allocation) -> bool:
     _check_alloc_shape(inst, alloc)
     share = Fraction(1, inst.agent_count)
     return all(
-        bundle_value(inst, i, b) >= share for i, b in enumerate(alloc.bundles)
+        value >= at_least(share, scale)
+        for value, scale in zip(_own_values(inst, alloc.bundles), inst.grid[0])
     )
 
 
 def is_envy_free(inst: Instance, alloc: Allocation) -> bool:
     """True iff no agent values another agent's bundle above her own."""
     _check_alloc_shape(inst, alloc)
-    values = [
-        [bundle_value(inst, i, b) for b in alloc.bundles]
-        for i in range(inst.agent_count)
-    ]
     return all(
-        values[i][i] >= values[i][j]
-        for i in range(inst.agent_count)
-        for j in range(inst.agent_count)
+        own >= max(sum(row[v] for v in b) for b in alloc.bundles)
+        for row, own in zip(inst.grid[1], _own_values(inst, alloc.bundles))
     )
 
 
@@ -402,7 +417,8 @@ def is_mms_allocation(
     if not is_valid(inst, alloc):
         return False
     return all(
-        bundle_value(inst, i, b) >= mms[i] for i, b in enumerate(alloc.bundles)
+        value >= at_least(q, scale)
+        for value, q, scale in zip(_own_values(inst, alloc.bundles), mms, inst.grid[0])
     )
 
 
@@ -436,11 +452,8 @@ def make_report(
     """
     achieved = None
     if witness is not None:
-        scales, rows = inst.grid
-        achieved = tuple(
-            Fraction(sum(row[v] for v in b), scale)
-            for scale, row, b in zip(scales, rows, witness.bundles)
-        )
+        values = _own_values(inst, witness.bundles)
+        achieved = tuple(map(Fraction, values, inst.grid[0]))
     return SolveReport(
         decision=witness is not None,
         method=method,

@@ -38,7 +38,7 @@ keyed by mask; masks become frozensets only in a witness.
 from __future__ import annotations
 
 from bisect import bisect_right
-from contextlib import contextmanager
+from contextlib import ExitStack, contextmanager
 from dataclasses import dataclass, fields
 from fractions import Fraction
 from typing import Iterable, Iterator, Optional, Sequence
@@ -136,8 +136,7 @@ def _bounded(
 ) -> Iterator[_NodeCounter]:
     """One solve's bound: its size limits, its work counter and its depth.
 
-    Every route that spends the budget enters this once (an mms solve's share
-    search again, for the size limits alone).  ``budget`` is read by
+    Every route that spends the budget enters this once.  ``budget`` is read by
     ``_checked_budget``; ``inst``, when given, must fit ``max_items`` and then
     ``max_agents``.  The searches recurse once per vertex or agent they add,
     so one deeper than the recursion limit is a spent budget, not an answer.
@@ -410,19 +409,28 @@ def oracle_mms_values(
     """Each agent's maximin share over connected n-partitions, by packing search.
 
     Too few items and a disconnected graph are input errors at any size, so
-    they are tested before the budget's size limits.  The shares come from
-    ``_shares`` on ``Instance.grid``, whose rows are already scaled and checked.
+    ``_require_partitionable`` tests them before the budget's size limits.
+    Given a ``counter``, the caller has run those tests and entered
+    ``_bounded`` already.  The shares come from ``_shares`` on
+    ``Instance.grid``, whose rows are already scaled and checked.
     """
-    if inst.item_count < inst.agent_count:
-        raise InputError("maximin shares need at least as many items as agents")
-    _require_connected(inst.graph)
-    with _bounded(budget, inst) as own:
+    with ExitStack() as stack:
+        if counter is None:
+            _require_partitionable(inst)
+            counter = stack.enter_context(_bounded(budget, inst))
         scales, grid = inst.grid
-        shares = _shares(inst.graph, grid, inst.agent_count, counter or own)
+        shares = _shares(inst.graph, grid, inst.agent_count, counter)
     values = tuple(Fraction(shares[row], scale) for row, scale in zip(grid, scales))
     share = Fraction(1, inst.agent_count)
     assert all(v <= share for v in values), "maximin share above 1/n is impossible"
     return values
+
+
+def _require_partitionable(inst: Instance) -> None:
+    """``InputError`` unless the items admit a connected partition into n parts."""
+    if inst.item_count < inst.agent_count:
+        raise InputError("maximin shares need at least as many items as agents")
+    _require_connected(inst.graph)
 
 
 def _require_connected(g: ItemGraph) -> None:
@@ -545,8 +553,10 @@ def oracle_mms_exists(
     The bundle search at the shares is ``_search_thresholds``, which filters
     the share search's recorded growths and spends what growing would.
     """
-    # one counter for shares and bundles; oracle_mms_values applies the limits
-    with _bounded(budget) as counter:
+    # a bad budget is reported first, then input errors, then the size limits
+    _checked_budget(budget)
+    _require_partitionable(inst)
+    with _bounded(budget, inst) as counter:
         values = oracle_mms_values(inst, budget, counter)
         masks = _search_thresholds(inst, values, counter)
     witness = None if masks is None else _masks_to_allocation(masks)

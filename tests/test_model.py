@@ -3,6 +3,7 @@
 import importlib
 import pkgutil
 import random
+from collections import Counter
 from dataclasses import FrozenInstanceError
 from fractions import Fraction
 from itertools import permutations
@@ -25,6 +26,7 @@ from graphfair import (
     InputError,
     Instance,
     ItemGraph,
+    OracleBudget,
     bundle_value,
     compute_type_partition,
     dispatch,
@@ -40,6 +42,7 @@ from graphfair import (
     normalize_utilities,
     oracle_mms_values,
 )
+from graphfair.generators import RANDOM_CLASSES
 from graphfair.model import at_least, integer_grid
 from graphfair.serialize import instance_from_dict
 
@@ -211,6 +214,109 @@ def test_bundle_value_empty_and_additive():
         assert bundle_value(inst, 0, a | b) == bundle_value(inst, 0, a) + bundle_value(
             inst, 0, b
         )
+
+
+def test_bundle_value_rejects_indices_outside_the_instance():
+    # The vertices may come as a generator, checked in its one pass.
+    for agent, vertices, message in (
+        (0, {-1}, "bundle vertex -1 outside 0..7"),
+        (0, {8}, "bundle vertex 8 outside 0..7"),
+        (0, iter([0, 1, 8]), "bundle vertex 8 outside 0..7"),
+        (0, {0.0}, "bundle vertex 0.0 outside 0..7"),
+        (-1, {0}, "agent -1 outside 0..3"),
+        (5, {0}, "agent 5 outside 0..3"),
+        ("0", {0}, "agent index '0' is not an int"),
+    ):
+        with pytest.raises(InputError) as exc:
+            bundle_value(C8, agent, vertices)
+        assert str(exc.value) == message
+
+
+def _grown_bundles(rng, g, n):
+    """Disjoint connected bundles, each grown at random from a free vertex."""
+    free, bundles = set(range(g.vertex_count)), []
+    for _ in range(n):
+        bundle = set()
+        if free and rng.random() < 0.9:
+            bundle.add(rng.choice(sorted(free)))
+            size = rng.randint(1, len(free))
+            while len(bundle) < size:
+                reach = sorted({u for v in bundle for u in g.neighbors(v)} & free - bundle)
+                if not reach:
+                    break
+                bundle.add(rng.choice(reach))
+            free -= bundle
+        bundles.append(bundle)
+    return bundles
+
+
+def test_grid_verifiers_match_fraction_sums():
+    """The verifiers, ``bundle_value`` and a report's ``achieved`` against
+    ``Fraction`` sums of ``Instance.utilities``, the reference kept here.
+
+    Quotas sit at the maximin shares and at each agent's own value, each
+    also one grid step 1/L above and below, or are negative or above 1.
+    """
+    rng = random.Random(3131)
+    budget = OracleBudget(max_items=12)
+    kinds = ("connected", "random", "overlapping", "empty", "incomplete")
+    seen = Counter()
+    for trial in range(1000):
+        cls = RANDOM_CLASSES[trial % len(RANDOM_CLASSES)]
+        m = rng.randint(3 if cls == "cycle" else 1, 12)
+        n = rng.randint(1, 5)
+        inst = gen_random(trial + 31000, cls, m, n, denom_bound=rng.choice((1, 3, 10)))
+        rows, scales = inst.utilities, inst.grid[0]
+
+        def value(i, b):
+            return sum((rows[i][v] for v in b), Fraction(0))
+
+        kind = kinds[trial // len(RANDOM_CLASSES) % len(kinds)]
+        if kind == "connected":
+            bundles = _grown_bundles(rng, inst.graph, n)
+        elif kind == "overlapping":
+            bundles = [{v for v in range(m) if rng.random() < 0.4} for _ in range(n)]
+        else:
+            keep = {"random": 1, "empty": 0, "incomplete": 0.6}[kind]
+            bundles = [set() for _ in range(n)]
+            for v in range(m):
+                if rng.random() < keep:
+                    bundles[rng.randrange(n)].add(v)
+        alloc = Allocation(bundles)
+        own = [value(i, b) for i, b in enumerate(alloc.bundles)]
+
+        for i in range(n):
+            for b in alloc.bundles:
+                assert bundle_value(inst, i, b) == value(i, b)
+                assert bundle_value(inst, i, iter(sorted(b))) == value(i, b)
+        assert make_report(inst, "oracle", alloc).achieved == tuple(own)
+        prop = all(v >= Fraction(1, n) for v in own)
+        assert is_proportional(inst, alloc) == prop
+        envy_free = all(
+            own[i] >= value(i, b) for i in range(n) for b in alloc.bundles
+        )
+        assert is_envy_free(inst, alloc) == envy_free
+        seen["prop", prop] += 1
+        seen["ef", envy_free] += 1
+
+        shares = oracle_mms_values(inst, budget) if m >= n else (Fraction(1, n),) * n
+        valid = is_valid(inst, alloc)
+        for _ in range(3):
+            quotas = []
+            for i in range(n):
+                base = rng.choice((shares[i], own[i]))
+                quotas.append(rng.choice((
+                    base,
+                    base + Fraction(1, scales[i]),
+                    base - Fraction(1, scales[i]),
+                    -Fraction(rng.randint(1, 9), rng.randint(1, 9)),
+                    1 + Fraction(rng.randint(1, 9), rng.randint(1, 9)),
+                )))
+            mms_ok = valid and all(v >= q for v, q in zip(own, quotas))
+            assert is_mms_allocation(inst, alloc, quotas) == mms_ok, (trial, quotas)
+            seen["mms", mms_ok] += 1
+            seen["mms tie", valid and any(v == q for v, q in zip(own, quotas))] += 1
+    assert min(seen.values()) >= 50, seen
 
 
 def test_is_valid_examples():

@@ -731,6 +731,34 @@ def test_budget_guards():
         oracle_prop(fixture_cycle8(), OracleBudget(max_enumerated=0))
 
 
+def test_mms_solve_builds_one_counter(monkeypatch):
+    """An oracle mms solve enters ``_bounded`` once; a bad budget is reported
+    before an input error, and an input error before the size limits."""
+    counters = []
+
+    class Recorded(_NodeCounter):
+        def __init__(self, limit):
+            super().__init__(limit)
+            counters.append(self)
+
+    monkeypatch.setattr(oracle, "_NodeCounter", Recorded)
+    for solve in (oracle_mms_exists, oracle_mms_values):
+        solve(fixture_cycle8())
+        assert len(counters) == 1, solve
+        counters.clear()
+    short = mk(path_graph(2), ("1", "0"), ("1", "0"), ("1", "0"))
+    disconnected = Instance(ItemGraph(("a", "b"), ()), ("a1",), ((1, 0),))
+    tiny = OracleBudget(max_items=0, max_agents=0)
+    for solve in (oracle_mms_exists, oracle_mms_values):
+        with pytest.raises(InputError, match="at least as many items"):
+            solve(short, tiny)
+        with pytest.raises(InputError, match="connected item graphs only"):
+            solve(disconnected, tiny)
+    with pytest.raises(InputError, match="budget must be an OracleBudget"):
+        oracle_mms_exists(short, 5)
+    assert counters == []
+
+
 def test_share_search_deeper_than_the_recursion_limit_exceeds_the_budget():
     # One part: the share search's growth recurses once per item it adds,
     # up to all 1,200, which is deeper than Python's stack allows.
