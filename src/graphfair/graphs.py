@@ -57,6 +57,10 @@ def mask_is_connected(g: ItemGraph, mask: int) -> bool:
 
 def is_connected_set(g: ItemGraph, vertices: Iterable[int]) -> bool:
     """True iff the given vertex set induces a connected subgraph (or is empty)."""
+    try:
+        vertices = iter(vertices)
+    except TypeError:  # None or another non-iterable
+        raise InputError("vertices must be an iterable of ints") from None
     mask = 0
     m = g.vertex_count
     for v in vertices:
@@ -290,7 +294,10 @@ def induced_subgraph(
     g: ItemGraph, vertices: Iterable[int]
 ) -> tuple[ItemGraph, tuple[int, ...]]:
     """Induced subgraph plus the new-index -> old-index map (ascending)."""
-    chosen = set(vertices)
+    try:
+        chosen = set(vertices)
+    except TypeError:  # None, another non-iterable or an unhashable vertex
+        raise InputError("vertices must be an iterable of ints") from None
     if not chosen:
         raise InputError("induced subgraph needs at least one vertex")
     if not all(isinstance(v, int) and 0 <= v < g.vertex_count for v in chosen):

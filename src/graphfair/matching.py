@@ -5,12 +5,13 @@ cost, where the cost sits on the column alone: the matchable column sets
 are the independent sets of a transversal matroid, so taking columns
 cheapest first is optimal (Edmonds, "Matroids and the greedy algorithm",
 1971).  ``_lex_smallest_perfect`` serves the exhaustive envy-freeness
-search.
+search.  Augmenting paths are walked on an explicit stack, not by recursion,
+so a path may be as long as there are rows.
 """
 
 from __future__ import annotations
 
-from typing import Optional, Sequence
+from typing import Iterator, Optional, Sequence
 
 __all__ = ["solve_matching"]
 
@@ -35,7 +36,8 @@ def solve_matching(
     for c in sorted(range(len(cost)), key=lambda c: (cost[c], c)):
         if len(owner) == rows:
             break
-        _kuhn(takers, c, set(), owner, set())
+        if takers[c]:  # no path admits a column no row accepts; stars have many
+            _kuhn(takers, c, set(), owner, set())
     if len(owner) < rows:
         return None
     return [owner[r] for r in range(rows)]
@@ -73,12 +75,29 @@ def _kuhn(
     adj: list[list[int]], r: int, used_cols: set[int], match_col: dict[int, int],
     seen: set[int],
 ) -> bool:
-    """Augment ``match_col`` (column -> row) from row r, avoiding ``used_cols``."""
-    for j in adj[r]:
-        if j in used_cols or j in seen:
-            continue
-        seen.add(j)
-        if j not in match_col or _kuhn(adj, match_col[j], used_cols, match_col, seen):
-            match_col[j] = r
-            return True
-    return False
+    """Augment ``match_col`` (column -> row) from row r, avoiding ``used_cols``.
+
+    Depth first, trying each row's columns in list order.  The path is kept
+    on an explicit stack of ``(row, column iterator, column taken)`` frames,
+    so its length is not bounded by the recursion limit.
+    """
+    stack: list[tuple[int, Iterator[int], int]] = []
+    cols = iter(adj[r])
+    while True:
+        for j in cols:
+            if j in used_cols or j in seen:
+                continue
+            seen.add(j)
+            if j not in match_col:
+                match_col[j] = r
+                for row, _, col in stack:
+                    match_col[col] = row
+                return True
+            stack.append((r, cols, j))
+            r = match_col[j]
+            cols = iter(adj[r])
+            break
+        else:
+            if not stack:
+                return False
+            r, cols, _ = stack.pop()

@@ -139,10 +139,15 @@ class ItemGraph:
             masks[b] |= 1 << a
         return tuple(masks)
 
+    @cached_property
+    def _index(self) -> dict[str, int]:
+        """Each label's vertex index, computed on first use."""
+        return {label: v for v, label in enumerate(self.labels)}
+
     def index_of(self, label: str) -> int:
         try:
-            return self.labels.index(label)
-        except ValueError:
+            return self._index[label]
+        except (KeyError, TypeError):  # TypeError: an unhashable label
             raise InputError(f"unknown vertex label {label!r}") from None
 
 
@@ -257,7 +262,11 @@ class Allocation:
     bundles: tuple[frozenset[int], ...]
 
     def __post_init__(self):
-        object.__setattr__(self, "bundles", tuple(frozenset(b) for b in self.bundles))
+        try:
+            bundles = tuple(frozenset(b) for b in self.bundles)
+        except TypeError:  # None, or a bundle that is no iterable of indices
+            raise InputError("bundles must be a sequence of vertex sets") from None
+        object.__setattr__(self, "bundles", bundles)
 
 
 @dataclass(frozen=True)
@@ -281,7 +290,10 @@ def normalize_utilities(values: Iterable) -> tuple[Fraction, ...]:
     Offered as explicit preprocessing; the :class:`Instance` constructor never
     normalizes on its own.
     """
-    vals = [_as_fraction(x) for x in values]
+    try:
+        vals = [_as_fraction(x) for x in values]
+    except TypeError:  # None or another non-iterable
+        raise InputError("utilities must be a sequence of rationals") from None
     if any(v < 0 for v in vals):
         raise InputError("cannot normalize a vector with negative entries")
     total = sum(vals)
@@ -326,6 +338,10 @@ def bundle_value(inst: Instance, agent: int, vertices: Iterable[int]) -> Fractio
     if not 0 <= agent < n:
         raise InputError(f"agent {agent} outside 0..{n - 1}")
     row = inst.grid[1][agent]
+    try:
+        vertices = iter(vertices)
+    except TypeError:  # None or another non-iterable
+        raise InputError("bundle vertices must be an iterable of ints") from None
     total = 0
     for v in vertices:
         if not (isinstance(v, int) and 0 <= v < m):

@@ -3,10 +3,10 @@
 Everything here trades speed for trustworthiness: decisions come from full
 enumeration over connected bundles or connected partitions, guarded by an
 explicit budget.  Pruning (value thresholds, minimal candidate bundles,
-symmetric-agent canonicalization, forward checking) may only skip branches
-that provably contain no witness, so the pruned search decides as an
-unpruned one would; ``test_pruned_matches_unpruned`` in
-``tests/test_oracle.py`` checks this against an unpruned search of its own.
+symmetric-agent canonicalization) may only skip branches that provably
+contain no witness, so the pruned search decides as an unpruned one would;
+``test_pruned_matches_unpruned`` in ``tests/test_oracle.py`` checks this
+against an unpruned search of its own.
 
 All scans run on ``Instance.grid``, one integer grid per agent, with each
 threshold put on its agent's grid by ``model.at_least``.  The one bundle
@@ -335,15 +335,11 @@ def _pack(
 
     Agent i picks from ``candidates[type_of_agent[i]]``.  Same-type agents
     are interchangeable, so their nonempty picks run strictly up their
-    type's list.  Every pick spends one unit of ``counter``; after it, each
-    distinct list of the later agents must still hold a bundle disjoint from
-    the picks so far (forward checking).
+    type's list.  Every pick spends one unit of ``counter``.  No pick looks
+    ahead: the next agent's own scan finds out whether any of its bundles
+    is still disjoint from the picks so far.
     """
     n = len(type_of_agent)
-    later = [
-        [candidates[t] for t in dict.fromkeys(type_of_agent[i + 1 :])]
-        for i in range(n)
-    ]
 
     def rec(i: int, used: int, floors: tuple[int, ...]) -> Optional[list[int]]:
         # ``floors[t]`` is the first index type t may still take.  A list
@@ -358,15 +354,10 @@ def _pack(
             if mask & used:
                 continue
             counter.spend()
-            taken = used | mask
-            for rest in later[i]:
-                if all(c & taken for c in rest):
-                    break
-            else:
-                below = floors[:t] + (idx + 1,) + floors[t + 1 :] if mask else floors
-                found = rec(i + 1, taken, below)
-                if found is not None:
-                    return [mask, *found]
+            below = floors[:t] + (idx + 1,) + floors[t + 1 :] if mask else floors
+            found = rec(i + 1, used | mask, below)
+            if found is not None:
+                return [mask, *found]
         return None
 
     return rec(0, 0, (0,) * len(candidates))
@@ -573,7 +564,8 @@ def oracle_ef_complete(
     positively and envies its owner.  For an n-part partition every part is
     owned, so envy-freeness says each agent receives a part she values at
     least as much as every other part — a perfect-matching condition between
-    agents and their maximum-value parts.
+    agents and their maximum-value parts.  A part that is nobody's favorite
+    leaves no perfect matching, so ``_lex_smallest_perfect`` rejects it.
     """
     n = inst.agent_count
     with _bounded(budget, inst) as counter:
@@ -588,10 +580,6 @@ def oracle_ef_complete(
             adj = [
                 [p for p in range(n) if value[i][p] == favorite[i]] for i in range(n)
             ]
-            if any(
-                all(value[i][p] != favorite[i] for i in range(n)) for p in range(n)
-            ):
-                continue  # some part is nobody's favorite, so it cannot be owned
             assignment = _lex_smallest_perfect(adj)
             if assignment is not None:
                 witness = _masks_to_allocation(partition[p] for p in assignment)

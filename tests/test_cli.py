@@ -186,6 +186,36 @@ def test_search_deeper_than_the_recursion_limit_exits_3(capsys, tmp_path, comman
     assert err == "budget exceeded: search deeper than the recursion limit\n"
 
 
+def test_star_with_an_augmenting_path_of_a_thousand_rows_exits_0(capsys, tmp_path):
+    # Agent a_k values leaves L(k-1) and Lk, a_(K+1) values LK alone, and the
+    # owner, who takes the center, values L0 above the other leaves: her
+    # leaf matching walks an augmenting path through every a_k.
+    K = 1000
+    T = (K + 1) * (K + 2) // 2
+    owner = {"v0": "1/2", "L0": f"{K + 1}/{2 * T}"}
+    owner.update({f"L{k}": f"{k}/{2 * T}" for k in range(1, K + 1)})
+    agents = [{"name": "owner", "utilities": owner}]
+    agents += [
+        {"name": f"a{k}", "utilities": {f"L{k - 1}": "1/2", f"L{k}": "1/2"}}
+        for k in range(1, K + 1)
+    ]
+    agents.append({"name": f"a{K + 1}", "utilities": {f"L{K}": "1"}})
+    leaves = [f"L{k}" for k in range(K + 1)]
+    doc = {
+        "graph": {"vertices": ["v0", *leaves], "edges": [["v0", x] for x in leaves]},
+        "agents": agents,
+    }
+    f = tmp_path / "star.json"
+    f.write_text(json.dumps(doc), encoding="utf-8")
+    outs = []
+    for _ in range(2):
+        code, out, err = run(capsys, ["solve", "--problem", "prop", str(f)])
+        assert code == 0 and err == ""
+        outs.append(out)
+    assert outs[0] == outs[1]
+    assert json.loads(outs[0])["method"] == "star"
+
+
 def test_solve_input_quirks(capsys, tmp_path):
     f = write_instance(tmp_path, mk(path_graph(2), ("1/2", "1/2")))
     code, _, err = run(capsys, ["solve", "--problem", "prop", f, "--input", f])

@@ -55,6 +55,12 @@ def test_item_graph_validation():
         g.index_of("zzz")
 
 
+def test_index_of_an_unhashable_label_is_unknown():
+    g = ItemGraph(("v1", "v2"), ((0, 1),))
+    with pytest.raises(InputError, match=r"unknown vertex label \['v1'\]"):
+        g.index_of(["v1"])
+
+
 def test_is_connected_set_path3():
     g = path_graph(3)
     assert is_connected_set(g, {0, 1})

@@ -102,3 +102,12 @@ def test_lex_smallest_perfect_agrees_with_brute_force():
             None,
         )
         assert _lex_smallest_perfect(adj) == want, adj
+
+
+def test_augmenting_path_longer_than_the_recursion_limit():
+    # Columns 1..K go first, each to the lower row that accepts it; column 0
+    # then shifts every row down one column, along a path of K + 1 rows.
+    K = 3000
+    accepts = [[r, r + 1] for r in range(K)] + [[K]]
+    cost = [1] + [0] * K
+    assert solve_matching(accepts, cost) == list(range(K + 1))

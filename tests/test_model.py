@@ -33,7 +33,9 @@ from graphfair import (
     enumerate_connected_partitions,
     fixture_cycle8,
     gen_random,
+    induced_subgraph,
     is_complete,
+    is_connected_set,
     is_envy_free,
     is_mms_allocation,
     is_proportional,
@@ -230,6 +232,25 @@ def test_bundle_value_rejects_indices_outside_the_instance():
         with pytest.raises(InputError) as exc:
             bundle_value(C8, agent, vertices)
         assert str(exc.value) == message
+
+
+@pytest.mark.parametrize("call", [
+    lambda: normalize_utilities(None),
+    lambda: bundle_value(C8, 0, None),
+    lambda: is_connected_set(C8.graph, None),
+    lambda: induced_subgraph(C8.graph, None),
+    lambda: induced_subgraph(C8.graph, [[1]]),
+    lambda: Allocation(None),
+    lambda: Allocation([None]),
+], ids=[
+    "normalize_utilities", "bundle_value", "is_connected_set",
+    "induced_subgraph", "induced_subgraph_unhashable", "Allocation",
+    "Allocation_bundle",
+])
+def test_non_iterable_arguments_are_input_errors(call):
+    """None, or an unhashable vertex, is an ``InputError``, never a ``TypeError``."""
+    with pytest.raises(InputError):
+        call()
 
 
 def _grown_bundles(rng, g, n):

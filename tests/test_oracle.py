@@ -581,8 +581,6 @@ def search_thresholds_reference(inst, thresholds, budget):
                 continue
             counter.spend()
             taken = used | mask
-            if any(all(c & taken for c in candidates[j]) for j in range(i + 1, n)):
-                continue
             prev = last_pick_of_type.get(t)
             if mask != 0:
                 last_pick_of_type[t] = idx
