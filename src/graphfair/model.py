@@ -151,6 +151,30 @@ class ItemGraph:
             raise InputError(f"unknown vertex label {label!r}") from None
 
 
+def _check_names(names: tuple) -> None:
+    """``InputError`` unless ``names`` are at least one distinct string."""
+    if len(names) < 1:
+        raise InputError("an instance needs at least one agent")
+    if not all(isinstance(name, str) for name in names):
+        raise InputError("agent names must be strings")
+    if len(set(names)) != len(names):
+        raise InputError("agent names must be distinct")
+
+
+def _check_grid_row(name: str, scale: int, scaled: Sequence[int]) -> None:
+    """``InputError`` unless the grid row ``scaled`` over the positive ``scale``
+    is nonnegative and sums to exactly 1, that is to ``scale``."""
+    if min(scaled) < 0:
+        raise InputError(f"negative utility for agent {name!r}")
+    total = sum(scaled)
+    if total != scale:
+        try:
+            wrong = f"sum to {Fraction(total, scale)}, expected exactly 1"
+        except ValueError:  # the sum has more digits than str() may print
+            wrong = "do not sum to exactly 1"
+        raise InputError(f"utilities of agent {name!r} {wrong}")
+
+
 def _checked_row(name: str, row, m: int) -> tuple[tuple[Fraction, ...], int, tuple[int, ...]]:
     """One agent's row as ``(vals, scale, scaled)``, or ``InputError`` if it is no
     nonnegative row of ``m`` rationals that sums to exactly 1."""
@@ -160,16 +184,8 @@ def _checked_row(name: str, row, m: int) -> tuple[tuple[Fraction, ...], int, tup
         raise InputError(f"utility row for {name!r} is not a sequence") from None
     if len(vals) != m:
         raise InputError(f"utility row for {name!r} must have {m} entries")
-    # Both checks run on the row's integer grid, whose scale is positive.
     (scale,), (scaled,) = integer_grid((vals,))
-    if min(scaled) < 0:
-        raise InputError(f"negative utility for agent {name!r}")
-    if sum(scaled) != scale:
-        try:
-            wrong = f"sum to {sum(vals)}, expected exactly 1"
-        except ValueError:  # the sum has more digits than str() may print
-            wrong = "do not sum to exactly 1"
-        raise InputError(f"utilities of agent {name!r} {wrong}")
+    _check_grid_row(name, scale, scaled)
     return vals, scale, scaled
 
 
@@ -177,10 +193,13 @@ def _checked_row(name: str, row, m: int) -> tuple[tuple[Fraction, ...], int, tup
 class Instance:
     """An item graph plus one exactly-normalized utility row per agent.
 
-    ``grid``, the ``(scales, rows)`` of ``integer_grid`` with one scale per
-    agent, is set when the rows are checked on it; it is no dataclass field.
-    Agents given one row object share one check, one values tuple and one
-    grid row.
+    The solvers and verifiers read ``grid``, the ``(scales, rows)`` of
+    ``integer_grid`` with one scale per agent; it is no dataclass field.  The
+    constructor checks the ``Fraction`` rows it is given on that grid, and
+    agents given one row object share one check, one values tuple and one
+    grid row.  ``from_grid`` takes the grid itself, as the JSON reader builds
+    it, and ``utilities`` is then built from the grid on first read, with
+    equal rows sharing one tuple.
     """
 
     graph: ItemGraph
@@ -194,12 +213,7 @@ class Instance:
             names, utilities = tuple(self.agent_names), tuple(self.utilities)
         except TypeError:  # a field is None or another non-iterable
             raise InputError("agent names and utility rows must be sequences") from None
-        if len(names) < 1:
-            raise InputError("an instance needs at least one agent")
-        if not all(isinstance(name, str) for name in names):
-            raise InputError("agent names must be strings")
-        if len(set(names)) != len(names):
-            raise InputError("agent names must be distinct")
+        _check_names(names)
         m = self.graph.vertex_count
         if len(utilities) != len(names):
             raise InputError("one utility row per agent is required")
@@ -216,6 +230,50 @@ class Instance:
         object.__setattr__(self, "agent_names", names)
         object.__setattr__(self, "utilities", tuple(rows))
         object.__setattr__(self, "grid", (tuple(scales), tuple(grid)))
+
+    @classmethod
+    def from_grid(
+        cls,
+        graph: ItemGraph,
+        agent_names: tuple[str, ...],
+        grid: tuple[tuple[int, ...], tuple[tuple[int, ...], ...]],
+    ) -> "Instance":
+        """The instance whose ``grid`` is ``grid``, without ``Fraction`` rows.
+
+        ``grid`` must be in ``integer_grid`` form: per agent a row of
+        ``graph.vertex_count`` ints and its scale, the lcm of the reduced
+        denominators.  The names, and then each distinct row object's signs
+        and sum in agent order, are checked as the constructor checks them.
+        """
+        _check_names(agent_names)
+        checked = set()
+        for name, scale, row in zip(agent_names, *grid):
+            if id(row) not in checked:
+                _check_grid_row(name, scale, row)
+                checked.add(id(row))
+        inst = object.__new__(cls)
+        object.__setattr__(inst, "graph", graph)
+        object.__setattr__(inst, "agent_names", agent_names)
+        object.__setattr__(inst, "grid", grid)
+        return inst
+
+    def __getattr__(self, name: str):
+        """Build ``utilities`` of a ``from_grid`` instance on its first read.
+
+        Python calls this only for an attribute the instance lacks.  Every
+        other name is an ``AttributeError`` as usual, so the look-ups of pickle
+        and copy on an object not yet filled cannot recurse.
+        """
+        if name != "utilities":
+            raise AttributeError(f"{type(self).__name__!r} object has no attribute {name!r}")
+        built: dict[tuple[int, ...], tuple[Fraction, ...]] = {}
+        for scale, row in zip(*self.grid):
+            if row not in built:  # a valid row sums to its scale, so fixes it
+                value = {v: Fraction(v, scale) for v in set(row)}
+                built[row] = tuple(map(value.__getitem__, row))
+        rows = tuple(map(built.__getitem__, self.grid[1]))
+        object.__setattr__(self, "utilities", rows)
+        return rows
 
     @property
     def agent_count(self) -> int:

@@ -4,6 +4,11 @@ Rationals travel as ``"p/q"`` strings in lowest terms (plain ``"p"`` when the
 denominator is 1); decimals are never read or written.  Serialization is
 canonical — fixed key order, vertices in graph order, bundle items in index
 order — so identical objects produce byte-identical documents.
+
+The instance reader parses each distinct literal once to ints in lowest terms
+and builds ``Instance.grid`` from them with ``Instance.from_grid``: the solve
+path makes no ``Fraction`` per utility, and ``Instance.utilities`` is built
+only when something such as ``instance_to_dict`` reads it.
 """
 
 from __future__ import annotations
@@ -11,6 +16,7 @@ from __future__ import annotations
 import json
 import re
 from fractions import Fraction
+from math import gcd, lcm
 from typing import Any
 
 from .model import Allocation, InputError, Instance, ItemGraph
@@ -34,6 +40,26 @@ def rational_to_str(x: Fraction) -> str:
     return str(x)
 
 
+def _ratio(s: str) -> tuple[int, int]:
+    """The literal ``s`` as ``(num, den)`` in lowest terms with ``den > 0``.
+
+    The one literal reader, behind ``rational_from_str`` and the instance
+    reader.  Over-long digits are reported before a zero denominator.
+    """
+    match = _RATIONAL_RE.match(s.strip()) if isinstance(s, str) else None
+    if match is None:
+        raise InputError(f"not a rational literal: {s!r}")
+    num, den = match.groups()
+    try:
+        num, den = int(num), int(den) if den else 1
+    except ValueError:  # an integer over Python's digit limit
+        raise InputError(f"rational literal too long ({len(s)} characters)") from None
+    if den == 0:
+        raise InputError(f"zero denominator in {s!r}")
+    g = gcd(num, den)
+    return num // g, den // g
+
+
 def rational_from_str(s: str) -> Fraction:
     """Read ``"p"`` or ``"p/q"``: an optional ``-``, digits, an optional ``/`` and
     digits, with surrounding whitespace trimmed.  Lowest terms are not required.
@@ -45,16 +71,7 @@ def rational_from_str(s: str) -> Fraction:
     ...
     graphfair.model.InputError: not a rational literal: '+1'
     """
-    match = _RATIONAL_RE.match(s.strip()) if isinstance(s, str) else None
-    if match is None:
-        raise InputError(f"not a rational literal: {s!r}")
-    num, den = match.groups()
-    try:
-        return Fraction(int(num), int(den) if den else 1)
-    except ZeroDivisionError:
-        raise InputError(f"zero denominator in {s!r}") from None
-    except ValueError:  # an integer over Python's digit limit
-        raise InputError(f"rational literal too long ({len(s)} characters)") from None
+    return Fraction(*_ratio(s))
 
 
 def dumps(obj: Any) -> str:
@@ -110,14 +127,11 @@ def instance_from_dict(doc: dict) -> Instance:
         edges.append((index[a], index[b]))
     graph = ItemGraph(tuple(vertices), tuple(edges))
 
-    # Agents of one type repeat whole rows: a row equal to an earlier one gets
-    # that row's tuple, which ``Instance`` then checks and scales once, and
-    # each literal is parsed once.
-    rationals: dict[str, Fraction] = {}
+    # Agents of one type repeat whole rows: a utilities dict equal to an
+    # earlier one gets that dict's grid row.
     docs: list[dict] = []  # each distinct utilities dict so far
-    doc_rows: list[tuple[Fraction, ...]] = []  # and its parsed row
-    names = []
-    rows = []
+    doc_rows: list[tuple[int, tuple[int, ...]]] = []  # and its (scale, grid row)
+    names, scales, rows = [], [], []
     for a in agent_docs:
         if not isinstance(a, dict) or "name" not in a or "utilities" not in a:
             raise InputError("each agent needs 'name' and 'utilities'")
@@ -128,23 +142,40 @@ def instance_from_dict(doc: dict) -> Instance:
         if not isinstance(utilities, dict):
             raise InputError("agent utilities must map vertex label -> rational string")
         if utilities in docs:
-            rows.append(doc_rows[docs.index(utilities)])
-            continue
-        row = [Fraction(0)] * len(vertices)
+            scale, row = doc_rows[docs.index(utilities)]
+        else:
+            scale, row = _grid_row(utilities, vertices, index)
+            docs.append(utilities)
+            doc_rows.append((scale, row))
+        scales.append(scale)
+        rows.append(row)
+    return Instance.from_grid(graph, tuple(names), (tuple(scales), tuple(rows)))
+
+
+def _grid_row(utilities: dict, vertices: list, index: dict) -> tuple[int, tuple[int, ...]]:
+    """One ``utilities`` dict as its ``integer_grid`` scale and row.
+
+    Each distinct literal of the row is read once.  Label and literal errors
+    come in document order; signs and the sum are left to
+    ``Instance.from_grid``.
+    """
+    if list(utilities) == vertices:  # every label, in vertex order
+        literals = list(utilities.values())
+    else:
+        literals = ["0"] * len(vertices)  # a missing entry is worth 0
         for label, value in utilities.items():
             if label not in index:
                 raise InputError(f"utility for unknown vertex {label!r}")
-            if isinstance(value, str):
-                parsed = rationals.get(value)
-                if parsed is None:
-                    parsed = rationals[value] = rational_from_str(value)
-            else:
-                parsed = rational_from_str(value)  # raises InputError
-            row[index[label]] = parsed
-        rows.append(tuple(row))
-        docs.append(utilities)
-        doc_rows.append(rows[-1])
-    return Instance(graph, tuple(names), tuple(rows))
+            _ratio(value)  # a bad literal raises before any later label
+            literals[index[label]] = value
+    try:
+        distinct = dict.fromkeys(literals)
+    except TypeError:  # an unhashable entry, so a bad literal: raise the first one
+        distinct = literals
+    pairs = [_ratio(value) for value in distinct]
+    scale = lcm(*(den for _, den in pairs))
+    scaled = {value: num * (scale // den) for value, (num, den) in zip(distinct, pairs)}
+    return scale, tuple(map(scaled.__getitem__, literals))
 
 
 def instance_to_json(inst: Instance) -> str:
