@@ -180,21 +180,23 @@ def connected_set_masks(g: ItemGraph) -> Iterator[int]:
     the rest of the group, so the order is deterministic.
     """
     nbr = g.neighbor_masks
-
-    def grow(s: int, frontier: int, avail: int) -> Iterator[int]:
-        # avail holds the vertices not yet included or excluded, frontier
-        # those of them next to s
+    full = (1 << g.vertex_count) - 1
+    # A frame (s, frontier, avail): avail holds the vertices not yet placed,
+    # frontier those of them next to s.  The growth descends in place and
+    # stacks each parent, which yields s once its frontier is spent (postorder).
+    stack = []
+    for v in reversed(range(g.vertex_count)):
+        avail = full >> (v + 1) << (v + 1)
+        stack.append((1 << v, nbr[v] & avail, avail))
+    while stack:
+        s, frontier, avail = stack.pop()
         while frontier:
             w = frontier & -frontier
             frontier &= ~w
             avail &= ~w  # w is in s | w below, and excluded after it
-            yield from grow(s | w, (frontier | nbr[w.bit_length() - 1]) & avail, avail)
+            stack.append((s, frontier, avail))
+            s, frontier = s | w, (frontier | nbr[w.bit_length() - 1]) & avail
         yield s
-
-    full = (1 << g.vertex_count) - 1
-    for v in range(g.vertex_count):
-        avail = full >> (v + 1) << (v + 1)
-        yield from grow(1 << v, nbr[v] & avail, avail)
 
 
 def enumerate_connected_sets(g: ItemGraph) -> Iterator[frozenset[int]]:
@@ -216,9 +218,9 @@ def enumerate_connected_partitions(
     """Unordered partitions of all vertices into k nonempty connected parts.
 
     Parts come canonically ordered by smallest element.  Trees go through
-    edge deletion (k-1 deleted edges out of m-1); other graphs use recursive
-    vertex assignment with connectivity pruning.  ``k`` above the vertex count
-    yields an empty stream.
+    edge deletion (k-1 deleted edges out of m-1); other graphs use vertex
+    assignment with connectivity pruning, walked on an explicit stack.  ``k``
+    above the vertex count yields an empty stream.
 
     >>> from graphfair.model import ItemGraph
     >>> path = ItemGraph(("a", "b", "c"), ((0, 1), (1, 2)))
@@ -264,30 +266,30 @@ def _generic_partitions(g: ItemGraph, k: int) -> Iterator[tuple[int, ...]]:
     m = g.vertex_count
     nbr = g.neighbor_masks
     full = (1 << m) - 1
-
-    def assign(v: int, parts: list[int]) -> Iterator[tuple[int, ...]]:
+    # A frame (v, parts) has vertices 0..v-1 assigned.  Its options are
+    # stacked last first: v opening a new part, then joining each part from
+    # the last down, so that joining part 0 runs first.
+    stack = [(1, (1,))]
+    while stack:
+        v, parts = stack.pop()
         if v == m:
             if len(parts) == k:
-                yield tuple(parts)
-            return
+                yield parts
+            continue
         remaining = full >> (v + 1) << (v + 1)
         bit = 1 << v
+        n = len(parts)
+        options = [parts + (bit,)] if n < k else []
         # v joins a part only if the later vertices can still open the missing ones
-        for idx in range(len(parts) if m - v > k - len(parts) else 0):
-            grown = parts[idx] | bit
-            parts[idx] = grown
-            # every part must still fit in one component of itself plus
-            # the unassigned vertices
-            if all(_component(nbr, p & -p, p | remaining) & p == p for p in parts):
-                yield from assign(v + 1, parts)
-            parts[idx] = grown & ~bit
-        if len(parts) < k:
-            parts.append(bit)
-            if all(_component(nbr, p & -p, p | remaining) & p == p for p in parts):
-                yield from assign(v + 1, parts)
-            parts.pop()
-
-    yield from assign(1, [1])
+        for idx in reversed(range(n if m - v > k - n else 0)):
+            grown = list(parts)
+            grown[idx] |= bit
+            options.append(tuple(grown))
+        for option in options:
+            # every part must still fit in one component of itself plus the
+            # unassigned vertices
+            if all(_component(nbr, p & -p, p | remaining) & p == p for p in option):
+                stack.append((v + 1, option))
 
 
 def induced_subgraph(

@@ -27,6 +27,7 @@ One solve has one work counter, ``_NodeCounter``, which carries the solve's
 whole search state: the budget left, the recorded growths and the
 connectivity memo of ``_is_minimal``.  Every route that spends the budget,
 here and in ``solvers``, enters ``_bounded`` once, which builds that counter.
+No search recurses: they walk explicit stacks, so only the budget stops one.
 
 The envy-free decision alone scans partitions; it keeps a part-value table,
 so each part's value for every row is summed once, the first time the part
@@ -134,12 +135,11 @@ def _checked_budget(budget: Optional[OracleBudget]) -> OracleBudget:
 def _bounded(
     budget: Optional[OracleBudget], inst: Optional[Instance] = None
 ) -> Iterator[_NodeCounter]:
-    """One solve's bound: its size limits, its work counter and its depth.
+    """One solve's bound: its size limits and its work counter.
 
     Every route that spends the budget enters this once.  ``budget`` is read by
     ``_checked_budget``; ``inst``, when given, must fit ``max_items`` and then
-    ``max_agents``.  The searches recurse once per vertex or agent they add,
-    so one deeper than the recursion limit is a spent budget, not an answer.
+    ``max_agents``.
     """
     budget = _checked_budget(budget)
     if inst is not None:
@@ -149,10 +149,7 @@ def _bounded(
         ):
             if count > limit:
                 raise BudgetExceeded(f"{count} {what} exceed the oracle budget of {limit}")
-    try:
-        yield _NodeCounter(budget.max_enumerated)
-    except RecursionError:
-        raise BudgetExceeded("search deeper than the recursion limit") from None
+    yield _NodeCounter(budget.max_enumerated)
 
 
 def _is_minimal(
@@ -204,11 +201,14 @@ def _minimal_candidates(
     connected = counter.connected
     out: list[int] = []
     left = counter.left
-
-    def grow(s: int, total: int, frontier: int, avail: int) -> None:
-        # s is connected and below the threshold; avail holds the vertices
-        # not yet included or excluded, frontier those of them next to s
-        nonlocal left
+    full = (1 << g.vertex_count) - 1
+    # A frame (s, total, frontier, avail): a connected s below the threshold,
+    # its value, the vertices neither included nor excluded yet (avail) and
+    # those of them next to s (frontier).  The growth descends in place, and
+    # a parent waits on the stack while its frontier is not spent.
+    stack = [(0, 0, 1 << r, full >> r << r) for r in reversed(range(g.vertex_count))]
+    while stack:
+        s, total, frontier, avail = stack.pop()
         while frontier:
             left -= 1
             if left < 0:
@@ -219,13 +219,11 @@ def _minimal_candidates(
             v = w.bit_length() - 1
             bundle, value = s | w, total + weights[v]
             if value < threshold:
-                grow(bundle, value, (frontier | nbr[v]) & avail, avail)
+                if frontier:
+                    stack.append((s, total, frontier, avail))
+                s, total, frontier = bundle, value, (frontier | nbr[v]) & avail
             elif _is_minimal(g, weights, bundle, value - threshold, connected):
                 out.append(bundle)
-
-    full = (1 << g.vertex_count) - 1
-    for root in range(g.vertex_count):
-        grow(0, 0, 1 << root, full >> root << root)
     counter.left = left
     return out
 
@@ -247,9 +245,10 @@ def _record_growth(
     records: list[_Record] = []
     record = records.append
     left = counter.left
-
-    def grow(s: int, total: int, frontier: int, avail: int) -> None:
-        nonlocal left
+    full = (1 << g.vertex_count) - 1
+    stack = [(0, 0, 1 << r, full >> r << r) for r in reversed(range(g.vertex_count))]
+    while stack:
+        s, total, frontier, avail = stack.pop()
         while frontier:
             left -= 1
             if left < 0:
@@ -261,11 +260,9 @@ def _record_growth(
             bundle, value = s | w, total + weights[v]
             record((total, value, bundle))
             if value < threshold:
-                grow(bundle, value, (frontier | nbr[v]) & avail, avail)
-
-    full = (1 << g.vertex_count) - 1
-    for root in range(g.vertex_count):
-        grow(0, 0, 1 << root, full >> root << root)
+                if frontier:
+                    stack.append((s, total, frontier, avail))
+                s, total, frontier = bundle, value, (frontier | nbr[v]) & avail
     counter.left = left
     return records
 
@@ -340,27 +337,37 @@ def _pack(
     is still disjoint from the picks so far.
     """
     n = len(type_of_agent)
-
-    def rec(i: int, used: int, floors: tuple[int, ...]) -> Optional[list[int]]:
-        # ``floors[t]`` is the first index type t may still take.  A list
-        # holding the empty bundle holds nothing else, so its floor stays 0
-        # and the empty bundle is shared.
-        if i == n:
-            return []
-        t = type_of_agent[i]
+    # ``floors[t]`` is the first index type t may still take.  A list holding
+    # the empty bundle holds nothing else, so its floor stays 0 and the empty
+    # bundle is shared.  A pick stacks its agent's index iterator, ``used``
+    # and ``floors``, so a dead end resumes that agent's loop where it stood.
+    stack: list[tuple[Iterator[int], int, tuple[int, ...]]] = []
+    picks: list[int] = []
+    used, floors = 0, (0,) * len(candidates)
+    idxs = iter(range(len(candidates[type_of_agent[0]])))
+    while True:
+        t = type_of_agent[len(picks)]
         cand = candidates[t]
-        for idx in range(floors[t], len(cand)):
+        for idx in idxs:
             mask = cand[idx]
             if mask & used:
                 continue
             counter.spend()
-            below = floors[:t] + (idx + 1,) + floors[t + 1 :] if mask else floors
-            found = rec(i + 1, used | mask, below)
-            if found is not None:
-                return [mask, *found]
-        return None
-
-    return rec(0, 0, (0,) * len(candidates))
+            picks.append(mask)
+            if len(picks) == n:
+                return picks
+            stack.append((idxs, used, floors))
+            used |= mask
+            if mask:
+                floors = floors[:t] + (idx + 1,) + floors[t + 1 :]
+            t = type_of_agent[len(picks)]
+            idxs = iter(range(floors[t], len(candidates[t])))
+            break
+        else:
+            if not stack:
+                return None
+            idxs, used, floors = stack.pop()
+            picks.pop()
 
 
 def _mask_value(weights: Sequence[int], mask: int) -> int:

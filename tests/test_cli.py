@@ -171,19 +171,33 @@ def test_mms_on_a_disconnected_graph_exits_2(capsys, tmp_path, command):
     assert err == "error: maximin shares are defined on connected item graphs only\n"
 
 
-@pytest.mark.parametrize("command", [
-    ["solve", "--problem", "prop"],
-    ["solve", "--problem", "mms"],
-    ["solve", "--problem", "ef-complete"],
-    ["mms-values"],
-])
-def test_search_deeper_than_the_recursion_limit_exits_3(capsys, tmp_path, command):
-    # With the size limit raised, the oracle's growths and its partition
-    # scan recurse once per item they add: 1,200 items outgrow the stack.
+EXHAUSTED = "budget exceeded: enumeration budget exhausted\n"
+
+
+@pytest.mark.parametrize("command, code, err", [
+    (["solve", "--problem", "prop"], 0, ""),
+    (["solve", "--problem", "mms", "--max-enumerated", "100000"], 3, EXHAUSTED),
+    (["solve", "--problem", "ef-complete"], 0, ""),
+    (["mms-values", "--max-enumerated", "100000"], 3, EXHAUSTED),
+], ids=["prop", "mms", "ef-complete", "mms-values"])
+def test_cycle_past_the_recursion_limit_decides_or_exhausts_the_budget(
+    capsys, tmp_path, command, code, err
+):
+    # With the size limit raised, the oracle's growths and its partition scan
+    # go one item deeper per item they add, past Python's default recursion
+    # limit of 1,000; they walk explicit stacks, so only the work budget stops
+    # them.
     f = write_instance(tmp_path, gen_random(0, "cycle", 1200, 1))
-    code, out, err = run(capsys, [*command, "--max-items", "2000", f])
-    assert code == 3 and out == ""
-    assert err == "budget exceeded: search deeper than the recursion limit\n"
+    outs = []
+    for _ in range(2):
+        got, out, got_err = run(capsys, [*command, "--max-items", "2000", f])
+        assert (got, got_err) == (code, err)
+        outs.append(out)
+    assert outs[0] == outs[1]
+    if code == 0:
+        assert json.loads(out)["decision"] == "yes"
+    else:
+        assert out == ""
 
 
 def test_star_with_an_augmenting_path_of_a_thousand_rows_exits_0(capsys, tmp_path):

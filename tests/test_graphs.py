@@ -259,6 +259,14 @@ def test_enumerate_connected_sets_properties():
         assert len(seen) == brute
 
 
+def test_enumerators_go_past_the_recursion_limit():
+    # Both searches add one vertex per step on an explicit stack, so 1,200
+    # steps deep is as good as 12.
+    assert next(enumerate_connected_sets(path_graph(1200))) == frozenset(range(1200))
+    whole = list(enumerate_connected_partitions(cycle_graph(1200), 1))
+    assert whole == [(frozenset(range(1200)),)]
+
+
 def test_partitions_of_trees_count():
     rng = random.Random(21)
     for trial in range(20):

@@ -1,5 +1,6 @@
 """Brute-force deciders: frozen small cases, cross-checks, and budget guards."""
 
+import gc
 import random
 from fractions import Fraction
 from itertools import permutations
@@ -757,12 +758,30 @@ def test_mms_solve_builds_one_counter(monkeypatch):
     assert counters == []
 
 
-def test_share_search_deeper_than_the_recursion_limit_exceeds_the_budget():
-    # One part: the share search's growth recurses once per item it adds,
-    # up to all 1,200, which is deeper than Python's stack allows.
+def test_share_search_past_the_recursion_limit_exhausts_the_budget():
+    # One part: the share search's growth goes one item deeper per item it
+    # adds, up to all 1,200, past Python's default recursion limit.  It records
+    # about 1.4 million sets, and the bisection's filters then spend the rest
+    # of the default budget.
     cycle = gen_random(0, "cycle", 1200, 1).graph
-    with pytest.raises(BudgetExceeded, match="recursion limit"):
+    with pytest.raises(BudgetExceeded, match="^enumeration budget exhausted$"):
         mms_values_raw(cycle, [(1,) * 1200], 1)
+
+
+def test_oracle_solves_leave_no_reference_cycles():
+    # The searches keep their state on explicit stacks, not in closures that
+    # refer to themselves, so a solve frees all it builds by reference
+    # counting alone and the cyclic collector finds nothing afterwards.
+    inst = gen_random(seed=3, cls="connected", m=8, n=3)
+    for solve in (oracle_prop, oracle_mms_exists, oracle_ef_complete):
+        solve(inst)
+        gc.collect()
+        gc.disable()
+        try:
+            solve(inst)
+            assert gc.collect() == 0, solve.__name__
+        finally:
+            gc.enable()
 
 
 def exists_unpruned(inst, thresholds):
