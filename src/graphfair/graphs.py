@@ -3,8 +3,9 @@
 Facts about the whole graph come from the one walk that already runs over
 its adjacency lists: ``classify``'s colouring DFS counts the components, and
 ``root_tree``'s DFS decides whether a graph with m - 1 edges is a tree (the
-path solvers take their order from it).  So a path, star or tree solve never
-builds ``ItemGraph.neighbor_masks``.
+path solvers walk the path from its lower end instead, in
+``solvers.path_order``).  So a path, star or tree solve never builds
+``ItemGraph.neighbor_masks``.
 
 Enumeration functions are generators, so every call hands back a fresh,
 restartable stream with a deterministic order.  Inside the package vertex
@@ -89,30 +90,33 @@ def classify(g: ItemGraph) -> GraphClass:
     is both path and star.  Cycles need all degrees equal to 2 and as many
     edges as vertices.
     """
-    m = g.vertex_count
-    degrees = [g.degree(v) for v in range(m)]
+    adj = g._adjacency
+    m = len(adj)
+    degrees = list(map(len, adj))
     edge_count = len(g.edges)
-    color: list[Optional[int]] = [None] * m
+    color = [-1] * m  # -1: not reached yet
     components, bipartite = 0, True
     for s in range(m):
-        if color[s] is not None:
+        if color[s] >= 0:
             continue
         components += 1
         color[s] = 0
         stack = [s]
         while stack:
             v = stack.pop()
-            for w in g.neighbors(v):
-                if color[w] is None:
-                    color[w] = 1 - color[v]
+            cv = color[v]
+            for w in adj[v]:
+                cw = color[w]
+                if cw < 0:
+                    color[w] = 1 - cv
                     stack.append(w)
-                elif color[w] == color[v]:
+                elif cw == cv:
                     bipartite = False
     connected = components == 1
     tree = connected and edge_count == m - 1
-    path = tree and all(d <= 2 for d in degrees)
-    star = tree and sum(1 for d in degrees if d >= 2) <= 1
-    cycle = connected and edge_count == m and all(d == 2 for d in degrees)
+    path = tree and max(degrees) <= 2
+    star = tree and m - degrees.count(0) - degrees.count(1) <= 1
+    cycle = connected and edge_count == m and degrees.count(2) == m
     return GraphClass(
         is_connected=connected,
         is_tree=tree,
@@ -153,6 +157,7 @@ def root_tree(g: ItemGraph, root: int) -> RootedTreeView:
 
     # A parent, then its children's subtrees from the highest child down:
     # reversed, that is the postorder with children in ascending order.
+    adj = g._adjacency
     children: list[tuple[int, ...]] = [()] * m
     parent: list[Optional[int]] = [None] * m  # None: not reached yet
     parent[root] = -1
@@ -161,10 +166,10 @@ def root_tree(g: ItemGraph, root: int) -> RootedTreeView:
     while stack:
         v = stack.pop()
         order.append(v)
-        children[v] = tuple(w for w in g.neighbors(v) if parent[w] is None)
-        for w in children[v]:
+        kids = children[v] = tuple([w for w in adj[v] if parent[w] is None])
+        for w in kids:
             parent[w] = v
-        stack.extend(children[v])
+        stack.extend(kids)
     if len(order) != m:
         raise InputError("the item graph is not a tree")
     return RootedTreeView(

@@ -64,19 +64,31 @@ logger = logging.getLogger(__name__)
 def path_order(inst: Instance) -> list[int]:
     """Vertices of a path graph from one end to the other.
 
-    ``root_tree`` roots the graph at its lowest vertex of degree at most 1,
-    which fixes the meaning of "left" for every path solver; the graph is a
-    path exactly when that succeeds and no vertex has two children.
+    The walk starts at the lowest vertex of least degree, on a path its lower
+    end, which fixes the meaning of "left" for every path solver, and steps
+    each time to the neighbor it did not come from.  With m - 1 edges and no
+    degree above 2, the start has degree at most 1, so the walk stops by
+    itself, and the graph is a path exactly when it covers all m vertices.
     """
     g = inst.graph
-    end = next((v for v in range(g.vertex_count) if g.degree(v) <= 1), -1)
-    try:
-        view = root_tree(g, end)
-    except InputError:
-        view = None
-    if view is None or any(len(kids) > 1 for kids in view.children):
+    adj = g._adjacency
+    m = len(adj)
+    degrees = list(map(len, adj))
+    if len(g.edges) != m - 1 or max(degrees) > 2:
         raise InputError("the item graph is not a path")
-    return list(reversed(view.postorder))
+    prev, v = -1, degrees.index(min(degrees))
+    order = []
+    while v >= 0:
+        order.append(v)
+        for w in adj[v]:
+            if w != prev:
+                break
+        else:  # an end: no neighbor but the one before
+            w = -1
+        prev, v = v, w
+    if len(order) != m:
+        raise InputError("the item graph is not a path")
+    return order
 
 
 # ---------------------------------------------------------------------------
@@ -137,7 +149,7 @@ def _typed_path_setup(inst, types):
     order = path_order(inst)
     scales, rows = inst.grid
     firsts = [members[0] for members in types.members]
-    prefix = [[0, *accumulate(rows[a][v] for v in order)] for a in firsts]
+    prefix = [[0, *accumulate(map(rows[a].__getitem__, order))] for a in firsts]
     return order, [scales[a] for a in firsts], prefix
 
 

@@ -185,6 +185,38 @@ def test_root_tree_errors():
                 root_tree(graph, root)
 
 
+def root_tree_reference(g, root):
+    """The rooting DFS as it read ``g.neighbors`` one vertex at a time."""
+    m = g.vertex_count
+    children = [()] * m
+    parent = [None] * m
+    parent[root] = -1
+    order = []
+    stack = [root]
+    while stack:
+        v = stack.pop()
+        order.append(v)
+        children[v] = tuple(w for w in g.neighbors(v) if parent[w] is None)
+        for w in children[v]:
+            parent[w] = v
+        stack.extend(children[v])
+    return tuple(children), tuple(reversed(order)), tuple(parent)
+
+
+def test_root_tree_matches_reference_at_every_root():
+    rng = random.Random(3535)
+    roots = 0
+    for trial in range(600):
+        cls = ("tree", "path")[trial % 2]
+        g = gen_random(seed=trial + 3500, cls=cls, m=rng.randint(1, 30), n=1).graph
+        for root in range(g.vertex_count):
+            view = root_tree(g, root)
+            assert view.root == root
+            assert (view.children, view.postorder, view.parent) == root_tree_reference(g, root)
+            roots += 1
+    assert roots > 5000
+
+
 def classify_reference(g):
     """The flags as the flood fill plus the colouring DFS decided them."""
     m = g.vertex_count

@@ -240,12 +240,18 @@ def test_path_dp_rejects_cycle():
 def test_path_order_rejects_non_paths():
     spider = ItemGraph(tuple("abcdefg"), ((0, 1), (1, 2), (0, 3), (3, 4), (0, 5), (5, 6)))
     path_and_vertex = ItemGraph(tuple("abcde"), ((1, 2), (2, 3), (3, 4)))
-    for graph in (spider, cycle_graph(5), path_and_vertex):
+    # m - 1 edges and no degree above 2, yet no path: the walk from the
+    # lowest end must stop short without reading past an empty neighbor list
+    vertex_and_triangle = ItemGraph(tuple("abcd"), ((1, 2), (2, 3), (1, 3)))
+    edge_and_triangle = ItemGraph(tuple("abcde"), ((0, 1), (2, 3), (3, 4), (2, 4)))
+    for graph in (spider, cycle_graph(5), path_and_vertex, vertex_and_triangle,
+                  edge_and_triangle):
         row = (Fraction(1, graph.vertex_count),) * graph.vertex_count
         with pytest.raises(InputError, match="not a path"):
             path_order(mk(graph, row))
     single = mk(ItemGraph(("v",), ()), ("1",))
     assert path_order(single) == [0]
+    assert path_order(mk(ItemGraph(("u", "v"), ((0, 1),)), ("1/2", "1/2"))) == [0, 1]
     # the walk starts at the lower end, whatever the labels' order
     bent = ItemGraph(tuple("abcd"), ((0, 2), (1, 3), (2, 3)))
     assert path_order(mk(bent, ("1/4",) * 4)) == [0, 2, 3, 1]
@@ -981,6 +987,8 @@ def test_class_guards_agree_with_classify():
         broom_graph(),
         ItemGraph(tuple("abcdefg"), ((0, 1), (1, 2), (0, 3), (3, 4), (0, 5), (5, 6))),
         ItemGraph(tuple("abcd"), ((0, 1), (1, 2), (2, 0), (2, 3))),  # a cycle and a tail
+        ItemGraph(tuple("abcd"), ((1, 2), (2, 3), (1, 3))),  # a vertex and a triangle
+        ItemGraph(tuple("abcde"), ((0, 1), (2, 3), (3, 4), (2, 4))),  # an edge and a triangle
     ):
         row = (Fraction(1, graph.vertex_count),) * graph.vertex_count
         cases.append(mk(graph, row, row))
