@@ -5,7 +5,13 @@ subgraph.  The package provides exact-rational models, verifiers for
 proportionality / envy-freeness / maximin-share fairness, an exhaustive
 oracle, faster solvers for paths, stars, and trees, reduction-based instance
 generators, and a command-line front end.
+
+``import graphfair`` loads the model, the graph services and serialization;
+the oracle, tree maximin, matching and generators modules, and the solvers,
+load on first use of one of their names.
 """
+
+from importlib import import_module
 
 from .graphs import (
     GraphClass,
@@ -18,30 +24,14 @@ from .graphs import (
     is_connected_set,
     root_tree,
 )
-from .generators import (
-    IndepSetInstance,
-    PartitionInstance,
-    X3cInstance,
-    fixture_cycle8,
-    gen_indepset_ef_star,
-    gen_partition_bipartite,
-    gen_random,
-    gen_x3c_prop_path,
-)
-from .mms_tree import (
-    DiminisherRound,
-    DiminisherTrace,
-    allocate_with_quotas,
-    mms_value_tree,
-    mms_values_tree,
-    solve_mms_tree,
-)
 from .model import (
+    DEFAULT_BUDGET,
     AgentTypePartition,
     Allocation,
     BudgetExceeded,
     InputError,
     Instance,
+    OracleBudget,
     SolveReport,
     bundle_value,
     compute_type_partition,
@@ -52,15 +42,6 @@ from .model import (
     is_valid,
     make_report,
     normalize_utilities,
-)
-from .oracle import (
-    DEFAULT_BUDGET,
-    OracleBudget,
-    oracle_ef_complete,
-    mms_values_raw,
-    oracle_mms_exists,
-    oracle_mms_values,
-    oracle_prop,
 )
 from .serialize import (
     allocation_from_dict,
@@ -73,14 +54,62 @@ from .serialize import (
     rational_from_str,
     rational_to_str,
 )
-from .solvers import (
-    dispatch,
-    ef_path_typed,
-    prop_path_greedy,
-    prop_path_typed,
-    prop_star,
-    prop_tree_fpt,
-)
+
+# These modules, and the names of theirs listed, are served on first read by
+# ``__getattr__``, which imports the module then.
+_LAZY_MODULES = {
+    "generators": (
+        "IndepSetInstance",
+        "PartitionInstance",
+        "X3cInstance",
+        "fixture_cycle8",
+        "gen_indepset_ef_star",
+        "gen_partition_bipartite",
+        "gen_random",
+        "gen_x3c_prop_path",
+    ),
+    "mms_tree": (
+        "DiminisherRound",
+        "DiminisherTrace",
+        "allocate_with_quotas",
+        "mms_value_tree",
+        "mms_values_tree",
+        "solve_mms_tree",
+    ),
+    "oracle": (
+        "oracle_ef_complete",
+        "mms_values_raw",
+        "oracle_mms_exists",
+        "oracle_mms_values",
+        "oracle_prop",
+    ),
+    "solvers": (
+        "dispatch",
+        "ef_path_typed",
+        "prop_path_greedy",
+        "prop_path_typed",
+        "prop_star",
+        "prop_tree_fpt",
+    ),
+    "matching": (),
+}
+_LAZY = {name: module for module, names in _LAZY_MODULES.items() for name in names}
+
+
+def __getattr__(name: str):
+    """Import the module behind a lazy name, and bind the name here (PEP 562)."""
+    if name in _LAZY_MODULES:
+        return import_module(f".{name}", __name__)
+    if name not in _LAZY:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    value = getattr(import_module(f".{_LAZY[name]}", __name__), name)
+    globals()[name] = value
+    return value
+
+
+def __dir__() -> list[str]:
+    return sorted({*globals(), *_LAZY_MODULES, *_LAZY})
+
 
 __version__ = "0.1.0"
 

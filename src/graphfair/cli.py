@@ -8,6 +8,9 @@ random draws), and ``classify`` (graph-class flags).
 Exit codes: 0 = yes / success, 1 = no / allocation invalid, 2 = input or
 routing error, 3 = enumeration budget exceeded.  All reports are canonical
 JSON on stdout; diagnostics go to stderr.
+
+The generators, the tree maximin module and the oracle are imported by the
+commands that call them, so a solve loads only its route's modules.
 """
 
 from __future__ import annotations
@@ -19,30 +22,18 @@ import sys
 from pathlib import Path
 from typing import Callable, Optional, TypeVar
 
-from .generators import (
-    RANDOM_CLASSES,
-    IndepSetInstance,
-    PartitionInstance,
-    X3cInstance,
-    fixture_cycle8,
-    gen_indepset_ef_star,
-    gen_partition_bipartite,
-    gen_random,
-    gen_x3c_prop_path,
-)
-from .graphs import ItemGraph, classify
-from .mms_tree import mms_values_tree
+from .graphs import RANDOM_CLASSES, ItemGraph, classify
 from .model import (
     BudgetExceeded,
     InputError,
     Instance,
+    OracleBudget,
     is_complete,
     is_envy_free,
     is_mms_allocation,
     is_proportional,
     is_valid,
 )
-from .oracle import OracleBudget, oracle_mms_values
 from .serialize import (
     allocation_from_dict,
     allocation_to_dict,
@@ -235,7 +226,11 @@ def cmd_verify(args: argparse.Namespace) -> int:
 
 def _mms_values(inst: Instance, budget: Optional[OracleBudget]):
     if select_method(inst, "mms").name == "mms-tree":
+        from .mms_tree import mms_values_tree
+
         return "tree", mms_values_tree(inst)
+    from .oracle import oracle_mms_values
+
     return "oracle", oracle_mms_values(inst, budget)
 
 
@@ -260,10 +255,12 @@ def _split_csv(text: str, what: str) -> list[str]:
 
 
 def cmd_generate(args: argparse.Namespace) -> int:
+    from . import generators
+
     if args.kind == "cycle8":
-        inst = fixture_cycle8()
+        inst = generators.fixture_cycle8()
     elif args.kind == "random":
-        inst = gen_random(
+        inst = generators.gen_random(
             args.seed,
             args.graph_class,
             args.items,
@@ -280,8 +277,8 @@ def cmd_generate(args: argparse.Namespace) -> int:
             if len(members) != 3:
                 raise InputError(f"a triple needs exactly 3 members: {chunk!r}")
             triples.append(members)
-        inst = gen_x3c_prop_path(
-            X3cInstance(tuple(_split_csv(args.elements, "element")), tuple(triples))
+        inst = generators.gen_x3c_prop_path(
+            generators.X3cInstance(tuple(_split_csv(args.elements, "element")), tuple(triples))
         )
     elif args.kind == "partition":
         if not args.values:
@@ -290,7 +287,7 @@ def cmd_generate(args: argparse.Namespace) -> int:
             values = tuple(int(v) for v in _split_csv(args.values, "value"))
         except ValueError as exc:
             raise InputError(f"values must be integers: {exc}") from exc
-        inst = gen_partition_bipartite(PartitionInstance(values))
+        inst = generators.gen_partition_bipartite(generators.PartitionInstance(values))
     else:
         if not args.vertices or args.k is None:
             raise InputError("--kind indepset needs --vertices and --k")
@@ -306,7 +303,7 @@ def cmd_generate(args: argparse.Namespace) -> int:
                     raise InputError(f"unknown edge endpoint {end!r}")
             edges.append((index[ends[0]], index[ends[1]]))
         source = ItemGraph(vertices, tuple(edges))
-        inst = gen_indepset_ef_star(IndepSetInstance(source, args.k))
+        inst = generators.gen_indepset_ef_star(generators.IndepSetInstance(source, args.k))
     _emit(instance_to_dict(inst), args.output)
     return EXIT_YES
 

@@ -9,7 +9,6 @@ structured inputs that random draws rarely produce.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from math import lcm
 from typing import Optional
@@ -18,8 +17,8 @@ import heapq
 import random
 import sys
 
-from .graphs import ItemGraph, _component
-from .model import InputError, Instance
+from .graphs import RANDOM_CLASSES, ItemGraph, _component
+from .model import InputError, Instance, Record
 
 __all__ = [
     "X3cInstance",
@@ -38,31 +37,32 @@ __all__ = [
 # source problems
 
 
-@dataclass(frozen=True)
-class X3cInstance:
+class X3cInstance(Record):
     """Exact cover by three-sets: cover all elements by disjoint triples.
 
     ``elements`` has size 3s; the question is whether s of the listed triples
     partition it.
     """
 
-    elements: tuple[str, ...]
-    triples: tuple[tuple[str, str, str], ...]
+    _fields = ("elements", "triples")
 
-    def __post_init__(self) -> None:
-        if len(self.elements) == 0 or len(self.elements) % 3 != 0:
+    def __init__(
+        self, elements: tuple[str, ...], triples: tuple[tuple[str, str, str], ...]
+    ) -> None:
+        if len(elements) == 0 or len(elements) % 3 != 0:
             raise InputError("the universe size must be a positive multiple of 3")
-        if len(set(self.elements)) != len(self.elements):
+        if len(set(elements)) != len(elements):
             raise InputError("duplicate elements in the universe")
-        universe = set(self.elements)
+        universe = set(elements)
         seen = set()
-        for triple in self.triples:
+        for triple in triples:
             if len(set(triple)) != 3 or not set(triple) <= universe:
                 raise InputError(f"not a 3-element subset of the universe: {triple!r}")
             key = frozenset(triple)
             if key in seen:
                 raise InputError(f"duplicate triple: {triple!r}")
             seen.add(key)
+        self.__dict__.update(elements=elements, triples=triples)
 
     @property
     def cover_size(self) -> int:
@@ -73,35 +73,34 @@ class X3cInstance:
         return len(self.triples)
 
 
-@dataclass(frozen=True)
-class PartitionInstance:
+class PartitionInstance(Record):
     """Split positive integers into two halves of equal sum."""
 
-    values: tuple[int, ...]
+    _fields = ("values",)
 
-    def __post_init__(self) -> None:
-        if not self.values:
+    def __init__(self, values: tuple[int, ...]) -> None:
+        if not values:
             raise InputError("at least one value is required")
-        if any(not isinstance(v, int) or v <= 0 for v in self.values):
+        if any(not isinstance(v, int) or v <= 0 for v in values):
             raise InputError("values must be positive integers")
-        if sum(self.values) % 2 != 0:
+        if sum(values) % 2 != 0:
             raise InputError("the values must have an even sum")
+        self.__dict__["values"] = values
 
     @property
     def half_sum(self) -> int:
         return sum(self.values) // 2
 
 
-@dataclass(frozen=True)
-class IndepSetInstance:
+class IndepSetInstance(Record):
     """Does ``graph`` contain ``k`` pairwise non-adjacent vertices?"""
 
-    graph: ItemGraph
-    k: int
+    _fields = ("graph", "k")
 
-    def __post_init__(self) -> None:
-        if not 1 <= self.k <= self.graph.vertex_count:
+    def __init__(self, graph: ItemGraph, k: int) -> None:
+        if not 1 <= k <= graph.vertex_count:
             raise InputError("k must be between 1 and the vertex count")
+        self.__dict__.update(graph=graph, k=k)
 
 
 # ---------------------------------------------------------------------------
@@ -258,8 +257,6 @@ def fixture_cycle8() -> Instance:
 
 # ---------------------------------------------------------------------------
 # random draws
-
-RANDOM_CLASSES = ("path", "star", "tree", "cycle", "connected")
 
 
 def gen_random(

@@ -17,11 +17,10 @@ boundary they become ``frozenset`` values.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from itertools import combinations
 from typing import Iterable, Iterator, Optional, Sequence
 
-from .model import InputError, ItemGraph
+from .model import InputError, ItemGraph, Record
 
 __all__ = [
     "GraphClass",
@@ -71,16 +70,20 @@ def is_connected_set(g: ItemGraph, vertices: Iterable[int]) -> bool:
     return mask_is_connected(g, mask)
 
 
-@dataclass(frozen=True)
-class GraphClass:
+class GraphClass(Record):
     """Structural flags used for solver routing."""
 
-    is_connected: bool
-    is_tree: bool
-    is_path: bool
-    is_star: bool
-    is_cycle: bool
-    is_bipartite: bool
+    _fields = ("is_connected", "is_tree", "is_path", "is_star", "is_cycle", "is_bipartite")
+
+    def __init__(self, is_connected: bool, is_tree: bool, is_path: bool, is_star: bool,
+                 is_cycle: bool, is_bipartite: bool):
+        self.__dict__.update(is_connected=is_connected, is_tree=is_tree, is_path=is_path,
+                             is_star=is_star, is_cycle=is_cycle, is_bipartite=is_bipartite)
+
+
+# The classes ``generators.gen_random`` draws from, kept here so that the
+# CLI's parser can list them without importing the generators.
+RANDOM_CLASSES = ("path", "star", "tree", "cycle", "connected")
 
 
 def classify(g: ItemGraph) -> GraphClass:
@@ -127,8 +130,7 @@ def classify(g: ItemGraph) -> GraphClass:
     )
 
 
-@dataclass(frozen=True)
-class RootedTreeView:
+class RootedTreeView(Record):
     """A tree rooted at a fixed vertex.
 
     Sequences are indexed by vertex id.  Children are listed in ascending
@@ -137,10 +139,11 @@ class RootedTreeView:
     ``parent`` is -1.
     """
 
-    root: int
-    children: tuple[tuple[int, ...], ...]
-    postorder: tuple[int, ...]
-    parent: tuple[int, ...]
+    _fields = ("root", "children", "postorder", "parent")
+
+    def __init__(self, root: int, children: tuple[tuple[int, ...], ...],
+                 postorder: tuple[int, ...], parent: tuple[int, ...]):
+        self.__dict__.update(root=root, children=children, postorder=postorder, parent=parent)
 
 
 def root_tree(g: ItemGraph, root: int) -> RootedTreeView:

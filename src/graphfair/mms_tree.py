@@ -29,7 +29,6 @@ agent's integer grid from ``Instance.grid``.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 from typing import Optional, Sequence
@@ -42,6 +41,7 @@ from .model import (
     InputError,
     Instance,
     ItemGraph,
+    Record,
     SolveReport,
     _as_fraction,
     at_least,
@@ -60,20 +60,28 @@ __all__ = [
 ]
 
 
-@dataclass(frozen=True)
-class DiminisherRound:
-    """One peeling step: who moved, what was taken, from which residual."""
+class DiminisherRound(Record):
+    """One peeling step: who moved, what was taken, from which residual.
 
-    agent: int
-    vertex: Optional[int]  # subtree root taken; None for whole-residual/empty awards
-    awarded: frozenset[int]
-    residual_before: frozenset[int]
+    ``vertex`` is the root of the subtree taken, or None for an award of the
+    whole residual or of nothing.
+    """
+
+    _fields = ("agent", "vertex", "awarded", "residual_before")
+
+    def __init__(self, agent: int, vertex: Optional[int], awarded: frozenset[int],
+                 residual_before: frozenset[int]):
+        self.__dict__.update(agent=agent, vertex=vertex, awarded=awarded,
+                             residual_before=residual_before)
 
 
-@dataclass(frozen=True)
-class DiminisherTrace:
-    quotas: tuple[Fraction, ...]
-    rounds: tuple[DiminisherRound, ...]
+class DiminisherTrace(Record):
+    """The quotas of one peel and its rounds in order."""
+
+    _fields = ("quotas", "rounds")
+
+    def __init__(self, quotas: tuple[Fraction, ...], rounds: tuple[DiminisherRound, ...]):
+        self.__dict__.update(quotas=quotas, rounds=rounds)
 
     def to_dict(self, labels: Sequence[str]) -> dict:
         return {

@@ -8,19 +8,25 @@ unless a predicate explicitly asks for completeness.
 
 Bundle values are summed and compared as ints on the agent's row of
 ``Instance.grid``, with each threshold put on that grid by ``at_least``.
+
+The data types are frozen ``Record`` subclasses.  The work budget that
+every solver spends, ``OracleBudget``, lives here too: ``_bounded`` enters
+it once per solve and hands out its one ``_NodeCounter``.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from contextlib import contextmanager
 from fractions import Fraction
 from functools import cached_property
 from math import lcm
-from typing import Iterable, Optional, Sequence
+from typing import Iterable, Iterator, Optional, Sequence
 
 __all__ = [
     "InputError",
     "BudgetExceeded",
+    "OracleBudget",
+    "DEFAULT_BUDGET",
     "ItemGraph",
     "Instance",
     "AgentTypePartition",
@@ -48,6 +54,127 @@ class BudgetExceeded(RuntimeError):
     """An exhaustive-search budget (items, agents, or explored nodes) ran out."""
 
 
+def _frozen(message: str):
+    from dataclasses import FrozenInstanceError  # loaded only on this error path
+
+    raise FrozenInstanceError(message)
+
+
+class Record:
+    """A frozen record over the attribute names in ``_fields``.
+
+    Each subclass writes its fields into the instance ``__dict__`` in a
+    hand-written ``__init__``.  As for a frozen dataclass, ``==`` holds between
+    records of one class with equal fields, ``hash`` is the hash of the
+    field tuple, ``repr`` shows the fields in order, and assigning or
+    deleting any attribute raises ``dataclasses.FrozenInstanceError``.
+    Pickle and ``copy`` restore the instance ``__dict__`` directly, so they
+    never meet that ``__setattr__``.  No class is built by ``exec``.
+    """
+
+    _fields: tuple[str, ...] = ()
+
+    def _values(self) -> tuple:
+        return tuple([getattr(self, name) for name in self._fields])
+
+    def __eq__(self, other):
+        if other.__class__ is self.__class__:
+            return self._values() == other._values()
+        return NotImplemented
+
+    def __hash__(self) -> int:
+        return hash(self._values())
+
+    def __repr__(self) -> str:
+        body = ", ".join(f"{name}={getattr(self, name)!r}" for name in self._fields)
+        return f"{self.__class__.__qualname__}({body})"
+
+    def __setattr__(self, name, value):
+        _frozen(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name):
+        _frozen(f"cannot delete field {name!r}")
+
+
+class OracleBudget(Record):
+    """Hard limits for exhaustive search; exceeding any raises BudgetExceeded.
+
+    ``max_items`` and ``max_agents`` bound the instances the oracle takes
+    on; ``max_enumerated`` bounds the work units any solver spends.
+    """
+
+    _fields = ("max_items", "max_agents", "max_enumerated")
+
+    def __init__(
+        self, max_items: int = 10, max_agents: int = 5, max_enumerated: int = 5_000_000
+    ):
+        given = dict(zip(self._fields, (max_items, max_agents, max_enumerated)))
+        for name, value in given.items():
+            if not isinstance(value, int) or value < 0:
+                raise InputError(f"{name} must be an int >= 0, got {value!r}")
+        self.__dict__.update(given)
+
+
+DEFAULT_BUDGET = OracleBudget()
+
+
+_EXHAUSTED = "enumeration budget exhausted"
+
+
+class _NodeCounter:
+    """One solve's work budget and its search state.
+
+    ``left`` is the budget still unspent.  ``records`` maps each distinct
+    grid row that the oracle's share search searched to its recorded
+    growth, ``(parent value, value, mask)`` per set, which its bundle search
+    filters instead of growing again; ``connected`` memoizes connectivity
+    by mask for its minimality test.  Both start empty and hold for one
+    graph, so a counter serves one solve.
+    """
+
+    __slots__ = ("left", "records", "connected")
+
+    def __init__(self, limit: int):
+        self.left = limit
+        self.records: dict[tuple[int, ...], list[tuple[int, int, int]]] = {}
+        self.connected: dict[int, bool] = {}
+
+    def spend(self, amount: int = 1) -> None:
+        self.left -= amount
+        if self.left < 0:
+            raise BudgetExceeded(_EXHAUSTED)
+
+
+def _checked_budget(budget: Optional[OracleBudget]) -> OracleBudget:
+    """``budget``, or ``DEFAULT_BUDGET`` for None; anything else is refused."""
+    if budget is None:
+        return DEFAULT_BUDGET
+    if not isinstance(budget, OracleBudget):
+        raise InputError(f"budget must be an OracleBudget or None, got {budget!r}")
+    return budget
+
+
+@contextmanager
+def _bounded(
+    budget: Optional[OracleBudget], inst: Optional[Instance] = None
+) -> Iterator[_NodeCounter]:
+    """One solve's bound: its size limits and its work counter.
+
+    Every route that spends the budget enters this once.  ``budget`` is read by
+    ``_checked_budget``; ``inst``, when given, must fit ``max_items`` and then
+    ``max_agents``.
+    """
+    budget = _checked_budget(budget)
+    if inst is not None:
+        for count, limit, what in (
+            (inst.item_count, budget.max_items, "items"),
+            (inst.agent_count, budget.max_agents, "agents"),
+        ):
+            if count > limit:
+                raise BudgetExceeded(f"{count} {what} exceed the oracle budget of {limit}")
+    yield _NodeCounter(budget.max_enumerated)
+
+
 def _as_fraction(x) -> Fraction:
     if isinstance(x, Fraction):
         return x
@@ -59,20 +186,18 @@ def _as_fraction(x) -> Fraction:
     raise InputError(f"not an exact rational: {x!r}")
 
 
-@dataclass(frozen=True)
-class ItemGraph:
+class ItemGraph(Record):
     """Undirected simple graph over items.
 
     Vertices are identified by index 0..m-1; ``labels`` carries the external
     names.  Edges are stored canonically as sorted index pairs.
     """
 
-    labels: tuple[str, ...]
-    edges: tuple[tuple[int, int], ...]
+    _fields = ("labels", "edges")
 
-    def __post_init__(self):
+    def __init__(self, labels: Iterable[str], edges: Iterable[tuple[int, int]]):
         try:
-            labels, edges = tuple(self.labels), tuple(self.edges)
+            labels, edges = tuple(labels), tuple(edges)
         except TypeError:  # a field is None or another non-iterable
             raise InputError("vertex labels and edges must be sequences") from None
         if len(labels) < 1:
@@ -104,8 +229,7 @@ class ItemGraph:
             seen.add(pair)
             canon.append(pair)
         canon.sort()
-        object.__setattr__(self, "labels", labels)
-        object.__setattr__(self, "edges", tuple(canon))
+        self.__dict__.update(labels=labels, edges=tuple(canon))
 
     @property
     def vertex_count(self) -> int:
@@ -189,12 +313,11 @@ def _checked_row(name: str, row, m: int) -> tuple[tuple[Fraction, ...], int, tup
     return vals, scale, scaled
 
 
-@dataclass(frozen=True)
-class Instance:
+class Instance(Record):
     """An item graph plus one exactly-normalized utility row per agent.
 
     The solvers and verifiers read ``grid``, the ``(scales, rows)`` of
-    ``integer_grid`` with one scale per agent; it is no dataclass field.  The
+    ``integer_grid`` with one scale per agent; it is no record field.  The
     constructor checks the ``Fraction`` rows it is given on that grid, and
     agents given one row object share one check, one values tuple and one
     grid row.  ``from_grid`` takes the grid itself, as the JSON reader builds
@@ -202,19 +325,22 @@ class Instance:
     equal rows sharing one tuple.
     """
 
-    graph: ItemGraph
-    agent_names: tuple[str, ...]
-    utilities: tuple[tuple[Fraction, ...], ...]
+    _fields = ("graph", "agent_names", "utilities")
 
-    def __post_init__(self):
-        if not isinstance(self.graph, ItemGraph):
-            raise InputError(f"graph must be an ItemGraph, got {self.graph!r}")
+    def __init__(
+        self,
+        graph: ItemGraph,
+        agent_names: Iterable[str],
+        utilities: Iterable[Iterable[Fraction]],
+    ):
+        if not isinstance(graph, ItemGraph):
+            raise InputError(f"graph must be an ItemGraph, got {graph!r}")
         try:
-            names, utilities = tuple(self.agent_names), tuple(self.utilities)
+            names, utilities = tuple(agent_names), tuple(utilities)
         except TypeError:  # a field is None or another non-iterable
             raise InputError("agent names and utility rows must be sequences") from None
         _check_names(names)
-        m = self.graph.vertex_count
+        m = graph.vertex_count
         if len(utilities) != len(names):
             raise InputError("one utility row per agent is required")
         rows, scales, grid = [], [], []
@@ -227,9 +353,8 @@ class Instance:
             rows.append(vals)
             scales.append(scale)
             grid.append(scaled)
-        object.__setattr__(self, "agent_names", names)
-        object.__setattr__(self, "utilities", tuple(rows))
-        object.__setattr__(self, "grid", (tuple(scales), tuple(grid)))
+        self.__dict__.update(graph=graph, agent_names=names, utilities=tuple(rows),
+                             grid=(tuple(scales), tuple(grid)))
 
     @classmethod
     def from_grid(
@@ -252,9 +377,7 @@ class Instance:
                 _check_grid_row(name, scale, row)
                 checked.add(id(row))
         inst = object.__new__(cls)
-        object.__setattr__(inst, "graph", graph)
-        object.__setattr__(inst, "agent_names", agent_names)
-        object.__setattr__(inst, "grid", grid)
+        inst.__dict__.update(graph=graph, agent_names=agent_names, grid=grid)
         return inst
 
     def __getattr__(self, name: str):
@@ -272,7 +395,7 @@ class Instance:
                 value = {v: Fraction(v, scale) for v in set(row)}
                 built[row] = tuple(map(value.__getitem__, row))
         rows = tuple(map(built.__getitem__, self.grid[1]))
-        object.__setattr__(self, "utilities", rows)
+        self.__dict__["utilities"] = rows
         return rows
 
     @property
@@ -284,11 +407,13 @@ class Instance:
         return self.graph.vertex_count
 
 
-@dataclass(frozen=True)
-class AgentTypePartition:
+class AgentTypePartition(Record):
     """Agents grouped by identical utility rows, numbered in first-occurrence order."""
 
-    type_of_agent: tuple[int, ...]
+    _fields = ("type_of_agent",)
+
+    def __init__(self, type_of_agent: tuple[int, ...]):
+        self.__dict__["type_of_agent"] = type_of_agent
 
     @property
     def type_count(self) -> int:
@@ -309,37 +434,42 @@ class AgentTypePartition:
         return tuple(tuple(g) for g in groups)
 
 
-@dataclass(frozen=True)
-class Allocation:
+class Allocation(Record):
     """One bundle (possibly empty) per agent, in agent order.
 
     Disjointness and connectivity are judged by ``is_valid``, not enforced at
     construction, so a parsed allocation can be inspected even when broken.
     """
 
-    bundles: tuple[frozenset[int], ...]
+    _fields = ("bundles",)
 
-    def __post_init__(self):
+    def __init__(self, bundles: Iterable[Iterable[int]]):
         try:
-            bundles = tuple(frozenset(b) for b in self.bundles)
+            bundles = tuple(frozenset(b) for b in bundles)
         except TypeError:  # None, or a bundle that is no iterable of indices
             raise InputError("bundles must be a sequence of vertex sets") from None
-        object.__setattr__(self, "bundles", bundles)
+        self.__dict__["bundles"] = bundles
 
 
-@dataclass(frozen=True)
-class SolveReport:
+class SolveReport(Record):
     """Outcome of a solve: decision, method tag, optional witness and targets.
 
     ``achieved`` is always recomputed from the witness by :func:`make_report`;
     solvers never copy internal numbers into it.
     """
 
-    decision: bool
-    method: str
-    witness: Optional[Allocation]
-    achieved: Optional[tuple[Fraction, ...]]
-    quotas: Optional[tuple[Fraction, ...]] = None
+    _fields = ("decision", "method", "witness", "achieved", "quotas")
+
+    def __init__(
+        self,
+        decision: bool,
+        method: str,
+        witness: Optional[Allocation],
+        achieved: Optional[tuple[Fraction, ...]],
+        quotas: Optional[tuple[Fraction, ...]] = None,
+    ):
+        self.__dict__.update(decision=decision, method=method, witness=witness,
+                             achieved=achieved, quotas=quotas)
 
 
 def normalize_utilities(values: Iterable) -> tuple[Fraction, ...]:

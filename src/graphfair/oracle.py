@@ -23,10 +23,11 @@ row and records every set the growth reaches; each bisection probe, and the
 bundle search at the shares, filters those records instead of growing
 again, and spends what its own growth would have.
 
-One solve has one work counter, ``_NodeCounter``, which carries the solve's
-whole search state: the budget left, the recorded growths and the
+One solve has one work counter, ``model._NodeCounter``, which carries the
+solve's whole search state: the budget left, the recorded growths and the
 connectivity memo of ``_is_minimal``.  Every route that spends the budget,
-here and in ``solvers``, enters ``_bounded`` once, which builds that counter.
+here and in ``solvers``, enters ``model._bounded`` once, which builds that
+counter; ``OracleBudget`` and ``DEFAULT_BUDGET`` are bound here too.
 No search recurses: they walk explicit stacks, so only the budget stops one.
 
 The envy-free decision alone scans partitions; it keeps a part-value table,
@@ -39,10 +40,9 @@ keyed by mask; masks become frozensets only in a witness.
 from __future__ import annotations
 
 from bisect import bisect_right
-from contextlib import ExitStack, contextmanager
-from dataclasses import dataclass, fields
+from contextlib import ExitStack
 from fractions import Fraction
-from typing import Iterable, Iterator, Optional, Sequence
+from typing import Iterable, Optional, Sequence
 
 from .graphs import _mask_bits, mask_is_connected
 # The oracle calls neither of these; they stay bound here because
@@ -51,13 +51,19 @@ from .graphs import classify, connected_set_masks  # noqa: F401
 # bench/tracer.py wraps this name for its graphs.partitions span.
 from .graphs import connected_partition_masks as enumerate_connected_partitions
 from .model import (
+    _EXHAUSTED,
+    DEFAULT_BUDGET,
     Allocation,
     BudgetExceeded,
     InputError,
     Instance,
     ItemGraph,
+    OracleBudget,
     SolveReport,
     _as_fraction,
+    _bounded,
+    _checked_budget,
+    _NodeCounter,
     at_least,
     compute_type_partition,
     integer_grid,
@@ -67,6 +73,7 @@ from .matching import _lex_smallest_perfect
 
 __all__ = [
     "OracleBudget",
+    "DEFAULT_BUDGET",
     "oracle_prop",
     "oracle_ef_complete",
     "oracle_mms_values",
@@ -75,81 +82,8 @@ __all__ = [
 ]
 
 
-@dataclass(frozen=True)
-class OracleBudget:
-    """Hard limits for exhaustive search; exceeding any raises BudgetExceeded."""
-
-    max_items: int = 10
-    max_agents: int = 5
-    max_enumerated: int = 5_000_000
-
-    def __post_init__(self):
-        for field in fields(self):
-            value = getattr(self, field.name)
-            if not isinstance(value, int) or value < 0:
-                raise InputError(f"{field.name} must be an int >= 0, got {value!r}")
-
-
-DEFAULT_BUDGET = OracleBudget()
-
-
-_EXHAUSTED = "enumeration budget exhausted"
-
 # One set a growth reached: (its parent's value, its value, its bitmask).
 _Record = tuple[int, int, int]
-
-
-class _NodeCounter:
-    """One solve's work budget and its search state.
-
-    ``left`` is the budget still unspent.  ``records`` maps each distinct
-    grid row that ``_shares`` searched to its recorded growth, which
-    ``_search_thresholds`` filters instead of growing again; ``connected``
-    memoizes connectivity by mask for ``_is_minimal``.  Both start empty and
-    hold for one graph, so a counter serves one solve.
-    """
-
-    __slots__ = ("left", "records", "connected")
-
-    def __init__(self, limit: int):
-        self.left = limit
-        self.records: dict[tuple[int, ...], list[_Record]] = {}
-        self.connected: dict[int, bool] = {}
-
-    def spend(self, amount: int = 1) -> None:
-        self.left -= amount
-        if self.left < 0:
-            raise BudgetExceeded(_EXHAUSTED)
-
-
-def _checked_budget(budget: Optional[OracleBudget]) -> OracleBudget:
-    """``budget``, or ``DEFAULT_BUDGET`` for None; anything else is refused."""
-    if budget is None:
-        return DEFAULT_BUDGET
-    if not isinstance(budget, OracleBudget):
-        raise InputError(f"budget must be an OracleBudget or None, got {budget!r}")
-    return budget
-
-
-@contextmanager
-def _bounded(
-    budget: Optional[OracleBudget], inst: Optional[Instance] = None
-) -> Iterator[_NodeCounter]:
-    """One solve's bound: its size limits and its work counter.
-
-    Every route that spends the budget enters this once.  ``budget`` is read by
-    ``_checked_budget``; ``inst``, when given, must fit ``max_items`` and then
-    ``max_agents``.
-    """
-    budget = _checked_budget(budget)
-    if inst is not None:
-        for count, limit, what in (
-            (inst.item_count, budget.max_items, "items"),
-            (inst.agent_count, budget.max_agents, "agents"),
-        ):
-            if count > limit:
-                raise BudgetExceeded(f"{count} {what} exceed the oracle budget of {limit}")
-    yield _NodeCounter(budget.max_enumerated)
 
 
 def _is_minimal(

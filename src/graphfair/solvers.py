@@ -4,7 +4,7 @@ Each solver exploits one graph class: a matching formulation on stars, and
 on trees a subtree dynamic program that folds in one child at a time over
 subsets of agents, reading the child's entries from a list indexed by agent
 set and its owner from one table per vertex; it is exponential only in the
-number of agents, spends the oracle's work budget, and its witness walks
+number of agents, spends the solve's work budget, and its witness walks
 back through the fold's own tables.  On paths with few agent types,
 proportionality is an earliest-end dynamic program over per-type piece
 counts (with identical agents, the greedy left-to-right sweep), and
@@ -14,36 +14,31 @@ own states.  Every solver compares values on ``Instance.grid``, one
 integer grid per agent.
 ``METHODS`` is the one routing table: ``dispatch`` runs the first entry that
 fits the instance, and the exhaustive oracle closes every problem's list.
+The oracle, the tree maximin solver and the matching are imported on first
+use, so a route that never reaches them never loads them.
 """
 
 from __future__ import annotations
 
-import logging
 from bisect import bisect_left
-from dataclasses import dataclass
 from fractions import Fraction
+from importlib import import_module
 from itertools import accumulate
 from typing import Callable, Optional
 
-from . import mms_tree
 from .graphs import GraphClass, classify, root_tree
-from .matching import solve_matching
 from .model import (
     Allocation,
     InputError,
     Instance,
+    OracleBudget,
+    Record,
     SolveReport,
+    _bounded,
+    _checked_budget,
     at_least,
     compute_type_partition,
     make_report,
-)
-from .oracle import (
-    OracleBudget,
-    _bounded,
-    _checked_budget,
-    oracle_ef_complete,
-    oracle_mms_exists,
-    oracle_prop,
 )
 
 __all__ = [
@@ -58,7 +53,38 @@ __all__ = [
     "dispatch",
 ]
 
-logger = logging.getLogger(__name__)
+# Names bound on first read, each with the module that defines it; the
+# entry None names that module itself.
+_LAZY = {
+    "oracle_prop": "oracle",
+    "oracle_ef_complete": "oracle",
+    "oracle_mms_exists": "oracle",
+    "solve_matching": "matching",
+    "mms_tree": None,
+}
+
+
+def __getattr__(name: str):
+    """Import a ``_LAZY`` name's module and bind the name here (PEP 562).
+
+    Python calls this only for a name the module does not bind yet, so a
+    value set on the attribute later, such as a wrapper, is what stays.
+    """
+    if name not in _LAZY:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    source = _LAZY[name]
+    module = import_module(f".{source or name}", __package__)
+    value = module if source is None else getattr(module, name)
+    globals()[name] = value
+    return value
+
+
+def _late(name: str):
+    """The value bound to this module's attribute ``name`` at call time."""
+    try:
+        return globals()[name]
+    except KeyError:
+        return __getattr__(name)
 
 
 def path_order(inst: Instance) -> list[int]:
@@ -126,7 +152,7 @@ def prop_star(inst: Instance) -> SolveReport:
     for i in range(n):
         others = [j for j in range(n) if j != i]
         cost = [grid[i][v] for v in leaves]
-        cols = solve_matching([accepts[j] for j in others], cost)
+        cols = _late("solve_matching")([accepts[j] for j in others], cost)
         if cols is None or sum(cost[c] for c in cols) > scales[i] - share[i]:
             continue
         bundles = [frozenset()] * n
@@ -483,24 +509,32 @@ def ef_path_typed(
 # routing
 
 
-@dataclass(frozen=True)
-class Method:
+class Method(Record):
     """One routing entry: a solver for one problem and the instances it fits.
 
     ``run(inst, budget)`` solves; ``needs`` is the error text for a forced
     method whose ``applies(cls, inst)`` is false.
     """
 
-    name: str
-    problem: str
-    applies: Callable[[GraphClass, Instance], bool]
-    run: Callable[[Instance, Optional[OracleBudget]], SolveReport]
-    needs: str = ""
+    _fields = ("name", "problem", "applies", "run", "needs")
+
+    def __init__(
+        self,
+        name: str,
+        problem: str,
+        applies: Callable[[GraphClass, Instance], bool],
+        run: Callable[[Instance, Optional[OracleBudget]], SolveReport],
+        needs: str = "",
+    ):
+        self.__dict__.update(name=name, problem=problem, applies=applies, run=run, needs=needs)
 
 
-# Per problem, ``auto`` takes the first entry that applies.  Each ``run`` looks
-# its solver up by module attribute at call time, never through a captured
-# function object, so a wrapper installed on that attribute sees the call.
+# Per problem, ``auto`` takes the first entry that applies.  Each ``run`` reads
+# its solver from this module's attribute when it is called, never from a
+# captured function object: a solver defined here by its global name, a
+# ``_LAZY`` one through ``_late``, which imports its module on the first
+# call.  So a wrapper set on that attribute sees the call, and a route that
+# never reaches the oracle or the tree maximin solver never imports them.
 # Greedy's ``applies`` compares grid rows, which are equal exactly when the
 # utility rows are, and leaves the type partition to the solver.
 METHODS = (
@@ -522,19 +556,19 @@ METHODS = (
            lambda inst, budget: prop_tree_fpt(inst, budget),
            "the tree solver needs a tree graph"),
     Method("oracle", "prop", lambda cls, inst: True,
-           lambda inst, budget: oracle_prop(inst, budget)),
+           lambda inst, budget: _late("oracle_prop")(inst, budget)),
     Method("ef-path", "ef-complete",
            lambda cls, inst: cls.is_path,
            lambda inst, budget: ef_path_typed(inst, budget),
            "the envy-free path solver needs a path graph"),
     Method("oracle", "ef-complete", lambda cls, inst: True,
-           lambda inst, budget: oracle_ef_complete(inst, budget)),
+           lambda inst, budget: _late("oracle_ef_complete")(inst, budget)),
     Method("mms-tree", "mms",
            lambda cls, inst: cls.is_tree and inst.item_count >= inst.agent_count,
-           lambda inst, budget: mms_tree.solve_mms_tree(inst),
+           lambda inst, budget: _late("mms_tree").solve_mms_tree(inst),
            "the tree maximin solver needs a tree with enough items"),
     Method("oracle", "mms", lambda cls, inst: True,
-           lambda inst, budget: oracle_mms_exists(inst, budget)),
+           lambda inst, budget: _late("oracle_mms_exists")(inst, budget)),
 )
 
 
@@ -573,6 +607,4 @@ def dispatch(
     A bad budget is refused before routing, also on routes that never read it.
     """
     _checked_budget(budget)
-    entry = select_method(inst, problem, method)
-    logger.debug("dispatch: problem=%s method=%s", entry.problem, entry.name)
-    return entry.run(inst, budget)
+    return select_method(inst, problem, method).run(inst, budget)

@@ -1,6 +1,5 @@
 """Tree maximin machinery: golden traces, exact shares, peeling invariants."""
 
-import dataclasses
 import random
 from fractions import Fraction
 
@@ -24,7 +23,7 @@ from graphfair import (
 )
 from graphfair.cli import _mms_values
 from graphfair.generators import gen_random
-from graphfair.graphs import induced_subgraph, root_tree
+from graphfair.graphs import RootedTreeView, induced_subgraph, root_tree
 from graphfair.mms_tree import DiminisherRound, DiminisherTrace
 from graphfair.model import Instance, at_least
 
@@ -302,7 +301,8 @@ def test_a_failed_sweep_caps_the_share(monkeypatch):
 
     def counting_view(graph):
         view = rooted(graph)
-        return dataclasses.replace(view, postorder=CountedPostorder(view.postorder))
+        return RootedTreeView(view.root, view.children,
+                              CountedPostorder(view.postorder), view.parent)
 
     monkeypatch.setattr(mms_tree, "_rooted_tree", counting_view)
     rng = random.Random(1515)

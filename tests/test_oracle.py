@@ -9,6 +9,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import graphfair.model as model
 import graphfair.oracle as oracle
 from graphfair import (
     Allocation,
@@ -740,7 +741,7 @@ def test_mms_solve_builds_one_counter(monkeypatch):
             super().__init__(limit)
             counters.append(self)
 
-    monkeypatch.setattr(oracle, "_NodeCounter", Recorded)
+    monkeypatch.setattr(model, "_NodeCounter", Recorded)
     for solve in (oracle_mms_exists, oracle_mms_values):
         solve(fixture_cycle8())
         assert len(counters) == 1, solve
